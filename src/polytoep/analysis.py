@@ -20,6 +20,7 @@ from .symbols import TorusSymbol, _spectral
 
 EXACT_TOL = 1e-10   # identities that hold in exact arithmetic on polynomial inputs
 LIMIT_TOL = 1e-6    # finite surrogates for norm-limit statements
+TIE_RTOL = 1e-12    # step norms this close to the largest, relative to it, count as tied
 
 
 def _block_norm_grid(D: np.ndarray, p: int) -> np.ndarray:
@@ -165,29 +166,28 @@ def recover_symbol(T: TruncatedOperator) -> SymbolRecovery:
     return SymbolRecovery(symbol=sym, deviations=deviations, max_deviation=max_dev)
 
 
+def section(T: TruncatedOperator, m: int, directions: tuple[int, ...]) -> TruncatedOperator:
+    """Entry-shifted section B_m: entries T[l + m*e, k + m*e] on the interior box.
+
+    e sums the unit vectors of the selected directions.
+    """
+    inner, pos = _shifted_positions(T.box, m, directions)
+    return TruncatedOperator(inner, T.p, _gather(T.matrix, T.p, pos, pos))
+
+
 @dataclass
 class AsymptoticSequence:
-    """Entry-shifted sections B_m and the norms of their successive differences.
+    """Norms of the successive differences of the entry-shifted sections B_m.
 
-    sections[m] holds the matrix with entries T[l + m*e, k + m*e] on the
-    interior box (e sums the selected directions); step_norms[m] is
-    ||B_(m+1) - B_m|| on their common sub-box.  The Cauchy verdict is the
-    finite surrogate "final step norm at most tol".
+    step_norms[m] is ||B_(m+1) - B_m|| on their common sub-box, where B_m is
+    `section(T, m, directions)`.  The Cauchy verdict is the finite surrogate
+    "final step norm at most tol".
     """
 
     directions: tuple[int, ...]
     tol: float
-    sections: list[TruncatedOperator]
     step_norms: list[float]
     cauchy: bool
-
-    @property
-    def records(self) -> list[tuple[int, TruncatedOperator, float | None]]:
-        out = []
-        for m, sec in enumerate(self.sections):
-            step = self.step_norms[m] if m < len(self.step_norms) else None
-            out.append((m, sec, step))
-        return out
 
 
 def _sequence(T: TruncatedOperator, directions: tuple[int, ...], m_max: int, tol: float) -> AsymptoticSequence:
@@ -197,22 +197,18 @@ def _sequence(T: TruncatedOperator, directions: tuple[int, ...], m_max: int, tol
             raise ValueError(
                 f"m_max = {m_max} exceeds cap {box.caps[j]} in direction {j}"
             )
-    sections: list[TruncatedOperator] = []
-    for m in range(m_max + 1):
-        inner, pos = _shifted_positions(box, m, directions)
-        sections.append(TruncatedOperator(inner, p, _gather(T.matrix, p, pos, pos)))
     step_norms: list[float] = []
+    prev = section(T, 0, directions)
     for m in range(m_max):
-        small = sections[m + 1].box
-        sub = positions_of(sections[m].box, index_array(small))
+        cur = section(T, m + 1, directions)
+        sub = positions_of(prev.box, index_array(cur.box))
         rows = block_rows(sub, p)
-        D = sections[m + 1].matrix - sections[m].matrix[np.ix_(rows, rows)]
-        step_norms.append(operator_norm(D))
+        step_norms.append(operator_norm(cur.matrix - prev.matrix[np.ix_(rows, rows)]))
+        prev = cur
     cauchy = bool(step_norms) and step_norms[-1] <= tol
     return AsymptoticSequence(
         directions=directions,
         tol=tol,
-        sections=sections,
         step_norms=step_norms,
         cauchy=cauchy,
     )
@@ -356,7 +352,9 @@ def asymptotic_decompose(
     the simultaneous all-directions sequence, whose shift by (m, ..., m)
     mirrors the diagonal index used to define the limiting coefficients.  A
     non-Cauchy direction yields verdict False with a witness, never an
-    exception.
+    exception.  Its worst_m is the first m whose step norm is within a relative
+    TIE_RTOL of the largest, so steps that tie in exact arithmetic resolve to
+    the earliest index rather than to rounding; step_norm is the norm at that m.
     """
     box = T.box
     if m_max is None:
@@ -371,7 +369,7 @@ def asymptotic_decompose(
     diagonal = sequences[0] if box.n == 1 else _sequence(T, tuple(range(box.n)), m_max, tol)
     stabilized = [m for m, s in enumerate(diagonal.step_norms) if s <= tol]
     m_star = stabilized[-1] if stabilized else m_max
-    recovery = recover_symbol(diagonal.sections[m_star])
+    recovery = recover_symbol(section(T, m_star, diagonal.directions))
     part = toeplitz(recovery.symbol, box)
     remainder = T - part
     part_defect = toeplitz_defect(part)
@@ -384,11 +382,12 @@ def asymptotic_decompose(
     witness: dict | None = None
     for seq in sequences:
         if not seq.cauchy:
-            worst = int(np.argmax(seq.step_norms))
+            norms = np.asarray(seq.step_norms)
+            worst = int(np.argmax(norms >= norms.max() * (1.0 - TIE_RTOL)))
             witness = {
                 "kind": "non_cauchy",
                 "direction": seq.directions[0],
-                "step_norm": max(seq.step_norms),
+                "step_norm": seq.step_norms[worst],
                 "worst_m": worst,
                 "step_norms": list(seq.step_norms),
             }
@@ -426,19 +425,3 @@ def asymptotic_decompose(
         verdict=verdict,
         witness=witness,
     )
-
-
-def feintuch_decompose(
-    T: TruncatedOperator,
-    tol: float = LIMIT_TOL,
-    m_max: int | None = None,
-) -> DecompositionResult:
-    """One-variable (block) decomposition: Toeplitz part plus compact remainder.
-
-    Identical to the scalar path for p = 1; the remainder profile measures
-    the entry-shifted sections ||R_m (T - A) R_m||, which coincide with the
-    corner-complement compressions in one variable.
-    """
-    if T.box.n != 1:
-        raise ValueError(f"one-variable decomposition requires n = 1, got n = {T.box.n}")
-    return asymptotic_decompose(T, tol=tol, m_max=m_max)

@@ -1,9 +1,13 @@
 """Batch front door: build symbols and operators, run analyses, emit reports.
 
 Exit codes: 0 = success, 1 = analysis ran and the property failed
-(verdict-false is a result, not an error), 2 = input error.  Reports embed
+(verdict-false is a result, not an error), 2 = input error, 3 = internal
+error (an unexpected exception, reported on one stderr line).  Reports embed
 the full configuration and are byte-identical across reruns with the same
 inputs and flags.
+
+`decompose` serves every dimension n >= 1; `block-decompose` runs the same
+handler and refuses operators with n != 1 (exit 2).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .lattice import Box
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 BENCH_FLOOR = 256
 
@@ -86,8 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--symbol-out", help="write the recovered symbol JSON here")
     sp.add_argument("--out")
 
-    for verb in ("decompose", "block-decompose"):
-        sp = sub.add_parser(verb, help="split into Toeplitz part plus remainder")
+    for verb, text in (
+        ("decompose", "split into Toeplitz part plus remainder"),
+        ("block-decompose", "decompose, for one-variable (block) operators only"),
+    ):
+        sp = sub.add_parser(verb, help=text)
         sp.add_argument("operator")
         sp.add_argument("--tol", type=float, default=analysis.LIMIT_TOL)
         sp.add_argument("--m-max", type=int, default=None)
@@ -136,6 +144,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bare_entries(data) -> list:
+    """(frequency, block) pairs from a bare --coeffs list of {"k", "re", "im"} objects."""
+    if not isinstance(data, list):
+        raise ValueError("--coeffs must be a symbol object or a list of {k, re, im} entries")
+    entries = []
+    for i, item in enumerate(data):
+        try:
+            re = np.asarray(item["re"])
+            entries.append((tuple(int(x) for x in item["k"]), re + 1j * np.asarray(item.get("im", 0.0))))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"--coeffs entry {i} is not a {{k, re, im}} object: {exc!r}") from exc
+    return entries
+
+
 def _cmd_symbol(args) -> int:
     if args.coeffs is not None:
         text = args.coeffs
@@ -148,11 +170,7 @@ def _cmd_symbol(args) -> int:
         else:
             if args.n is None:
                 raise ValueError("--n is required when --coeffs is a bare coefficient list")
-            entries = [
-                (tuple(item["k"]), np.asarray(item["re"]) + 1j * np.asarray(item.get("im", np.zeros_like(item["re"]))))
-                for item in data
-            ]
-            sym = symbols.from_coefficients(args.n, args.p, entries)
+            sym = symbols.from_coefficients(args.n, args.p, _bare_entries(data))
     elif args.blaschke is not None:
         sym = symbols.blaschke_factor(complex(args.blaschke), args.degree)
     elif args.monomial is not None:
@@ -240,12 +258,11 @@ def _decompose_payload(args, result) -> dict:
     }
 
 
-def _cmd_decompose(args, block: bool) -> int:
+def _cmd_decompose(args) -> int:
     op = io.load_operator(args.operator)
-    if block:
-        result = analysis.feintuch_decompose(op, tol=args.tol, m_max=args.m_max)
-    else:
-        result = analysis.asymptotic_decompose(op, tol=args.tol, m_max=args.m_max)
+    if args.command == "block-decompose" and op.box.n != 1:
+        raise ValueError(f"block-decompose requires a one-variable operator, got n = {op.box.n}")
+    result = analysis.asymptotic_decompose(op, tol=args.tol, m_max=args.m_max)
     if args.symbol_out:
         io.save_symbol(args.symbol_out, result.symbol)
     if args.csv:
@@ -371,8 +388,8 @@ _HANDLERS = {
     "toeplitz": _cmd_toeplitz,
     "check-toeplitz": _cmd_check_toeplitz,
     "recover": _cmd_recover,
-    "decompose": lambda args: _cmd_decompose(args, block=False),
-    "block-decompose": lambda args: _cmd_decompose(args, block=True),
+    "decompose": _cmd_decompose,
+    "block-decompose": _cmd_decompose,
     "compactness": _cmd_compactness,
     "modelspace": _cmd_modelspace,
     "invariance": _cmd_invariance,
@@ -392,6 +409,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # any other failure is a defect, never a verdict
+        sys.stderr.write(f"internal error: {exc!r}\n")
+        return EXIT_INTERNAL_ERROR
 
 
 def entrypoint() -> None:

@@ -5,6 +5,10 @@ the matrix payload, either raw little-endian float64 with interleaved
 real/imaginary parts (row-major) or CSV with the same interleaving for
 small matrices.  All JSON is emitted with sorted keys and repr-exact floats
 so identical inputs produce bit-identical files.
+
+An operator header carries a `symbol` only for a Toeplitz section; loading
+refuses a file whose payload is not exactly that symbol's section, so the
+symbol never disagrees with the matrix it travels with.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .lattice import Box
 from .modelspace import ModelSpace
-from .operators import TruncatedOperator
+from .operators import TruncatedOperator, toeplitz
 from .symbols import TorusSymbol
 
 
@@ -45,6 +49,8 @@ def symbol_from_dict(data: dict) -> TorusSymbol:
         entries = {}
         for item in data["coefficients"]:
             k = tuple(int(x) for x in item["k"])
+            if len(k) != n:
+                raise ValueError(f"frequency {k} has length {len(k)}, expected n = {n}")
             blk = np.asarray(item["re"], dtype=float) + 1j * np.asarray(item["im"], dtype=float)
             if blk.shape != (p, p):
                 raise ValueError(f"coefficient at {k} has shape {blk.shape}, expected ({p}, {p})")
@@ -115,13 +121,10 @@ def save_operator(path, op: TruncatedOperator, fmt: str = "binary") -> None:
         "n": op.box.n,
         "p": op.p,
         "caps": list(op.box.caps),
-        "structure": op.tag,
         "format": fmt,
     }
-    if op.tag == "toeplitz" and op.symbol is not None:
+    if op.symbol is not None:
         header["symbol"] = symbol_to_dict(op.symbol)
-    if op.tag == "shift" and op.direction is not None:
-        header["direction"] = op.direction
     head = dumps_header(header) + "\n"
     if fmt == "binary":
         with open(path, "wb") as fh:
@@ -146,6 +149,7 @@ def _read_header(path) -> tuple[dict, bytes]:
 
 
 def load_operator(path) -> TruncatedOperator:
+    """Read an operator file; keys other than those save_operator writes are ignored."""
     header, payload = _read_header(path)
     if header.get("kind") != "operator":
         raise ValueError(f"{path}: not an operator file (kind={header.get('kind')!r})")
@@ -153,7 +157,6 @@ def load_operator(path) -> TruncatedOperator:
         box = Box(tuple(int(c) for c in header["caps"]))
         p = int(header["p"])
         fmt = header["format"]
-        tag = header.get("structure", "general")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed operator header: {exc}") from exc
     dim = p * box.dim
@@ -163,11 +166,17 @@ def load_operator(path) -> TruncatedOperator:
         matrix = _matrix_from_csv(payload.decode(), dim, dim)
     else:
         raise ValueError(f"{path}: unknown payload format {fmt!r}")
-    symbol = symbol_from_dict(header["symbol"]) if "symbol" in header else None
-    direction = header.get("direction")
-    return TruncatedOperator(
-        box=box, p=p, matrix=matrix, tag=tag, symbol=symbol, direction=direction
-    )
+    symbol = None
+    if "symbol" in header:
+        symbol = symbol_from_dict(header["symbol"])
+        if (symbol.n, symbol.p) != (box.n, p):
+            raise ValueError(
+                f"{path}: header symbol has n = {symbol.n}, p = {symbol.p}; "
+                f"the operator has n = {box.n}, p = {p}"
+            )
+        if not np.array_equal(matrix, toeplitz(symbol, box).matrix, equal_nan=True):
+            raise ValueError(f"{path}: payload is not the Toeplitz section of the header symbol")
+    return TruncatedOperator(box=box, p=p, matrix=matrix, symbol=symbol)
 
 
 def save_modelspace(path, ms: ModelSpace) -> None:

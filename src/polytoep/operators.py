@@ -20,17 +20,15 @@ from .symbols import TorusSymbol, _next_pow2
 class TruncatedOperator:
     """Finite section of an operator on the truncated (block) monomial basis.
 
-    tag records provenance: "toeplitz" (with the defining symbol attached),
-    "shift" (with its direction), "projector", or "general".  Algebra results
-    always degrade to "general".
+    symbol is set only on a Toeplitz section built by `toeplitz` (or loaded
+    with a verified symbol); it enables `apply_fast`.  Algebra results carry
+    no symbol.
     """
 
     box: Box
     p: int
     matrix: np.ndarray
-    tag: str = "general"
     symbol: TorusSymbol | None = None
-    direction: int | None = None
     _spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -70,9 +68,6 @@ class TruncatedOperator:
         pos = positions_of(self.box, index_array(subbox))
         rows = block_rows(pos, self.p)
         return TruncatedOperator(subbox, self.p, self.matrix[np.ix_(rows, rows)])
-
-    def norm(self, method: str = "dense-svd", **kw) -> float:
-        return operator_norm(self, method=method, **kw)
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -133,7 +128,7 @@ def toeplitz(sym: TorusSymbol, box: Box) -> TruncatedOperator:
     for i in range(N):
         blocks = flat[row_lin[i] - col_lin]  # (N, p, p): diffs idx[i] - idx[:]
         matrix[i * p : (i + 1) * p, :] = blocks.transpose(1, 0, 2).reshape(p, N * p)
-    return TruncatedOperator(box, p, matrix, tag="toeplitz", symbol=sym)
+    return TruncatedOperator(box, p, matrix, symbol=sym)
 
 
 def shift(box: Box, direction: int, p: int = 1) -> TruncatedOperator:
@@ -149,7 +144,7 @@ def shift(box: Box, direction: int, p: int = 1) -> TruncatedOperator:
     mat[dst, src] = 1.0
     if p > 1:
         mat = np.kron(mat, np.eye(p))
-    return TruncatedOperator(box, p, mat.astype(complex), tag="shift", direction=direction)
+    return TruncatedOperator(box, p, mat.astype(complex))
 
 
 def layer_projector(box: Box, m: int, p: int = 1) -> TruncatedOperator:
@@ -164,11 +159,11 @@ def layer_projector(box: Box, m: int, p: int = 1) -> TruncatedOperator:
     diag = (idx < m).all(axis=1).astype(float)
     if p > 1:
         diag = np.repeat(diag, p)
-    return TruncatedOperator(box, p, np.diag(diag).astype(complex), tag="projector")
+    return TruncatedOperator(box, p, np.diag(diag).astype(complex))
 
 
 def identity(box: Box, p: int = 1) -> TruncatedOperator:
-    return TruncatedOperator(box, p, np.eye(p * box.dim, dtype=complex), tag="projector")
+    return TruncatedOperator(box, p, np.eye(p * box.dim, dtype=complex))
 
 
 def _fast_spectrum(op: TruncatedOperator) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -190,8 +185,8 @@ def apply_fast(op: TruncatedOperator, v: np.ndarray) -> np.ndarray:
     Embedding sizes are powers of two >= 2*d_i + 1, so no wraparound touches
     the box region and the result equals the dense matvec up to FFT roundoff.
     """
-    if op.tag != "toeplitz" or op.symbol is None:
-        raise ValueError("fast matvec requires a toeplitz-tagged operator with its symbol")
+    if op.symbol is None:
+        raise ValueError("fast matvec requires a toeplitz section carrying its symbol")
     v = np.asarray(v, dtype=complex)
     if v.shape != (op.dim,):
         raise ValueError(f"vector has shape {v.shape}, expected ({op.dim},)")
@@ -215,51 +210,12 @@ def apply_dense(op: TruncatedOperator, v: np.ndarray) -> np.ndarray:
     return op.matrix @ np.asarray(v, dtype=complex)
 
 
-def power_iteration_norm(
-    matrix: np.ndarray,
-    tol: float = 1e-8,
-    max_iterations: int = 1000,
-    seed: int | None = 0,
-) -> tuple[float, float, int]:
-    """Largest singular value by power iteration on A*A.
-
-    Returns (estimate, last relative change, iterations used).
-    """
-    rng = np.random.default_rng(seed)
-    m, k = matrix.shape
-    if m == 0 or k == 0:
-        return 0.0, 0.0, 0
-    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    res = np.inf
-    it = 0
-    for it in range(1, max_iterations + 1):
-        w = matrix @ v
-        new_sigma = float(np.linalg.norm(w))
-        u = matrix.conj().T @ w
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            return new_sigma, 0.0, it
-        res = abs(new_sigma - sigma) / max(new_sigma, 1e-300)
-        sigma = new_sigma
-        v = u / nu
-        if res <= tol:
-            break
-    return sigma, res, it
-
-
-def operator_norm(op, method: str = "dense-svd", tol: float = 1e-8, seed: int | None = 0) -> float:
-    """Largest singular value of an operator or raw matrix."""
+def operator_norm(op) -> float:
+    """Largest singular value (dense SVD) of an operator or raw matrix; 0.0 when empty."""
     matrix = op.matrix if isinstance(op, TruncatedOperator) else np.asarray(op)
     if matrix.size == 0:
         return 0.0
-    if method == "dense-svd":
-        return float(np.linalg.svd(matrix, compute_uv=False)[0])
-    if method == "power-iteration":
-        sigma, _, _ = power_iteration_norm(matrix, tol=tol, seed=seed)
-        return sigma
-    raise ValueError(f"unknown norm method {method!r}")
+    return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
 def compress(op, basis: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:

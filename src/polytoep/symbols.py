@@ -188,16 +188,6 @@ def multiply(a: TorusSymbol, b: TorusSymbol) -> TorusSymbol:
     return TorusSymbol(n=a.n, p=a.p, coefficients=coeffs, tail_bound=tail)
 
 
-def add(a: TorusSymbol, b: TorusSymbol) -> TorusSymbol:
-    """Coefficientwise sum (tail bounds add)."""
-    if a.n != b.n or a.p != b.p:
-        raise ValueError("dimension or block size mismatch")
-    coeffs = {k: np.array(v) for k, v in a.coefficients.items()}
-    for k, v in b.coefficients.items():
-        coeffs[k] = coeffs[k] + v if k in coeffs else np.array(v)
-    return TorusSymbol(a.n, a.p, coeffs, a.tail_bound + b.tail_bound)
-
-
 def blaschke_factor(a: complex, degree: int) -> TorusSymbol:
     """Degree-``degree`` truncation of the disc automorphism (z - a)/(1 - conj(a) z).
 

@@ -15,7 +15,6 @@ import numpy as np
 from polytoep.analysis import (
     asymptotic_decompose,
     compactness_profile,
-    feintuch_decompose,
     recover_symbol,
     toeplitz_defect,
 )
@@ -236,23 +235,11 @@ def test_criterion_7_block_layer():
         assert np.abs(rebuilt.matrix - T.matrix).max() <= 1e-12
 
         M = T.matrix + low_layer_noise(box, 3, 2, rng)
-        res = feintuch_decompose(TruncatedOperator(box, 2, M))
+        res = asymptotic_decompose(TruncatedOperator(box, 2, M))
         assert res.verdict, res.witness
         for f in range(-4, 5):
             assert np.abs(res.symbol.coeff((f,)) - phi.coeff((f,))).max() <= 1e-10
-
-    for _ in range(5):
-        sym = random_symbol(1, 3, rng=rng)
-        M = toeplitz(sym, box).matrix + low_layer_noise(box, 2, 1, rng)
-        T = TruncatedOperator(box, 1, M)
-        a = asymptotic_decompose(T)
-        f = feintuch_decompose(T)
-        assert a.sequences[0].step_norms == f.sequences[0].step_norms
-        assert a.remainder_profile.values == f.remainder_profile.values
-        assert a.m_star == f.m_star
-        for k in set(a.symbol.coefficients) | set(f.symbol.coefficients):
-            assert np.array_equal(a.symbol.coeff(k), f.symbol.coeff(k))
-    report(7, "20 block (p=2) round trips and decompositions; p=1 path bit-identical")
+    report(7, "20 block (p=2) round trips and decompositions")
 
 
 def test_criterion_8_fast_matvec_correctness_and_speed():

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from polytoep import io
+from polytoep import cli, io
 from polytoep.cli import main
 from polytoep.lattice import Box
 from polytoep.operators import TruncatedOperator, toeplitz
@@ -181,3 +181,42 @@ def test_recover_cli(tmp_path):
     assert data["max_deviation"] == 0.0
     back = io.load_symbol(sym_out)
     assert back.coeff((0, 0)).item() == 2.0
+
+
+def test_block_decompose_rejects_multivariable(tmp_path, capsys):
+    path = tmp_path / "I.op"
+    io.save_operator(path, TruncatedOperator(Box((3, 3)), 1, np.eye(16, dtype=complex)))
+    assert main(["block-decompose", str(path)]) == 2
+    assert "one-variable" in capsys.readouterr().err
+
+
+def test_decompose_refuses_mismatched_header_symbol(tmp_path, capsys):
+    box = Box((7,))
+    T = toeplitz(from_coefficients(1, 1, [((1,), 1.0)]), box)
+    other = from_coefficients(1, 1, [((-1,), 1.0)])
+    path = tmp_path / "T.op"
+    io.save_operator(path, TruncatedOperator(box, 1, T.matrix, symbol=other))
+    assert main(["decompose", str(path)]) == 2
+    assert "payload" in capsys.readouterr().err
+
+
+def test_symbol_bad_bare_entry_exit_two(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["symbol", "--coeffs", "[1]", "--n", "1", "--out", str(out)]) == 2
+    assert main(["symbol", "--coeffs", '[{"k": [[1]], "re": 1}]', "--n", "1", "--out", str(out)]) == 2
+    assert main(["symbol", "--coeffs", "3", "--n", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error:") == 3
+    assert not out.exists()
+    assert main(["symbol", "--coeffs", '[{"k": [1], "re": 2}]', "--n", "1", "--out", str(out)]) == 0
+    assert io.load_symbol(out).coeff((1,)).item() == 2.0
+
+
+def test_internal_error_exit_three(tmp_path, monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setitem(cli._HANDLERS, "recover", boom)
+    assert main(["recover", str(tmp_path / "T.op")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError") and err.count("\n") == 1

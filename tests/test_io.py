@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from polytoep import io
 from polytoep.lattice import Box
 from polytoep.modelspace import model_basis
-from polytoep.operators import toeplitz
+from polytoep.operators import TruncatedOperator, toeplitz
 from polytoep.symbols import from_coefficients, max_coeff_difference, random_symbol
 
 
@@ -25,6 +27,9 @@ def test_symbol_rejects_malformed(tmp_path):
     path.write_text('{"n": 1}')
     with pytest.raises(ValueError, match="malformed"):
         io.load_symbol(path)
+    path.write_text('{"n": 1, "p": 1, "coefficients": [{"k": [1, 2], "re": [[1.0]], "im": [[0.0]]}]}')
+    with pytest.raises(ValueError, match="expected n = 1"):
+        io.load_symbol(path)
 
 
 def test_operator_round_trip_binary(tmp_path):
@@ -34,7 +39,7 @@ def test_operator_round_trip_binary(tmp_path):
     path = tmp_path / "T.op"
     io.save_operator(path, op, fmt="binary")
     back = io.load_operator(path)
-    assert back.box == op.box and back.p == op.p and back.tag == "toeplitz"
+    assert back.box == op.box and back.p == op.p
     assert np.array_equal(back.matrix, op.matrix)
     assert back.symbol is not None
     assert max_coeff_difference(back.symbol, sym) == 0.0
@@ -87,3 +92,37 @@ def test_sequence_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "m,c_m"
     assert lines[1] == "0,1.0"
+
+
+def test_operator_symbol_must_match_payload(tmp_path):
+    box = Box((3, 3))
+    matrix = toeplitz(from_coefficients(2, 1, [((0, 0), 2.0), ((1, 0), 1.0)]), box).matrix
+    path = tmp_path / "T.op"
+    for other, message in [
+        (from_coefficients(2, 1, [((0, 0), 2.0), ((0, 1), 1.0)]), "payload is not the Toeplitz section"),
+        (from_coefficients(1, 1, [((0,), 2.0)]), "header symbol has n = 1"),
+    ]:
+        io.save_operator(path, TruncatedOperator(box, 1, matrix, symbol=other))
+        with pytest.raises(ValueError, match=message):
+            io.load_operator(path)
+
+
+def test_operator_legacy_header_loads(tmp_path):
+    sym = from_coefficients(1, 1, [((1,), 1.0)])
+    op = toeplitz(sym, Box((4,)))
+    path = tmp_path / "S.op"
+    io.save_operator(path, op)
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    header = dict(json.loads(raw[:nl]), structure="toeplitz", direction=0)
+    path.write_bytes(io.dumps_header(header).encode() + raw[nl:])
+    back = io.load_operator(path)
+    assert np.array_equal(back.matrix, op.matrix)
+    assert max_coeff_difference(back.symbol, sym) == 0.0
+
+
+def test_operator_nan_symbol_round_trip(tmp_path):
+    op = toeplitz(from_coefficients(1, 1, [((1,), np.nan)]), Box((3,)))
+    path = tmp_path / "N.op"
+    io.save_operator(path, op)
+    assert np.array_equal(io.load_operator(path).matrix, op.matrix, equal_nan=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polytoep import modelspace
 from polytoep.lattice import Box, enumerate_basis
 from polytoep.modelspace import (
     compressed_shift,
@@ -180,3 +181,11 @@ def test_block_model_space():
     assert rep.norms[0][1] == 0.0
     kr = invariance_kernel(ms, tol=1e-8)
     assert kr.kernel_dim == 0
+
+
+def test_invariance_kernel_lanczos_is_deterministic(monkeypatch):
+    monkeypatch.setattr(modelspace, "DENSE_KERNEL_BUDGET", 0)
+    ms = model_basis(monomial(2, (1, 1)), Box((4, 4)))
+    first = invariance_kernel(ms, tol=1e-8).to_dict()
+    assert first["method"] == "lanczos"
+    assert first == invariance_kernel(ms, tol=1e-8).to_dict()

@@ -12,7 +12,6 @@ from polytoep.operators import (
     identity,
     layer_projector,
     operator_norm,
-    power_iteration_norm,
     shift,
     toeplitz,
 )
@@ -213,17 +212,6 @@ def test_operator_norm_tridiagonal_section():
     sym = from_coefficients(1, 1, [((1,), 1), ((-1,), 1)])
     T = toeplitz(sym, Box((63,)))
     assert operator_norm(T) == pytest.approx(2 * np.cos(np.pi / 65), abs=1e-10)
-
-
-def test_power_iteration_close_to_svd():
-    rng = np.random.default_rng(8)
-    M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    sigma, res, _ = power_iteration_norm(M, tol=1e-12, max_iterations=5000)
-    assert sigma == pytest.approx(np.linalg.norm(M, 2), rel=1e-6)
-    assert res <= 1e-12
-    assert operator_norm(M, method="power-iteration", tol=1e-10) == pytest.approx(
-        np.linalg.norm(M, 2), rel=1e-5
-    )
 
 
 def test_compress():

@@ -8,6 +8,7 @@ from polytoep.analysis import (
     compactness_profile,
     cross_term_profile,
     recover_symbol,
+    section,
     toeplitz_defect,
 )
 from polytoep.lattice import Box
@@ -55,7 +56,7 @@ def check_all_ops(T: TruncatedOperator, rng) -> None:
             assert np.allclose(seq.step_norms, want_steps, atol=TOL)
             for m in range(m_max + 1):
                 assert np.allclose(
-                    seq.sections[m].matrix,
+                    section(T, m, (j,)).matrix,
                     oracles.section_oracle(T, m, (j,)),
                     atol=0,
                 )
