@@ -136,9 +136,13 @@ class SymbolRecovery:
 def recover_symbol(T: TruncatedOperator) -> SymbolRecovery:
     """Read a candidate symbol off the matrix diagonals.
 
-    The coefficient at frequency f averages every block with row - col = f;
-    the deviation map records the largest spread among those representatives
-    (zero exactly on diagonals that are already constant).
+    The coefficient at frequency f is taken from the blocks with
+    row - col = f: a constant diagonal yields its representative, any other
+    diagonal its mean.  The two agree in exact arithmetic; taking the
+    representative keeps a constant diagonal bit-exact, so a Toeplitz part
+    rebuilt from the symbol cancels it entry by entry.  The deviation map
+    records the largest spread among those blocks (zero exactly on diagonals
+    that are already constant).
     """
     box, p = T.box, T.p
     caps = box.caps
@@ -156,12 +160,13 @@ def recover_symbol(T: TruncatedOperator) -> SymbolRecovery:
         pos_k = positions_of(box, idx)
         pos_l = pos_k + sum(fi * si for fi, si in zip(f, str_box))
         blocks = B4[pos_l, :, pos_k, :]
-        mean = blocks.mean(axis=0)
         spread = _diameter(blocks, p)
+        # copy, so the stored coefficient does not keep the whole diagonal alive
+        coeff = blocks[0].copy() if spread == 0.0 else blocks.mean(axis=0)
         deviations[f] = spread
         max_dev = max(max_dev, spread)
-        if _spectral(mean) != 0.0:
-            coeffs[f] = mean
+        if _spectral(coeff) != 0.0:
+            coeffs[f] = coeff
     sym = TorusSymbol(box.n, p, coeffs, 0.0)
     return SymbolRecovery(symbol=sym, deviations=deviations, max_deviation=max_dev)
 
@@ -298,9 +303,6 @@ def compactness_profile(T: TruncatedOperator, m_max: int, tol: float = LIMIT_TOL
     values: list[float] = []
     for m in range(m_max + 1):
         outside = np.nonzero((idx >= m).any(axis=1))[0]
-        if outside.size == 0:
-            values.append(0.0)
-            continue
         rows = block_rows(outside, p)
         values.append(operator_norm(T.matrix[np.ix_(rows, rows)]))
     monotone = all(values[i + 1] <= values[i] + 10.0 * tol for i in range(len(values) - 1))
@@ -348,13 +350,14 @@ def asymptotic_decompose(
     """Split T into a Toeplitz part and a remainder, certifying the split.
 
     Per-direction sections provide the Cauchy verdicts.  The candidate symbol
-    is read (by diagonal averaging) from the deepest stabilized section of
-    the simultaneous all-directions sequence, whose shift by (m, ..., m)
-    mirrors the diagonal index used to define the limiting coefficients.  A
-    non-Cauchy direction yields verdict False with a witness, never an
-    exception.  Its worst_m is the first m whose step norm is within a relative
-    TIE_RTOL of the largest, so steps that tie in exact arithmetic resolve to
-    the earliest index rather than to rounding; step_norm is the norm at that m.
+    is read off the diagonals (`recover_symbol`) of the deepest stabilized
+    section of the simultaneous all-directions sequence, whose shift by
+    (m, ..., m) mirrors the diagonal index used to define the limiting
+    coefficients.  A non-Cauchy direction yields verdict False with a witness,
+    never an exception.  Its worst_m is the first m whose step norm is within
+    a relative TIE_RTOL of the largest, so steps that tie in exact arithmetic
+    resolve to the earliest index rather than to rounding; step_norm is the
+    norm at that m.
     """
     box = T.box
     if m_max is None:

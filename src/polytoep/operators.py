@@ -211,10 +211,19 @@ def apply_dense(op: TruncatedOperator, v: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(op) -> float:
-    """Largest singular value (dense SVD) of an operator or raw matrix; 0.0 when empty."""
+    """Largest singular value of an operator or raw matrix.
+
+    Dense SVD on the nonzero rows x columns; 0.0 when there are none (an
+    all-zero or empty matrix).  Exact: deleting a zero row or column only
+    drops a zero singular value, so the largest one is unchanged.  NaN counts
+    as nonzero and stays in.
+    """
     matrix = op.matrix if isinstance(op, TruncatedOperator) else np.asarray(op)
-    if matrix.size == 0:
+    rows, cols = matrix.any(axis=1), matrix.any(axis=0)
+    if not rows.any():
         return 0.0
+    if not (rows.all() and cols.all()):
+        matrix = matrix[np.ix_(rows, cols)]
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 

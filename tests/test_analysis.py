@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from polytoep.analysis import (
     section,
     toeplitz_defect,
 )
-from polytoep.lattice import Box, enumerate_basis, interior
-from polytoep.operators import TruncatedOperator, identity, toeplitz
+from polytoep.lattice import Box, enumerate_basis, index_array, interior
+from polytoep.operators import TruncatedOperator, block_rows, identity, toeplitz
 from polytoep.symbols import from_coefficients, max_coeff_difference, random_symbol
 
 
@@ -199,6 +200,27 @@ def test_decompose_toeplitz_plus_rank_one():
         assert ct.final <= 1e-10
     assert np.abs((res.toeplitz_part + res.remainder).matrix - T.matrix).max() == 0.0  # integer data: exact
     assert res.toeplitz_part_defect.overall == 0.0
+
+
+@pytest.mark.parametrize("caps, p, depth", [((11, 11), 1, 3), ((63,), 2, 4), ((6, 6, 6), 1, 2)])
+def test_decompose_corner_block_is_bit_exact(caps, p, depth):
+    # Entry-shifted sections cancel the Toeplitz part exactly, so once every
+    # constant diagonal is recovered as its representative the remainder is
+    # the perturbation's support and nothing else.
+    rng = np.random.default_rng(13)
+    box = Box(caps)
+    sym = random_symbol(box.n, 2, p=p, rng=rng)
+    rows = block_rows(np.nonzero((index_array(box) < depth).all(axis=1))[0], p)
+    K = np.zeros((p * box.dim,) * 2, dtype=complex)
+    K[np.ix_(rows, rows)] = rng.standard_normal((rows.size,) * 2) + 1j * rng.standard_normal((rows.size,) * 2)
+    res = asymptotic_decompose(toeplitz(sym, box) + TruncatedOperator(box, p, K))
+    assert res.verdict
+    for f in itertools.product(*(range(-(c - res.m_star), c - res.m_star + 1) for c in caps)):
+        assert np.array_equal(res.symbol.coeff(f), sym.coeff(f)), f
+    assert np.count_nonzero(res.remainder.matrix) == np.count_nonzero(K)
+    for m, c in enumerate(res.remainder_profile.values):
+        if m >= depth:
+            assert c == 0.0, m
 
 
 def test_decompose_pure_toeplitz():

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polytoep.lattice import Box, enumerate_basis, interior
 from polytoep.operators import (
@@ -212,6 +214,58 @@ def test_operator_norm_tridiagonal_section():
     sym = from_coefficients(1, 1, [((1,), 1), ((-1,), 1)])
     T = toeplitz(sym, Box((63,)))
     assert operator_norm(T) == pytest.approx(2 * np.cos(np.pi / 65), abs=1e-10)
+
+
+@st.composite
+def masked_matrices(draw):
+    """Random real or complex matrix with random rows and columns zeroed."""
+    r, c = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    keep_rows = np.array(draw(st.lists(st.booleans(), min_size=r, max_size=r)))
+    keep_cols = np.array(draw(st.lists(st.booleans(), min_size=c, max_size=c)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    full = rng.standard_normal((r, c))
+    if draw(st.booleans()):
+        full = full + 1j * rng.standard_normal((r, c))
+    full[~keep_rows, :] = 0
+    full[:, ~keep_cols] = 0
+    return full
+
+
+@given(masked_matrices())
+def test_operator_norm_crop_matches_full_svd(full):
+    want = np.linalg.svd(full, compute_uv=False)[0]
+    assert abs(operator_norm(full) - want) <= 1e-12 * want
+
+
+def test_operator_norm_without_nonzero_entries_is_zero():
+    assert operator_norm(np.zeros((4, 4), dtype=complex)) == 0.0
+    for shape in [(0, 0), (0, 3), (3, 0)]:
+        assert operator_norm(np.zeros(shape)) == 0.0
+
+
+def test_operator_norm_single_entry_and_single_row():
+    rng = np.random.default_rng(8)
+    for a in rng.standard_normal(20) * 10.0 ** rng.uniform(-5, 5, 20):
+        M = np.zeros((5, 7), dtype=complex)
+        M[rng.integers(5), rng.integers(7)] = a
+        assert operator_norm(M) == abs(a)
+    M = np.zeros((5, 7), dtype=complex)
+    M[3, 4] = 3 - 4j
+    assert operator_norm(M) == 5.0
+    M = np.zeros((5, 7), dtype=complex)
+    M[2, [0, 3, 6]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    assert operator_norm(M) == pytest.approx(np.linalg.norm(M[2]), rel=1e-12)
+
+
+def test_operator_norm_keeps_nan_entries():
+    # cropping a NaN away would read 0.0; LAPACK either fails or returns NaN
+    M = np.zeros((4, 4))
+    M[1, 2] = np.nan
+    try:
+        got = operator_norm(M)
+    except np.linalg.LinAlgError:
+        return
+    assert np.isnan(got)
 
 
 def test_compress():
