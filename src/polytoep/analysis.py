@@ -239,24 +239,15 @@ class CrossTermProfile:
         return self.norms[-1] if self.norms else 0.0
 
 
-def cross_term_profile(
-    T: TruncatedOperator,
-    A: TruncatedOperator,
-    i: int,
-    j: int,
-    m_max: int,
-) -> CrossTermProfile:
-    """Exact finite sections of the cross compressions of T - A.
+def cross_term_profile(K: TruncatedOperator, i: int, j: int, m_max: int) -> CrossTermProfile:
+    """Exact finite sections of the cross compressions of K.
 
-    Entry (l, k) of the m-th section is (T - A)[l + m*e_i, k + m*e_j] over
-    the interior pairs for which both translates stay in the box.
+    Entry (l, k) of the m-th section is K[l + m*e_i, k + m*e_j] over the
+    interior pairs for which both translates stay in the box.
     """
-    if T.box != A.box or T.p != A.p:
-        raise ValueError("operators live on different truncations")
-    box, p = T.box, T.p
+    box, p = K.box, K.p
     if m_max > min(box.caps[i], box.caps[j]):
         raise ValueError(f"m_max = {m_max} too deep for directions ({i}, {j})")
-    K = T.matrix - A.matrix
     norms: list[float] = []
     for m in range(1, m_max + 1):
         _, rpos = _shifted_positions(box, m, (i,))
@@ -264,7 +255,7 @@ def cross_term_profile(
             cpos = rpos
         else:
             _, cpos = _shifted_positions(box, m, (j,))
-        norms.append(operator_norm(K[np.ix_(block_rows(rpos, p), block_rows(cpos, p))]))
+        norms.append(operator_norm(K.matrix[np.ix_(block_rows(rpos, p), block_rows(cpos, p))]))
     return CrossTermProfile(i=i, j=j, norms=norms)
 
 
@@ -320,15 +311,15 @@ def compactness_profile(T: TruncatedOperator, m_max: int, tol: float = LIMIT_TOL
 class DecompositionResult:
     """Toeplitz + remainder split with all supporting diagnostics.
 
-    The identity T = toeplitz_part + remainder holds exactly whatever the
-    verdict says; the verdict certifies (at this box and tolerance) that the
-    per-direction sequences settled, the remainder profile decayed, and all
-    cross terms ended below tolerance.
+    The remainder is T - toeplitz(symbol, box) as computed, whatever the
+    verdict says.  Adding the Toeplitz part back reproduces T to rounding,
+    and bit for bit where every recovered diagonal was constant.  The verdict
+    certifies (at this box and tolerance) that the per-direction sequences
+    settled, the remainder profile decayed, and all cross terms ended below
+    tolerance.
     """
 
     symbol: TorusSymbol
-    recovery: SymbolRecovery
-    toeplitz_part: TruncatedOperator
     remainder: TruncatedOperator
     toeplitz_part_defect: DefectReport
     remainder_profile: CompactnessProfile
@@ -372,14 +363,14 @@ def asymptotic_decompose(
     diagonal = sequences[0] if box.n == 1 else _sequence(T, tuple(range(box.n)), m_max, tol)
     stabilized = [m for m, s in enumerate(diagonal.step_norms) if s <= tol]
     m_star = stabilized[-1] if stabilized else m_max
-    recovery = recover_symbol(section(T, m_star, diagonal.directions))
-    part = toeplitz(recovery.symbol, box)
+    symbol = recover_symbol(section(T, m_star, diagonal.directions)).symbol
+    part = toeplitz(symbol, box)
     remainder = T - part
     part_defect = toeplitz_defect(part)
     profile_depth = min(m_max, min(box.caps) + 1)
     remainder_profile = compactness_profile(remainder, profile_depth, tol)
     cross_terms = [
-        cross_term_profile(T, part, i, j, m_max)
+        cross_term_profile(remainder, i, j, m_max)
         for i, j in itertools.product(range(box.n), repeat=2)
     ]
     witness: dict | None = None
@@ -413,9 +404,7 @@ def asymptotic_decompose(
                 break
     verdict = witness is None
     return DecompositionResult(
-        symbol=recovery.symbol,
-        recovery=recovery,
-        toeplitz_part=part,
+        symbol=symbol,
         remainder=remainder,
         toeplitz_part_defect=part_defect,
         remainder_profile=remainder_profile,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +26,6 @@ EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
-
-BENCH_FLOOR = 256
 
 
 def _parse_caps(text: str) -> Box:
@@ -134,13 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out")
 
-    sp = sub.add_parser("bench-matvec", help="fast vs dense matvec timing and residual")
-    sp.add_argument("--caps", required=True)
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--span", type=int, default=2, help="frequency span of the random symbol")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", help="CSV output path (default stdout)")
-
     return parser
 
 
@@ -199,7 +189,7 @@ def _cmd_check_toeplitz(args) -> int:
         "config": _config(args, ("operator", "tol")),
         **report.to_dict(),
     }
-    if args.format == "csv" and args.out:
+    if args.format == "csv":
         io.write_sequence_csv(
             args.out, list(enumerate(report.defects)), ("direction", "defect")
         )
@@ -284,7 +274,7 @@ def _cmd_compactness(args) -> int:
     op = io.load_operator(args.operator)
     m_max = args.m_max if args.m_max is not None else min(op.box.caps) + 1
     profile = analysis.compactness_profile(op, m_max, tol=args.tol)
-    if args.format == "csv" and args.out:
+    if args.format == "csv":
         io.write_sequence_csv(args.out, list(zip(profile.ms, profile.values)), ("m", "c_m"))
     else:
         payload = {
@@ -329,7 +319,7 @@ def _cmd_model_compactness(args) -> int:
     else:
         T = np.eye(ms.q, dtype=complex)
     report = modelspace.model_compactness_test(ms, T, m_max=args.m_max, tol=args.tol)
-    if args.format == "csv" and args.out:
+    if args.format == "csv":
         rows = []
         for m in range(report.m_max):
             rows.append([m + 1] + [seq[m] for seq in report.norms])
@@ -347,42 +337,6 @@ def _cmd_model_compactness(args) -> int:
     return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
 
 
-def _cmd_bench_matvec(args) -> int:
-    box = _parse_caps(args.caps)
-    if box.dim < BENCH_FLOOR:
-        raise ValueError(
-            f"caps {list(box.caps)} give N = {box.dim}, below the benchmark floor {BENCH_FLOOR}"
-        )
-    if args.trials < 1:
-        raise ValueError("--trials must be positive")
-    rng = np.random.default_rng(args.seed)
-    sym = symbols.random_symbol(box.n, args.span, rng=rng)
-    op = operators.toeplitz(sym, box)
-    v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    operators.apply_fast(op, v)  # warm the cached embedding spectrum
-    dense_times, fast_times, residual = [], [], 0.0
-    for _ in range(args.trials):
-        t0 = time.perf_counter()
-        dense = operators.apply_dense(op, v)
-        t1 = time.perf_counter()
-        fast = operators.apply_fast(op, v)
-        t2 = time.perf_counter()
-        dense_times.append(t1 - t0)
-        fast_times.append(t2 - t1)
-        scale = max(float(np.linalg.norm(dense)), 1e-300)
-        residual = max(residual, float(np.linalg.norm(fast - dense)) / scale)
-    lines = ["N,dense_time,fast_time,max_residual"]
-    lines.append(
-        f"{op.dim},{float(np.median(dense_times))!r},{float(np.median(fast_times))!r},{residual!r}"
-    )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 _HANDLERS = {
     "symbol": _cmd_symbol,
     "toeplitz": _cmd_toeplitz,
@@ -394,7 +348,6 @@ _HANDLERS = {
     "modelspace": _cmd_modelspace,
     "invariance": _cmd_invariance,
     "model-compactness": _cmd_model_compactness,
-    "bench-matvec": _cmd_bench_matvec,
 }
 
 
@@ -405,6 +358,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "format", None) == "csv" and not args.out:
+            raise ValueError("--format csv needs --out")
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

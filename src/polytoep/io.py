@@ -51,12 +51,14 @@ def symbol_from_dict(data: dict) -> TorusSymbol:
             k = tuple(int(x) for x in item["k"])
             if len(k) != n:
                 raise ValueError(f"frequency {k} has length {len(k)}, expected n = {n}")
-            blk = np.asarray(item["re"], dtype=float) + 1j * np.asarray(item["im"], dtype=float)
+            re = np.asarray(item["re"], dtype=float)
+            blk = np.empty(re.shape, dtype=complex)
+            blk.real, blk.imag = re, item["im"]  # not re + 1j*im, which loses -0.0 and NaN parts
             if blk.shape != (p, p):
                 raise ValueError(f"coefficient at {k} has shape {blk.shape}, expected ({p}, {p})")
             if k in entries:
                 raise ValueError(f"duplicate frequency {k}")
-            entries[k] = blk.astype(complex)
+            entries[k] = blk
         tail = float(data.get("tail_bound", 0.0))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed symbol JSON: {exc}") from exc
@@ -72,31 +74,20 @@ def load_symbol(path) -> TorusSymbol:
 
 
 def _matrix_to_bytes(matrix: np.ndarray) -> bytes:
-    inter = np.empty(matrix.shape + (2,), dtype="<f8")
-    inter[..., 0] = matrix.real
-    inter[..., 1] = matrix.imag
-    return inter.tobytes()
+    return np.ascontiguousarray(matrix, dtype="<c16").tobytes()
 
 
 def _matrix_from_bytes(buf: bytes, rows: int, cols: int) -> np.ndarray:
-    flat = np.frombuffer(buf, dtype="<f8")
-    if flat.size != rows * cols * 2:
+    if len(buf) != rows * cols * 16:
         raise ValueError(
-            f"matrix payload holds {flat.size} floats, expected {rows * cols * 2}"
+            f"matrix payload holds {len(buf)} bytes, expected {rows * cols * 16}"
         )
-    inter = flat.reshape(rows, cols, 2)
-    return (inter[..., 0] + 1j * inter[..., 1]).astype(complex)
+    return np.frombuffer(buf, dtype="<c16").reshape(rows, cols).astype(complex)
 
 
 def _matrix_to_csv(matrix: np.ndarray) -> str:
-    lines = []
-    for row in matrix:
-        cells = []
-        for z in row:
-            cells.append(repr(float(z.real)))
-            cells.append(repr(float(z.imag)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    floats = np.ascontiguousarray(matrix, dtype=complex).view(np.float64)
+    return "".join(",".join(repr(float(x)) for x in row) + "\n" for row in floats)
 
 
 def _matrix_from_csv(text: str, rows: int, cols: int) -> np.ndarray:
@@ -108,8 +99,7 @@ def _matrix_from_csv(text: str, rows: int, cols: int) -> np.ndarray:
         vals = [float(x) for x in line.split(",")]
         if len(vals) != 2 * cols:
             raise ValueError(f"CSV row {i} has {len(vals)} fields, expected {2 * cols}")
-        arr = np.asarray(vals).reshape(cols, 2)
-        out[i] = arr[:, 0] + 1j * arr[:, 1]
+        out[i] = np.asarray(vals).view(complex)
     return out
 
 
@@ -145,7 +135,16 @@ def _read_header(path) -> tuple[dict, bytes]:
         header = json.loads(raw[:nl].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     return header, raw[nl + 1 :]
+
+
+def _integer(value) -> int:
+    """A header count; floats and booleans are refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
 
 
 def load_operator(path) -> TruncatedOperator:
@@ -154,10 +153,10 @@ def load_operator(path) -> TruncatedOperator:
     if header.get("kind") != "operator":
         raise ValueError(f"{path}: not an operator file (kind={header.get('kind')!r})")
     try:
-        box = Box(tuple(int(c) for c in header["caps"]))
-        p = int(header["p"])
+        box = Box(tuple(header["caps"]))
+        p = _integer(header["p"])
         fmt = header["format"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed operator header: {exc}") from exc
     dim = p * box.dim
     if fmt == "binary":
@@ -201,12 +200,12 @@ def load_modelspace(path) -> ModelSpace:
     if header.get("kind") != "modelspace":
         raise ValueError(f"{path}: not a model-space file")
     try:
-        box = Box(tuple(int(c) for c in header["caps"]))
-        safe = Box(tuple(int(c) for c in header["safe_caps"]))
-        p = int(header["p"])
-        q = int(header["q"])
+        box = Box(tuple(header["caps"]))
+        safe = Box(tuple(header["safe_caps"]))
+        p = _integer(header["p"])
+        q = _integer(header["q"])
         theta = symbol_from_dict(header["theta"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model-space header: {exc}") from exc
     basis = _matrix_from_bytes(payload, p * box.dim, q)
     return ModelSpace(

@@ -26,7 +26,7 @@ class Box:
     def __post_init__(self):
         if len(self.caps) < 1:
             raise ValueError("box dimension must be >= 1")
-        if any(not isinstance(c, (int, np.integer)) or c < 0 for c in self.caps):
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0 for c in self.caps):
             raise ValueError(f"caps must be nonnegative integers, got {self.caps}")
         object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
 

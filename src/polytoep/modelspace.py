@@ -40,6 +40,10 @@ class ModelSpace:
     column_tail_bound: float
     boundary_note: str = BOUNDARY_NOTE
 
+    def __post_init__(self):
+        if self.p < 1:
+            raise ValueError(f"block size p = {self.p} must be at least 1")
+
     @property
     def n(self) -> int:
         return self.box.n
@@ -114,17 +118,9 @@ def model_basis(theta: TorusSymbol, box: Box, tol: float = 1e-10, grid_sizes=Non
     )
 
 
-@dataclass(eq=False)
-class CompressedShift:
-    """Compression of one coordinate shift to the model space."""
-
-    direction: int
-    matrix: np.ndarray
-
-
-def compressed_shift(ms: ModelSpace, direction: int) -> CompressedShift:
-    S = shift(ms.box, direction, ms.p)
-    return CompressedShift(direction=direction, matrix=compress(S, ms.basis))
+def compressed_shift(ms: ModelSpace, direction: int) -> np.ndarray:
+    """The q x q compression of one coordinate shift to the model space."""
+    return compress(shift(ms.box, direction, ms.p).matrix, ms.basis)
 
 
 def invariance_residual(ms: ModelSpace, A: np.ndarray) -> list[float]:
@@ -134,7 +130,7 @@ def invariance_residual(ms: ModelSpace, A: np.ndarray) -> list[float]:
         raise ValueError(f"operator shape {A.shape} does not match model dimension {ms.q}")
     out = []
     for i in range(ms.n):
-        C = compressed_shift(ms, i).matrix
+        C = compressed_shift(ms, i)
         out.append(operator_norm(A - C.conj().T @ A @ C))
     return out
 
@@ -178,7 +174,7 @@ def invariance_kernel(ms: ModelSpace, tol: float = 1e-8) -> InvarianceKernelRepo
     q = ms.q
     if q < 1:
         raise ValueError("empty model space has no invariance map")
-    shifts = [compressed_shift(ms, i).matrix for i in range(ms.n)]
+    shifts = [compressed_shift(ms, i) for i in range(ms.n)]
     if ms.n * (q ** 4) * 16 <= DENSE_KERNEL_BUDGET:
         L = _stacked_map_matrix(shifts, q)
         svals = np.linalg.svd(L, compute_uv=False)
@@ -256,7 +252,7 @@ def model_compactness_test(
         raise ValueError(f"operator shape {T.shape} does not match model dimension {ms.q}")
     norms: list[list[float]] = []
     for i in range(ms.n):
-        C = compressed_shift(ms, i).matrix
+        C = compressed_shift(ms, i)
         Cs = C.conj().T
         X = T
         seq = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Box, MultiIndex, index_array, position, positions_of, strides
+from .lattice import Box, index_array, strides
 from .symbols import TorusSymbol, _next_pow2
 
 
@@ -21,8 +21,8 @@ class TruncatedOperator:
     """Finite section of an operator on the truncated (block) monomial basis.
 
     symbol is set only on a Toeplitz section built by `toeplitz` (or loaded
-    with a verified symbol); it enables `apply_fast`.  Algebra results carry
-    no symbol.
+    with a verified symbol); it enables `apply_fast`.  Sums and differences
+    carry no symbol.
     """
 
     box: Box
@@ -32,6 +32,8 @@ class TruncatedOperator:
     _spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.p < 1:
+            raise ValueError(f"block size p = {self.p} must be at least 1")
         want = self.p * self.box.dim
         if self.matrix.shape != (want, want):
             raise ValueError(
@@ -47,28 +49,6 @@ class TruncatedOperator:
     def dim(self) -> int:
         return self.p * self.box.dim
 
-    def block(self, l: MultiIndex, k: MultiIndex) -> np.ndarray:
-        """The (p, p) block at basis rows l, columns k."""
-        i, j = position(self.box, l), position(self.box, k)
-        return self.matrix[i * self.p : (i + 1) * self.p, j * self.p : (j + 1) * self.p]
-
-    def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.box, self.p, self.matrix.conj().T.copy())
-
-    @property
-    def H(self) -> "TruncatedOperator":
-        return self.adjoint()
-
-    def restrict(self, subbox: Box) -> "TruncatedOperator":
-        """Principal sub-block indexed by a sub-box of the same dimension."""
-        if subbox.n != self.box.n or any(
-            s > c for s, c in zip(subbox.caps, self.box.caps)
-        ):
-            raise ValueError(f"{subbox.caps} is not a sub-box of {self.box.caps}")
-        pos = positions_of(self.box, index_array(subbox))
-        rows = block_rows(pos, self.p)
-        return TruncatedOperator(subbox, self.p, self.matrix[np.ix_(rows, rows)])
-
     def __add__(self, other):
         self._check_compatible(other)
         return TruncatedOperator(self.box, self.p, self.matrix + other.matrix)
@@ -76,15 +56,6 @@ class TruncatedOperator:
     def __sub__(self, other):
         self._check_compatible(other)
         return TruncatedOperator(self.box, self.p, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return TruncatedOperator(self.box, self.p, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        self._check_compatible(other)
-        return TruncatedOperator(self.box, self.p, self.matrix @ other.matrix)
 
     def _check_compatible(self, other):
         if not isinstance(other, TruncatedOperator):
@@ -210,15 +181,14 @@ def apply_dense(op: TruncatedOperator, v: np.ndarray) -> np.ndarray:
     return op.matrix @ np.asarray(v, dtype=complex)
 
 
-def operator_norm(op) -> float:
-    """Largest singular value of an operator or raw matrix.
+def operator_norm(matrix: np.ndarray) -> float:
+    """Largest singular value of a matrix.
 
     Dense SVD on the nonzero rows x columns; 0.0 when there are none (an
     all-zero or empty matrix).  Exact: deleting a zero row or column only
     drops a zero singular value, so the largest one is unchanged.  NaN counts
     as nonzero and stays in.
     """
-    matrix = op.matrix if isinstance(op, TruncatedOperator) else np.asarray(op)
     rows, cols = matrix.any(axis=1), matrix.any(axis=0)
     if not rows.any():
         return 0.0
@@ -227,9 +197,8 @@ def operator_norm(op) -> float:
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
-def compress(op, basis: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:
-    """Compression basis* . op . basis onto the span of orthonormal columns."""
-    matrix = op.matrix if isinstance(op, TruncatedOperator) else np.asarray(op)
+def compress(matrix: np.ndarray, basis: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:
+    """Compression basis* . matrix . basis onto the span of orthonormal columns."""
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 2 or basis.shape[0] != matrix.shape[0]:
         raise ValueError(f"basis shape {basis.shape} incompatible with operator {matrix.shape}")

@@ -55,6 +55,9 @@ class TorusSymbol:
             raise ValueError("need n >= 1 and p >= 1")
         if self.tail_bound < 0:
             raise ValueError("tail_bound must be nonnegative")
+        # sections and grids index frequencies as int64, negations included
+        if max(map(abs, itertools.chain.from_iterable(self.coefficients)), default=0) >= 2**63:
+            raise ValueError("a symbol frequency lies outside int64 (|k_i| < 2^63)")
 
     @property
     def support(self) -> list[MultiIndex]:

@@ -194,7 +194,7 @@ def test_criterion_5_model_space_rigidity():
     ms = model_basis(theta, Box((4, 4)))
     rep = invariance_kernel(ms, tol=1e-8)
     assert rep.kernel_dim == 0
-    shifts = [compressed_shift(ms, i).matrix for i in range(2)]
+    shifts = [compressed_shift(ms, i) for i in range(2)]
     L = oracles.stacked_invariance_oracle(shifts)
     sigma_oracle = float(np.linalg.svd(L, compute_uv=False)[-1])
     assert abs(rep.sigma_min - sigma_oracle) <= 1e-10

@@ -126,24 +126,19 @@ def test_cross_terms_vanish_for_equal_operators():
     rng = np.random.default_rng(4)
     box = Box((4, 4))
     T = TruncatedOperator(box, 1, rng.standard_normal((25, 25)).astype(complex))
-    prof = cross_term_profile(T, T, 0, 1, 3)
+    prof = cross_term_profile(T - T, 0, 1, 3)
     assert prof.norms == [0.0, 0.0, 0.0]
 
 
 def test_cross_terms_rank_one():
-    box = Box((4, 4))
-    Z = TruncatedOperator(box, 1, np.zeros((25, 25), dtype=complex))
-    K = rank_one_corner(box)
+    K = rank_one_corner(Box((4, 4)))
     for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        prof = cross_term_profile(K, Z, i, j, 4)
+        prof = cross_term_profile(K, i, j, 4)
         assert prof.norms == [0.0] * 4
 
 
 def test_cross_terms_identity_off_directions():
-    box = Box((4, 4))
-    I = identity(box)
-    Z = TruncatedOperator(box, 1, np.zeros((25, 25), dtype=complex))
-    prof = cross_term_profile(I, Z, 0, 1, 4)
+    prof = cross_term_profile(identity(Box((4, 4))), 0, 1, 4)
     for norm in prof.norms:
         assert norm == pytest.approx(1.0, abs=1e-12)
 
@@ -198,7 +193,7 @@ def test_decompose_toeplitz_plus_rank_one():
     assert res.remainder_profile.values[1] == pytest.approx(0.0, abs=1e-12)
     for ct in res.cross_terms:
         assert ct.final <= 1e-10
-    assert np.abs((res.toeplitz_part + res.remainder).matrix - T.matrix).max() == 0.0  # integer data: exact
+    assert np.abs((toeplitz(res.symbol, box) + res.remainder).matrix - T.matrix).max() == 0.0  # integer data: exact
     assert res.toeplitz_part_defect.overall == 0.0
 
 
@@ -241,8 +236,8 @@ def test_decompose_flip_verdict_false():
     # steps 0 and 1 tie in exact arithmetic; the witness index is the first of them
     for d in (8, 16):
         assert asymptotic_decompose(flip_operator(d), tol=1e-6).witness["worst_m"] == 0
-    # exact split holds regardless of the verdict
-    total = res.toeplitz_part.matrix + res.remainder.matrix
+    # whatever the verdict, re-adding the Toeplitz part gives back the 0/1 entries
+    total = toeplitz(res.symbol, Box((8,))).matrix + res.remainder.matrix
     assert np.abs(total - flip_operator(8).matrix).max() == 0.0
 
 
@@ -252,7 +247,7 @@ def test_decompose_identity_exact_for_random_operator():
     T = TruncatedOperator(box, 1, rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36)))
     res = asymptotic_decompose(T, tol=1e-6)
     scale = np.abs(T.matrix).max()
-    assert np.abs((res.toeplitz_part + res.remainder).matrix - T.matrix).max() <= 1e-15 * scale
+    assert np.abs((toeplitz(res.symbol, box) + res.remainder).matrix - T.matrix).max() <= 1e-15 * scale
 
 
 def test_decompose_box_too_small():

@@ -3,10 +3,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from polytoep import cli, io
 from polytoep.cli import main
 from polytoep.lattice import Box
+from polytoep.modelspace import model_basis
 from polytoep.operators import TruncatedOperator, toeplitz
 from polytoep.symbols import from_coefficients
 
@@ -153,22 +155,6 @@ def test_symbol_builders(tmp_path):
     assert io.load_symbol(prod).n == 2
 
 
-def test_bench_floor_exit_two(tmp_path, capsys):
-    assert main(["bench-matvec", "--caps", "1", "--out", str(tmp_path / "b.csv")]) == 2
-    assert "benchmark floor" in capsys.readouterr().err
-
-
-def test_bench_runs_at_floor(tmp_path):
-    out = tmp_path / "bench.csv"
-    code = main(["bench-matvec", "--caps", "15,15", "--trials", "3", "--seed", "1", "--out", str(out)])
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "N,dense_time,fast_time,max_residual"
-    n, _, _, resid = lines[1].split(",")
-    assert int(n) == 256
-    assert float(resid) <= 1e-10
-
-
 def test_recover_cli(tmp_path):
     phi = tmp_path / "phi.json"
     phi.write_text(json.dumps(PHI))
@@ -220,3 +206,59 @@ def test_internal_error_exit_three(tmp_path, monkeypatch, capsys):
     assert main(["recover", str(tmp_path / "T.op")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: RuntimeError") and err.count("\n") == 1
+
+
+OPERATOR_VERBS = ("check-toeplitz", "recover", "decompose", "compactness")
+TOO_BIG = 99999999999999999999  # beyond int64
+BIG_SYMBOL = {
+    "n": 1, "p": 1, "tail_bound": 0.0,
+    "coefficients": [{"k": [TOO_BIG], "re": [[1.0]], "im": [[0.0]]}],
+}
+OP = {"kind": "operator", "n": 1, "p": 1, "caps": [2], "format": "binary"}
+MS = {"kind": "modelspace", "n": 1, "p": 1, "caps": [1], "safe_caps": [0], "q": 1,
+      "theta": {"n": 1, "p": 1, "coefficients": [], "tail_bound": 0.0}}
+ZEROS_3X3 = bytes(8 * 2 * 9)  # interleaved float64 (re, im) payload
+E0 = np.array([1.0, 0.0, 0.0, 0.0]).tobytes()  # the 2 x 1 basis column e_0
+# file name -> (header, payload); each would load, or crash, unrefused today
+OP_FILES = {
+    "op-header-list": ([1], ZEROS_3X3),
+    "op-p-0": ({**OP, "p": 0}, b""),
+    "op-caps-2.5": ({**OP, "caps": [2.5]}, ZEROS_3X3),
+    "op-caps-true": ({**OP, "caps": [True, 2]}, bytes(8 * 2 * 36)),
+    "op-symbol-beyond-int64": ({**OP, "symbol": BIG_SYMBOL}, ZEROS_3X3),
+}
+MALFORMED = [
+    pytest.param({"T.op": op}, [verb, "{d}/T.op"], id=f"{name}-{verb}")
+    for name, op in OP_FILES.items()
+    for verb in OPERATOR_VERBS
+] + [
+    pytest.param({"Q.ms": ([1], E0)}, ["invariance", "--modelspace", "{d}/Q.ms"], id="ms-header-list"),
+    pytest.param({"Q.ms": ({**MS, "caps": [1.5]}, E0)}, ["invariance", "--modelspace", "{d}/Q.ms"], id="ms-caps-1.5"),
+    pytest.param({}, ["symbol", "--monomial", str(TOO_BIG), "--out", "{d}/z.json"], id="monomial-beyond-int64"),
+    pytest.param({"z.json": (BIG_SYMBOL, b"")}, ["toeplitz", "--symbol", "{d}/z.json", "--caps", "3", "--out", "{d}/T.op"],
+                 id="toeplitz-symbol-beyond-int64"),
+    pytest.param({"z.json": (BIG_SYMBOL, b"")}, ["modelspace", "--theta", "{d}/z.json", "--caps", "3", "--out", "{d}/Q.ms"],
+                 id="modelspace-symbol-beyond-int64"),
+]
+
+
+@pytest.mark.parametrize("files, argv", MALFORMED)
+def test_malformed_file_exit_two(tmp_path, capsys, files, argv):
+    for name, (header, payload) in files.items():
+        (tmp_path / name).write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("verb", ["check-toeplitz", "compactness", "model-compactness"])
+def test_format_csv_needs_out(tmp_path, capsys, verb):
+    box = Box((3,))
+    io.save_operator(tmp_path / "T.op", toeplitz(from_coefficients(1, 1, [((1,), 1.0)]), box))
+    io.save_modelspace(tmp_path / "Q.ms", model_basis(from_coefficients(1, 1, [((2,), 1.0)]), box))
+    if verb == "model-compactness":
+        argv = [verb, "--modelspace", str(tmp_path / "Q.ms"), "--identity", "--m-max", "1"]
+    else:
+        argv = [verb, str(tmp_path / "T.op")]
+    assert main(argv + ["--format", "csv"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--format csv needs --out" in out.err

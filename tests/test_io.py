@@ -1,13 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polytoep import io
 from polytoep.lattice import Box
 from polytoep.modelspace import model_basis
 from polytoep.operators import TruncatedOperator, toeplitz
-from polytoep.symbols import from_coefficients, max_coeff_difference, random_symbol
+from polytoep.symbols import TorusSymbol, from_coefficients, max_coeff_difference, random_symbol
 
 
 def test_symbol_round_trip(tmp_path):
@@ -126,3 +130,50 @@ def test_operator_nan_symbol_round_trip(tmp_path):
     path = tmp_path / "N.op"
     io.save_operator(path, op)
     assert np.array_equal(io.load_operator(path).matrix, op.matrix, equal_nan=True)
+
+
+# CSV payloads and JSON symbols spell every NaN "nan", so draws use the one
+# canonical NaN; every other float, signed zeros and infinities included,
+# must come back bit for bit.
+FLOATS = st.floats(allow_nan=True, allow_infinity=True).map(lambda x: math.nan if math.isnan(x) else x)
+
+
+def complex_arrays(shape):
+    """Complex arrays whose real and imaginary parts are drawn independently."""
+    return hnp.arrays(np.float64, shape + (2,), elements=FLOATS).map(lambda a: a.view(complex).reshape(shape))
+
+
+@st.composite
+def operators(draw):
+    """A random section over n <= 3, p <= 2, or the Toeplitz section of a random symbol."""
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    box = Box(tuple(draw(st.lists(st.integers(0, 1 if n == 3 else 2), min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        freqs = st.tuples(*(st.integers(-c - 1, c + 1) for c in box.caps))
+        return toeplitz(TorusSymbol(n, p, draw(st.dictionaries(freqs, complex_arrays((p, p)), max_size=4))), box)
+    return TruncatedOperator(box, p, draw(complex_arrays((p * box.dim,) * 2)))
+
+
+@given(operators(), st.sampled_from(["binary", "csv"]))
+def test_operator_save_load_is_bit_exact(tmp_path_factory, op, fmt):
+    path = tmp_path_factory.getbasetemp() / "round-trip.op"
+    io.save_operator(path, op, fmt=fmt)
+    back = io.load_operator(path)
+    assert back.box == op.box and back.p == op.p
+    assert back.matrix.tobytes() == op.matrix.tobytes()
+    if op.symbol is None:
+        assert back.symbol is None
+    else:
+        assert back.symbol.coefficients.keys() == op.symbol.coefficients.keys()
+        for k, blk in op.symbol.coefficients.items():
+            assert back.symbol.coefficients[k].tobytes() == blk.tobytes(), k
+
+
+@given(operators(), st.data())
+def test_operator_file_prefixes_are_refused(tmp_path_factory, op, data):
+    path = tmp_path_factory.getbasetemp() / "prefix.op"
+    io.save_operator(path, op)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")])
+    with pytest.raises(ValueError):
+        io.load_operator(path)

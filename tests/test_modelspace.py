@@ -70,14 +70,14 @@ def test_model_basis_orthogonality_invariants():
 def test_compressed_shift_jordan_block():
     ms = model_basis(monomial(1, (2,)), Box((5,)))
     C = compressed_shift(ms, 0)
-    assert np.array_equal(C.matrix, np.array([[0, 0], [1, 0]], dtype=complex))
+    assert np.array_equal(C, np.array([[0, 0], [1, 0]], dtype=complex))
 
 
 def test_compressed_shift_theta_z():
     ms = model_basis(monomial(1, (1,)), Box((4,)))
     assert ms.q == 1
     C = compressed_shift(ms, 0)
-    assert C.matrix.shape == (1, 1) and C.matrix.item() == 0
+    assert C.shape == (1, 1) and C.item() == 0
 
 
 def test_compressed_shift_contraction():
@@ -85,14 +85,14 @@ def test_compressed_shift_contraction():
     ms = model_basis(theta, Box((5, 5)), tol=5e-2)
     for i in range(2):
         C = compressed_shift(ms, i)
-        assert np.linalg.norm(C.matrix, 2) <= 1 + 1e-10
+        assert np.linalg.norm(C, 2) <= 1 + 1e-10
 
 
 def test_compressed_shift_adjoint_relation():
     # the adjoint of the compression is the compression of the adjoint
     ms = model_basis(monomial(2, (1, 1)), Box((3, 3)))
     for i in range(2):
-        C = compressed_shift(ms, i).matrix
+        C = compressed_shift(ms, i)
         S = shift(ms.box, i, ms.p).matrix
         direct = ms.basis.conj().T @ S.conj().T @ ms.basis
         assert np.abs(C.conj().T - direct).max() < 1e-14
@@ -103,7 +103,7 @@ def test_invariance_residual_examples():
     assert invariance_residual(ms, np.zeros((2, 2))) == [0.0]
     res = invariance_residual(ms, np.eye(2))
     assert res[0] == pytest.approx(1.0, abs=1e-12)
-    C = compressed_shift(ms, 0).matrix
+    C = compressed_shift(ms, 0)
     res = invariance_residual(ms, C.conj().T @ C)
     assert res[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -128,7 +128,7 @@ def test_invariance_kernel_z1z2_matches_oracle():
     ms = model_basis(monomial(2, (1, 1)), Box((3, 3)))
     rep = invariance_kernel(ms, tol=1e-8)
     assert rep.kernel_dim == 0
-    shifts = [compressed_shift(ms, i).matrix for i in range(2)]
+    shifts = [compressed_shift(ms, i) for i in range(2)]
     L = stacked_invariance_oracle(shifts)
     sigma_oracle = np.linalg.svd(L, compute_uv=False)[-1]
     assert rep.sigma_min == pytest.approx(sigma_oracle, abs=1e-10)
@@ -174,7 +174,7 @@ def test_block_model_space():
     theta = monomial(1, (2,), p=2)
     ms = model_basis(theta, Box((4,)))
     assert ms.q == 2 * 5 - 2 * 3 == 4
-    C = compressed_shift(ms, 0).matrix
+    C = compressed_shift(ms, 0)
     # block Jordan structure: shifts the two C^2 layers, nilpotent of order 2
     assert np.abs(np.linalg.matrix_power(C, 2)).max() == 0.0
     rep = model_compactness_test(ms, np.eye(4), m_max=3, tol=1e-12)

@@ -63,7 +63,7 @@ def check_all_ops(T: TruncatedOperator, rng) -> None:
         A = toeplitz(rec.symbol, box)
         for i in range(box.n):
             for j in range(box.n):
-                prof = cross_term_profile(T, A, i, j, m_max)
+                prof = cross_term_profile(T - A, i, j, m_max)
                 assert np.allclose(
                     prof.norms, oracles.cross_norms_oracle(T, A, i, j, m_max), atol=TOL
                 )
