@@ -16,11 +16,13 @@ import numpy as np
 
 from .lattice import Box, MultiIndex, index_array, interior, positions_of, strides
 from .operators import TruncatedOperator, block_rows, operator_norm, toeplitz
-from .symbols import TorusSymbol, _spectral
+from .symbols import TorusSymbol
 
 EXACT_TOL = 1e-10   # identities that hold in exact arithmetic on polynomial inputs
 LIMIT_TOL = 1e-6    # finite surrogates for norm-limit statements
 TIE_RTOL = 1e-12    # step norms this close to the largest, relative to it, count as tied
+_CHUNK = 1 << 14    # blocks gathered, or block pairs compared, per step of recover_symbol
+_PRUNE_RTOL = 1e-9  # relative slack of the diameter pruning bounds, far above their rounding
 
 
 def _block_norm_grid(D: np.ndarray, p: int) -> np.ndarray:
@@ -108,20 +110,133 @@ def toeplitz_defect(T: TruncatedOperator, tol: float = EXACT_TOL) -> DefectRepor
     )
 
 
-def _diameter(blocks: np.ndarray, p: int) -> float:
-    """Largest pairwise block distance along one diagonal (its Toeplitz spread)."""
+def _spans(sizes: np.ndarray):
+    """Consecutive index ranges [lo, hi) whose sizes sum to at most _CHUNK (one item at least)."""
+    done = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        hi = max(lo + 1, int(np.searchsorted(done, done[lo] - sizes[lo] + _CHUNK, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _segments(length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start offsets of contiguous segments with these lengths, and the segment of each item."""
+    return np.cumsum(length) - length, np.repeat(np.arange(length.size), length)
+
+
+def _pairs(length: np.ndarray):
+    """Index pairs i < j inside each contiguous segment, about _CHUNK pairs at a time."""
+    starts, seg = _segments(length)
+    g = np.arange(seg.size)
+    later = starts[seg] + length[seg] - g - 1  # partners after g in its segment
+    for lo, hi in _spans(later):
+        cnt = later[lo:hi]
+        i = np.repeat(g[lo:hi], cnt)
+        yield seg[i], i, i + 1 + np.arange(i.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+
+
+def _planar_diameters(v: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """max |v_i - v_j| within each segment of complex points, bit for bit.
+
+    The segment's extreme points along x, y, x + y and x - y attain a lower
+    bound D on the diameter, and the same extents bound an octagon holding
+    the segment.  A point farther than D from no vertex of that octagon ends
+    no diameter, so the pairwise maximum runs over the other points only.
+    """
+    starts, seg = _segments(length)
+    x, y = v.real, v.imag
+    at = np.arange(v.size)
+    extents, extremes = [], []
+    for d in (x, y, x + y, x - y):
+        for reduce in (np.minimum, np.maximum):
+            e = reduce.reduceat(d, starts)
+            extents.append(e)
+            extremes.append(np.minimum.reduceat(np.where(d == e[seg], at, v.size), starts))
+    xmin, xmax, ymin, ymax, umin, umax, wmin, wmax = extents
+    ends = v[np.array(extremes)]
+    diam = np.abs(ends[:, None] - ends[None]).max(axis=(0, 1))
+    vertices = [
+        (xmax, umax - xmax), (umax - ymax, ymax), (wmin + ymax, ymax), (xmin, xmin - wmin),
+        (xmin, umin - xmin), (umin - ymin, ymin), (wmax + ymin, ymin), (xmax, xmax - wmax),
+    ]
+    reach2 = np.zeros(v.size)  # squared distance to the farthest vertex
+    for vx, vy in vertices:
+        np.maximum(reach2, np.square(x - vx[seg]) + np.square(y - vy[seg]), out=reach2)
+    # the bounds carry rounding of a few ulps of the largest coordinate
+    scale = np.maximum.reduce([xmax, -xmin, ymax, -ymin])
+    need = np.maximum(diam * (1.0 - _PRUNE_RTOL) - 64 * np.finfo(float).eps * scale, 0.0)
+    keep = reach2 >= np.square(need)[seg]
+    survivors = v[keep]
+    for s, i, j in _pairs(np.bincount(seg[keep], minlength=length.size)):
+        np.maximum.at(diam, s, np.abs(survivors[i] - survivors[j]))
+    return diam
+
+
+def _spectral_diameters(blocks: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """max ||B_i - B_j||_2 within each segment of (p, p) blocks, bit for bit.
+
+    ||X||_2 <= ||X||_F, so within each chunk of pairs i < j the spectral norm
+    of each segment's widest pair (in Frobenius distance) gives a lower
+    bound, and LAPACK runs only on the pairs whose Frobenius distance
+    reaches it.  Each such pair is taken in both orders, as the maximum over
+    all ordered pairs does.
+    """
+    def norms(i, j):
+        # B_j - B_i is -(B_i - B_j) but for the signs of zero entries, which
+        # can still move LAPACK's result by an ulp
+        ij = np.linalg.norm(blocks[i] - blocks[j], ord=2, axis=(-2, -1))
+        return np.maximum(ij, np.linalg.norm(blocks[j] - blocks[i], ord=2, axis=(-2, -1)))
+
+    diam = np.zeros(length.size)
+    widest = np.empty(length.size)
+    for s, i, j in _pairs(length):
+        fro = np.sqrt(np.square((blocks[i] - blocks[j]).view(float)).sum(axis=(1, 2)))
+        widest.fill(-1.0)
+        np.maximum.at(widest, s, fro)
+        top = np.flatnonzero(fro == widest[s])
+        top = top[np.unique(s[top], return_index=True)[1]]
+        np.maximum.at(diam, s[top], norms(i[top], j[top]))
+        cand = fro >= diam[s] * (1.0 - _PRUNE_RTOL)
+        np.maximum.at(diam, s[cand], norms(i[cand], j[cand]))
+    return diam
+
+
+def _recover_diagonals(B4: np.ndarray, f: np.ndarray, length: np.ndarray, caps: np.ndarray, stride: np.ndarray):
+    """Coefficients and spreads of the diagonals with frequencies f (one row each)."""
+    starts, seg = _segments(length)
+    # column positions along each diagonal in increasing order, so the first
+    # block of a diagonal is the one in its lowest column
+    j = np.arange(seg.size) - starts[seg]
+    col = np.zeros(seg.size, dtype=np.int64)
+    for i in range(caps.size - 1, -1, -1):
+        radix = (caps[i] + 1 - np.abs(f[:, i]))[seg]
+        col += (j % radix + np.maximum(-f[:, i], 0)[seg]) * stride[i]
+        j //= radix
+    blocks = np.asarray(B4[col + (f @ stride)[seg], :, col, :], dtype=complex)
+    parts = blocks.reshape(seg.size, -1).view(float)  # real and imaginary parts of every entry
+    lo, hi = np.minimum.reduceat(parts, starts), np.maximum.reduceat(parts, starts)
+    nan = np.isnan(lo).any(axis=1)
+    flat = lo == hi
+    const = flat.all(axis=1)
+    spread = np.where(nan, np.nan, 0.0)
+    vary = ~(const | nan)
+    p = blocks.shape[1]
     if p == 1:
-        vals = np.unique(blocks.reshape(-1))
-        if vals.size <= 1:
-            return 0.0
-        diff = np.abs(vals[:, None] - vals[None, :])
-        return float(diff.max())
-    flat = np.unique(blocks.reshape(blocks.shape[0], -1), axis=0)
-    if flat.shape[0] <= 1:
-        return 0.0
-    diff = flat[:, None, :] - flat[None, :, :]
-    diff = diff.reshape(-1, p, p)
-    return float(np.linalg.norm(diff, ord=2, axis=(-2, -1)).max())
+        # with one part constant the pairwise maximum is the other part's
+        # max - min, since rounding a difference is monotone
+        line = vary & flat.any(axis=1)
+        spread[line] = (hi - lo)[line].max(axis=1)
+        plane = vary & ~line
+        if plane.any():
+            spread[plane] = _planar_diameters(blocks[plane[seg], 0, 0], length[plane])
+    elif vary.any():
+        spread[vary] = _spectral_diameters(blocks[vary[seg]], length[vary])
+    coef = np.add.reduceat(blocks, starts)
+    coef.real /= length[:, None, None]
+    coef.imag /= length[:, None, None]
+    coef[const] = blocks[starts[const]]
+    return coef, spread
 
 
 @dataclass
@@ -137,38 +252,37 @@ def recover_symbol(T: TruncatedOperator) -> SymbolRecovery:
     """Read a candidate symbol off the matrix diagonals.
 
     The coefficient at frequency f is taken from the blocks with
-    row - col = f: a constant diagonal yields its representative, any other
-    diagonal its mean.  The two agree in exact arithmetic; taking the
-    representative keeps a constant diagonal bit-exact, so a Toeplitz part
-    rebuilt from the symbol cancels it entry by entry.  The deviation map
-    records the largest spread among those blocks (zero exactly on diagonals
-    that are already constant).
+    row - col = f: a constant diagonal yields its first block (lowest column),
+    any other diagonal its mean.  The two agree in exact arithmetic; taking
+    the representative keeps a constant diagonal bit-exact, so a Toeplitz
+    part rebuilt from the symbol cancels it entry by entry.  The deviation
+    map records each diagonal's spread, the largest distance between two of
+    its blocks in the spectral norm: zero exactly on constant diagonals and
+    NaN exactly on diagonals holding a NaN entry (infinite entries may add
+    NaN through inf - inf), so max_deviation is NaN whenever some spread is.
+
+    One pass over the matrix, a bounded chunk of diagonals at a time, so the
+    working memory does not grow with the box.  Spreads are exact, equal bit
+    for bit to the maximum over all pairs: a diagonal whose real or imaginary
+    parts are all equal spreads by the other part's range; otherwise
+    `_planar_diameters` (p = 1) or `_spectral_diameters` (p > 1) prune the
+    pairs that cannot attain the maximum and evaluate the rest.
     """
     box, p = T.box, T.p
-    caps = box.caps
-    str_box = strides(box)
+    caps = np.asarray(box.caps, dtype=np.int64)
+    freqs = index_array(Box(tuple(2 * c for c in box.caps))) - caps
+    length = np.prod(caps + 1 - np.abs(freqs), axis=1)
+    stride = np.asarray(strides(box), dtype=np.int64)
     B4 = T.matrix.reshape(box.dim, p, box.dim, p)
-    coeffs: dict[MultiIndex, np.ndarray] = {}
-    deviations: dict[MultiIndex, float] = {}
-    max_dev = 0.0
-    for f in itertools.product(*(range(-c, c + 1) for c in caps)):
-        sub = Box(tuple(c - abs(fi) for c, fi in zip(caps, f)))
-        idx = index_array(sub).copy()
-        for i, fi in enumerate(f):
-            if fi < 0:
-                idx[:, i] -= fi
-        pos_k = positions_of(box, idx)
-        pos_l = pos_k + sum(fi * si for fi, si in zip(f, str_box))
-        blocks = B4[pos_l, :, pos_k, :]
-        spread = _diameter(blocks, p)
-        # copy, so the stored coefficient does not keep the whole diagonal alive
-        coeff = blocks[0].copy() if spread == 0.0 else blocks.mean(axis=0)
-        deviations[f] = spread
-        max_dev = max(max_dev, spread)
-        if _spectral(coeff) != 0.0:
-            coeffs[f] = coeff
+    coef = np.empty((len(freqs), p, p), dtype=complex)
+    spread = np.empty(len(freqs))
+    for lo, hi in _spans(length):
+        coef[lo:hi], spread[lo:hi] = _recover_diagonals(B4, freqs[lo:hi], length[lo:hi], caps, stride)
+    keys = [tuple(f) for f in freqs.tolist()]
+    nonzero = coef.reshape(len(keys), -1).any(axis=1)
+    coeffs = {f: coef[i] for i, f in enumerate(keys) if nonzero[i]}
     sym = TorusSymbol(box.n, p, coeffs, 0.0)
-    return SymbolRecovery(symbol=sym, deviations=deviations, max_deviation=max_dev)
+    return SymbolRecovery(symbol=sym, deviations=dict(zip(keys, spread.tolist())), max_deviation=float(spread.max()))
 
 
 def section(T: TruncatedOperator, m: int, directions: tuple[int, ...]) -> TruncatedOperator:

@@ -134,20 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bare_entries(data) -> list:
-    """(frequency, block) pairs from a bare --coeffs list of {"k", "re", "im"} objects."""
-    if not isinstance(data, list):
-        raise ValueError("--coeffs must be a symbol object or a list of {k, re, im} entries")
-    entries = []
-    for i, item in enumerate(data):
-        try:
-            re = np.asarray(item["re"])
-            entries.append((tuple(int(x) for x in item["k"]), re + 1j * np.asarray(item.get("im", 0.0))))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"--coeffs entry {i} is not a {{k, re, im}} object: {exc!r}") from exc
-    return entries
-
-
 def _cmd_symbol(args) -> int:
     if args.coeffs is not None:
         text = args.coeffs
@@ -155,12 +141,13 @@ def _cmd_symbol(args) -> int:
         if path.exists():
             text = path.read_text()
         data = json.loads(text)
-        if isinstance(data, dict):
-            sym = io.symbol_from_dict(data)
-        else:
+        if isinstance(data, list):
             if args.n is None:
                 raise ValueError("--n is required when --coeffs is a bare coefficient list")
-            sym = symbols.from_coefficients(args.n, args.p, _bare_entries(data))
+            data = {"n": args.n, "p": args.p, "coefficients": data}
+        elif not isinstance(data, dict):
+            raise ValueError("--coeffs must be a symbol object or a list of {k, re, im} entries")
+        sym = io.symbol_from_dict(data)
     elif args.blaschke is not None:
         sym = symbols.blaschke_factor(complex(args.blaschke), args.degree)
     elif args.monomial is not None:

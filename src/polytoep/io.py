@@ -44,16 +44,26 @@ def symbol_to_dict(sym: TorusSymbol) -> dict:
 
 
 def symbol_from_dict(data: dict) -> TorusSymbol:
+    """Read symbol JSON; also the reader of a bare `--coeffs` list.
+
+    n, p and every frequency entry must be integers.  A coefficient's re and
+    im are (p, p) nested lists, or numbers when p = 1, and a missing im is
+    zero.  The parts are assigned rather than combined as re + 1j*im, which
+    would lose a -0.0 real part and spread a NaN or infinite imaginary part
+    into the real one.
+    """
     try:
-        n, p = int(data["n"]), int(data["p"])
+        n, p = _integer(data["n"]), _integer(data["p"])
         entries = {}
         for item in data["coefficients"]:
-            k = tuple(int(x) for x in item["k"])
+            k = tuple(_integer(x) for x in item["k"])
             if len(k) != n:
                 raise ValueError(f"frequency {k} has length {len(k)}, expected n = {n}")
             re = np.asarray(item["re"], dtype=float)
             blk = np.empty(re.shape, dtype=complex)
-            blk.real, blk.imag = re, item["im"]  # not re + 1j*im, which loses -0.0 and NaN parts
+            blk.real, blk.imag = re, item.get("im", 0.0)
+            if p == 1 and blk.ndim == 0:
+                blk = blk.reshape(1, 1)
             if blk.shape != (p, p):
                 raise ValueError(f"coefficient at {k} has shape {blk.shape}, expected ({p}, {p})")
             if k in entries:
@@ -141,7 +151,7 @@ def _read_header(path) -> tuple[dict, bytes]:
 
 
 def _integer(value) -> int:
-    """A header count; floats and booleans are refused rather than truncated."""
+    """A count or frequency; floats and booleans are refused rather than truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{value!r} is not an integer")
     return value

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytoep.analysis import (
     asymptotic_decompose,
@@ -16,6 +18,8 @@ from polytoep.analysis import (
 from polytoep.lattice import Box, enumerate_basis, index_array, interior
 from polytoep.operators import TruncatedOperator, block_rows, identity, toeplitz
 from polytoep.symbols import from_coefficients, max_coeff_difference, random_symbol
+
+import oracles
 
 
 def rank_one_corner(box: Box, p: int = 1) -> TruncatedOperator:
@@ -80,10 +84,106 @@ def test_recover_rank_one():
 def test_recover_shift_matrix():
     from polytoep.operators import shift
 
-    rec = recover_symbol(shift(Box((4,)), 0))
-    assert rec.max_deviation == 0.0
-    assert set(rec.symbol.coefficients) == {(1,)}
-    assert rec.symbol.coeff((1,)).item() == 1.0
+    S = shift(Box((4,)), 0)
+    for matrix in (S.matrix, S.matrix.real):  # a real matrix reads the same
+        rec = recover_symbol(TruncatedOperator(S.box, 1, matrix))
+        assert rec.max_deviation == 0.0
+        assert set(rec.symbol.coefficients) == {(1,)}
+        assert rec.symbol.coeff((1,)).item() == 1.0
+
+
+def test_recover_nan_spread_propagates():
+    T = toeplitz(from_coefficients(1, 1, [((0,), 1.0), ((1,), 2.0)]), Box((4,)))
+    M = T.matrix.copy()
+    M[2, 2] = np.nan                # one NaN on the main diagonal
+    M[3, 0] = M[4, 1] = np.nan      # every entry of diagonal 3 is NaN
+    M[1, 0] = complex(2.0, np.nan)  # a NaN imaginary part on diagonal 1
+    rec = recover_symbol(TruncatedOperator(T.box, 1, M))
+    nan = {(0,), (1,), (3,)}
+    assert all(math.isnan(rec.deviations[f]) for f in nan)
+    assert all(s == 0.0 for f, s in rec.deviations.items() if f not in nan)
+    assert math.isnan(rec.max_deviation)
+
+
+# How the entries of one diagonal vary about its base value.
+DIAGONAL_KINDS = ("constant", "real", "imaginary", "line", "circle", "signed-zero", "zero")
+
+
+def diagonal_values(kind: str, base: complex, rng, shape) -> np.ndarray:
+    t = rng.standard_normal(shape)
+    if kind == "constant":
+        return np.full(shape, base)
+    if kind == "real":
+        return base + t
+    if kind == "imaginary":
+        return base + 1j * t
+    if kind == "line":  # dyadic values on the line x - y = const, duplicates included
+        return np.round(4 * base) / 4 + (1 + 1j) * np.round(3 * t)
+    if kind == "circle":  # every point a vertex of the hull
+        return base + np.exp(2j * np.pi * rng.random(shape))
+    out = np.empty(shape, dtype=complex)  # constant up to the signs of zero parts
+    out.real = base.real if kind == "signed-zero" else rng.choice([0.0, -0.0], shape)
+    out.imag = rng.choice([0.0, -0.0], shape)
+    return out
+
+
+@st.composite
+def diagonal_operators(draw):
+    """An operator whose diagonals each follow one of DIAGONAL_KINDS, with its diagonals' blocks."""
+    n, p = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
+    top = {1: 10, 2: 3, 3: 2}[n] if p == 1 else {1: 8, 2: 2, 3: 1}[n]
+    box = Box(tuple(draw(st.lists(st.integers(0, top), min_size=n, max_size=n))))
+    freqs = list(itertools.product(*(range(-c, c + 1) for c in box.caps)))
+    kinds = draw(st.lists(st.sampled_from(DIAGONAL_KINDS), min_size=len(freqs), max_size=len(freqs)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = index_array(box)
+    pairs: dict[tuple, list] = {}
+    for a, b in itertools.product(range(box.dim), repeat=2):  # each diagonal in increasing column
+        pairs.setdefault(tuple(int(x) for x in idx[a] - idx[b]), []).append((a, b))
+    M = np.empty((p * box.dim,) * 2, dtype=complex)
+    blocks = {}
+    for f, kind in zip(freqs, kinds):
+        base = complex(*rng.standard_normal(2))
+        blocks[f] = diagonal_values(kind, base, rng, (len(pairs[f]), p, p))
+        for (a, b), blk in zip(pairs[f], blocks[f]):
+            M[a * p : (a + 1) * p, b * p : (b + 1) * p] = blk
+    return TruncatedOperator(box, p, M), blocks
+
+
+def pairwise_spread(blocks: np.ndarray) -> float:
+    """Largest distance over all pairs of blocks, with numpy's array norms.
+
+    `oracles.recover_oracle` takes scalar abs (libm hypot), which differs by
+    an ulp from the array np.abs on about a third of complex inputs, so the
+    bit-for-bit reference is formed here with the array functions.
+    """
+    diff = blocks[:, None] - blocks[None, :]
+    if blocks.shape[-1] == 1:
+        return float(np.abs(diff).max())
+    return float(np.linalg.norm(diff, ord=2, axis=(-2, -1)).max())
+
+
+@settings(max_examples=200)
+@given(diagonal_operators())
+def test_recover_matches_pairwise_oracle(case):
+    T, blocks = case
+    coeffs, spreads = oracles.recover_oracle(T)
+    rec = recover_symbol(T)
+    assert rec.deviations == {f: pairwise_spread(b) for f, b in blocks.items()}
+    assert rec.max_deviation == max(rec.deviations.values())
+    scale = np.abs(T.matrix).max()
+    for f, spread in spreads.items():
+        assert abs(rec.deviations[f] - spread) <= 1e-12 * scale, f
+    for f, want in coeffs.items():
+        got = rec.symbol.coefficients.get(f)
+        if spreads[f] == 0.0:  # constant: its first block, sign bits included
+            first = blocks[f][0]
+            if first.any():
+                assert got.tobytes() == first.tobytes(), f
+            else:
+                assert got is None, f
+        else:
+            assert np.abs(rec.symbol.coeff(f) - want).max() <= 1e-12 * scale, f
 
 
 def test_sequence_toeplitz_constant():

@@ -1,6 +1,7 @@
 """End-to-end exercise of the command line verbs and the exit-code contract."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ def test_symbol_bad_bare_entry_exit_two(tmp_path, capsys):
     assert io.load_symbol(out).coeff((1,)).item() == 2.0
 
 
+def test_symbol_bare_entries_read_like_symbol_json(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    entries = '[{"k": [1], "re": 1.0, "im": NaN}, {"k": [2], "re": -0.0, "im": 1.0}]'
+    assert main(["symbol", "--coeffs", entries, "--n", "1", "--out", str(out)]) == 0
+    sym = io.load_symbol(out)
+    one, two = sym.coeff((1,)).item(), sym.coeff((2,)).item()
+    assert one.real == 1.0 and math.isnan(one.imag)
+    assert math.copysign(1.0, two.real) == -1.0 and two.imag == 1.0
+    out.unlink()
+    for k in ("1.5", "true"):
+        assert main(["symbol", "--coeffs", f'[{{"k": [{k}], "re": 1.0}}]', "--n", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("is not an integer") == 2
+    assert not out.exists()
+
+
 def test_internal_error_exit_three(tmp_path, monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("first line\nsecond line")
@@ -227,10 +243,21 @@ OP_FILES = {
     "op-caps-true": ({**OP, "caps": [True, 2]}, bytes(8 * 2 * 36)),
     "op-symbol-beyond-int64": ({**OP, "symbol": BIG_SYMBOL}, ZEROS_3X3),
 }
+ENTRY = {"re": [[1.0]], "im": [[0.0]]}
+# symbol file name -> symbol JSON whose counts or frequencies are not integers
+BAD_SYMBOLS = {
+    "k-1.5": {**BIG_SYMBOL, "coefficients": [{"k": [1.5], **ENTRY}]},
+    "n-1.9-k-true": {**BIG_SYMBOL, "n": 1.9, "coefficients": [{"k": [True], **ENTRY}]},
+    "p-true": {**BIG_SYMBOL, "p": True, "coefficients": [{"k": [1], **ENTRY}]},
+}
 MALFORMED = [
     pytest.param({"T.op": op}, [verb, "{d}/T.op"], id=f"{name}-{verb}")
     for name, op in OP_FILES.items()
     for verb in OPERATOR_VERBS
+] + [
+    pytest.param({"z.json": (sym, b"")}, ["toeplitz", "--symbol", "{d}/z.json", "--caps", "3", "--out", "{d}/T.op"],
+                 id=f"toeplitz-symbol-{name}")
+    for name, sym in BAD_SYMBOLS.items()
 ] + [
     pytest.param({"Q.ms": ([1], E0)}, ["invariance", "--modelspace", "{d}/Q.ms"], id="ms-header-list"),
     pytest.param({"Q.ms": ({**MS, "caps": [1.5]}, E0)}, ["invariance", "--modelspace", "{d}/Q.ms"], id="ms-caps-1.5"),

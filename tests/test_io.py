@@ -34,6 +34,11 @@ def test_symbol_rejects_malformed(tmp_path):
     path.write_text('{"n": 1, "p": 1, "coefficients": [{"k": [1, 2], "re": [[1.0]], "im": [[0.0]]}]}')
     with pytest.raises(ValueError, match="expected n = 1"):
         io.load_symbol(path)
+    entry = '"re": [[1.0]], "im": [[0.0]]'
+    for n, p, k in [("1", "1", "1.5"), ("1.9", "1", "true"), ("1", "true", "1"), ("true", "1", "1"), ("1", "1.0", "1")]:
+        path.write_text(f'{{"n": {n}, "p": {p}, "coefficients": [{{"k": [{k}], {entry}}}]}}')
+        with pytest.raises(ValueError, match="is not an integer"):
+            io.load_symbol(path)
 
 
 def test_operator_round_trip_binary(tmp_path):
@@ -141,6 +146,26 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True).map(lambda x: math.nan i
 def complex_arrays(shape):
     """Complex arrays whose real and imaginary parts are drawn independently."""
     return hnp.arrays(np.float64, shape + (2,), elements=FLOATS).map(lambda a: a.view(complex).reshape(shape))
+
+
+@st.composite
+def symbols(draw):
+    """A symbol over n <= 3, p <= 2 with frequencies anywhere in int64."""
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    freqs = st.tuples(*[st.integers(-(2**63) + 1, 2**63 - 1)] * n)
+    coeffs = draw(st.dictionaries(freqs, complex_arrays((p, p)), max_size=4))
+    return TorusSymbol(n, p, coeffs, draw(st.floats(min_value=0.0)))
+
+
+@given(symbols())
+def test_symbol_save_load_is_bit_exact(tmp_path_factory, sym):
+    path = tmp_path_factory.getbasetemp() / "round-trip.json"
+    io.save_symbol(path, sym)
+    back = io.load_symbol(path)
+    assert (back.n, back.p, back.tail_bound) == (sym.n, sym.p, sym.tail_bound)
+    assert list(back.coefficients) == sorted(sym.coefficients)
+    for k, blk in sym.coefficients.items():
+        assert back.coefficients[k].tobytes() == blk.tobytes(), k
 
 
 @st.composite
