@@ -5,16 +5,21 @@ sub-boxes rather than by multiplying truncated shift matrices.  Truncated
 shifts fail to be isometries at the top layer, so the entry-shifted sections
 are the exact finite forms of the infinite-dimensional identities; nothing
 in this module is polluted by truncation artifacts.
+
+The matrix is read as a tensor with one axis per variable and one for the
+block component, on each side, so a shifted sub-box is one slice per
+variable and a window of the matrix is a slice of that tensor (`_window`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Box, MultiIndex, index_array, interior, positions_of, strides
+from .lattice import Box, MultiIndex, index_array, interior, strides
 from .operators import TruncatedOperator, block_rows, operator_norm, toeplitz
 from .symbols import TorusSymbol
 
@@ -34,17 +39,31 @@ def _block_norm_grid(D: np.ndarray, p: int) -> np.ndarray:
     return np.linalg.norm(blocks, ord=2, axis=(-2, -1))
 
 
-def _shifted_positions(box: Box, m: int, directions: tuple[int, ...]) -> tuple[Box, np.ndarray]:
-    """Interior sub-box for an m-fold shift and the in-box positions of its translate."""
-    inner = interior(box, m, directions)
-    idx = index_array(inner).copy()
-    for j in directions:
-        idx[:, j] += m
-    return inner, positions_of(box, idx)
+def _check_directions(box: Box, directions: tuple[int, ...]) -> None:
+    if len(set(directions)) != len(directions) or any(not 0 <= j < box.n for j in directions):
+        raise ValueError(f"directions {directions} must be distinct axes in 0..{box.n - 1}")
 
 
-def _gather(matrix: np.ndarray, p: int, row_pos: np.ndarray, col_pos: np.ndarray) -> np.ndarray:
-    return matrix[np.ix_(block_rows(row_pos, p), block_rows(col_pos, p))]
+def _cut(box: Box, directions: tuple[int, ...], start: int, drop: int) -> tuple[slice, ...]:
+    """One slice per variable: start..cap - drop in the selected directions, all of the rest."""
+    return tuple(slice(start, c + 1 - drop) if j in directions else slice(None) for j, c in enumerate(box.caps))
+
+
+def _window(T: TruncatedOperator, rows: tuple[slice, ...], cols: tuple[slice, ...]) -> np.ndarray:
+    """Flat block-major matrix of T on the row sub-box × column sub-box.
+
+    A view of T.matrix where the slices allow one, a copy otherwise.
+    """
+    shape = tuple(c + 1 for c in T.box.caps) + (T.p,)
+    W = T.matrix.reshape(shape + shape)[rows + (slice(None),) + cols]
+    half = len(shape)
+    return W.reshape(math.prod(W.shape[:half]), math.prod(W.shape[half:]))
+
+
+def _step(T: TruncatedOperator, directions: tuple[int, ...], m: int) -> np.ndarray:
+    """B_(m+1) - B_m on interior(m + 1): T[l + (m+1)e, k + (m+1)e] - T[l + m*e, k + m*e]."""
+    hi, lo = _cut(T.box, directions, m + 1, 0), _cut(T.box, directions, m, 1)
+    return _window(T, hi, hi) - _window(T, lo, lo)
 
 
 @dataclass
@@ -79,26 +98,18 @@ def toeplitz_defect(T: TruncatedOperator, tol: float = EXACT_TOL) -> DefectRepor
     witness: dict | None = None
     overall = 0.0
     for j in range(box.n):
-        if box.caps[j] == 0:
-            defects.append(0.0)  # no shiftable pairs in a flat direction
-            continue
-        inner = interior(box, 1, (j,))
-        idx = index_array(inner)
-        pos0 = positions_of(box, idx)
-        pos1 = pos0 + strides(box)[j]
-        D = _gather(T.matrix, p, pos1, pos1) - _gather(T.matrix, p, pos0, pos0)
-        grid = _block_norm_grid(D, p)
+        grid = _block_norm_grid(_step(T, (j,), 0), p)  # empty in a flat direction
         dj = float(grid.max()) if grid.size else 0.0
         defects.append(dj)
         if dj > overall:
             overall = dj
-            a, b = np.unravel_index(int(np.argmax(grid)), grid.shape)
-            l, k = tuple(int(x) for x in idx[a]), tuple(int(x) for x in idx[b])
-            ej = tuple(1 if i == j else 0 for i in range(box.n))
+            inner = tuple(c + 1 - (i == j) for i, c in enumerate(box.caps))
+            at = np.unravel_index(int(np.argmax(grid)), inner + inner)
+            l, k = [int(x) for x in at[: box.n]], [int(x) for x in at[box.n :]]
             witness = {
                 "direction": j,
-                "base": [list(l), list(k)],
-                "shifted": [[x + e for x, e in zip(l, ej)], [x + e for x, e in zip(k, ej)]],
+                "base": [l, k],
+                "shifted": [[x + (i == j) for i, x in enumerate(v)] for v in (l, k)],
                 "defect": dj,
             }
     return DefectReport(
@@ -288,10 +299,13 @@ def recover_symbol(T: TruncatedOperator) -> SymbolRecovery:
 def section(T: TruncatedOperator, m: int, directions: tuple[int, ...]) -> TruncatedOperator:
     """Entry-shifted section B_m: entries T[l + m*e, k + m*e] on the interior box.
 
-    e sums the unit vectors of the selected directions.
+    e sums the unit vectors of the selected (distinct) directions.  The
+    matrix may be a view of T.matrix.
     """
-    inner, pos = _shifted_positions(T.box, m, directions)
-    return TruncatedOperator(inner, T.p, _gather(T.matrix, T.p, pos, pos))
+    _check_directions(T.box, directions)
+    inner = interior(T.box, m, directions)
+    cut = _cut(T.box, directions, m, 0)
+    return TruncatedOperator(inner, T.p, _window(T, cut, cut))
 
 
 @dataclass
@@ -309,21 +323,17 @@ class AsymptoticSequence:
     cauchy: bool
 
 
-def _sequence(T: TruncatedOperator, directions: tuple[int, ...], m_max: int, tol: float) -> AsymptoticSequence:
-    box, p = T.box, T.p
+def asymptotic_sequence(
+    T: TruncatedOperator, directions: tuple[int, ...], m_max: int, tol: float = LIMIT_TOL
+) -> AsymptoticSequence:
+    """Sections of T under iterated simultaneous shifts in the given directions."""
+    _check_directions(T.box, directions)
     for j in directions:
-        if m_max > box.caps[j]:
+        if m_max > T.box.caps[j]:
             raise ValueError(
-                f"m_max = {m_max} exceeds cap {box.caps[j]} in direction {j}"
+                f"m_max = {m_max} exceeds cap {T.box.caps[j]} in direction {j}"
             )
-    step_norms: list[float] = []
-    prev = section(T, 0, directions)
-    for m in range(m_max):
-        cur = section(T, m + 1, directions)
-        sub = positions_of(prev.box, index_array(cur.box))
-        rows = block_rows(sub, p)
-        step_norms.append(operator_norm(cur.matrix - prev.matrix[np.ix_(rows, rows)]))
-        prev = cur
+    step_norms = [operator_norm(_step(T, directions, m)) for m in range(m_max)]
     cauchy = bool(step_norms) and step_norms[-1] <= tol
     return AsymptoticSequence(
         directions=directions,
@@ -331,13 +341,6 @@ def _sequence(T: TruncatedOperator, directions: tuple[int, ...], m_max: int, tol
         step_norms=step_norms,
         cauchy=cauchy,
     )
-
-
-def asymptotic_sequence(T: TruncatedOperator, direction: int, m_max: int, tol: float = LIMIT_TOL) -> AsymptoticSequence:
-    """Sections of T under iterated shifts in one coordinate direction."""
-    if direction < 0 or direction >= T.box.n:
-        raise ValueError(f"direction {direction} out of range")
-    return _sequence(T, (direction,), m_max, tol)
 
 
 @dataclass
@@ -359,17 +362,15 @@ def cross_term_profile(K: TruncatedOperator, i: int, j: int, m_max: int) -> Cros
     Entry (l, k) of the m-th section is K[l + m*e_i, k + m*e_j] over the
     interior pairs for which both translates stay in the box.
     """
-    box, p = K.box, K.p
+    box = K.box
+    for d in (i, j):
+        _check_directions(box, (d,))
     if m_max > min(box.caps[i], box.caps[j]):
         raise ValueError(f"m_max = {m_max} too deep for directions ({i}, {j})")
-    norms: list[float] = []
-    for m in range(1, m_max + 1):
-        _, rpos = _shifted_positions(box, m, (i,))
-        if i == j:
-            cpos = rpos
-        else:
-            _, cpos = _shifted_positions(box, m, (j,))
-        norms.append(operator_norm(K.matrix[np.ix_(block_rows(rpos, p), block_rows(cpos, p))]))
+    norms = [
+        operator_norm(_window(K, _cut(box, (i,), m, 0), _cut(box, (j,), m, 0)))
+        for m in range(1, m_max + 1)
+    ]
     return CrossTermProfile(i=i, j=j, norms=norms)
 
 
@@ -473,8 +474,8 @@ def asymptotic_decompose(
         )
     if m_max > min(box.caps):
         raise ValueError(f"m_max = {m_max} exceeds min cap {min(box.caps)}")
-    sequences = [_sequence(T, (i,), m_max, tol) for i in range(box.n)]
-    diagonal = sequences[0] if box.n == 1 else _sequence(T, tuple(range(box.n)), m_max, tol)
+    sequences = [asymptotic_sequence(T, (i,), m_max, tol) for i in range(box.n)]
+    diagonal = sequences[0] if box.n == 1 else asymptotic_sequence(T, tuple(range(box.n)), m_max, tol)
     stabilized = [m for m, s in enumerate(diagonal.step_norms) if s <= tol]
     m_star = stabilized[-1] if stabilized else m_max
     symbol = recover_symbol(section(T, m_star, diagonal.directions)).symbol

@@ -96,8 +96,3 @@ def interior(box: Box, m: int, directions: tuple[int, ...] | None = None) -> Box
                 f"empty interior: m={m} exceeds cap {box.caps[j]} in direction {j}"
             )
     return Box(tuple(caps))
-
-
-def positions_of(box: Box, indices: np.ndarray) -> np.ndarray:
-    """Vectorized position() for an (M, n) array of in-box indices."""
-    return indices @ np.asarray(strides(box), dtype=np.int64)

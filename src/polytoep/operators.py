@@ -82,23 +82,17 @@ def toeplitz(sym: TorusSymbol, box: Box) -> TruncatedOperator:
         raise ValueError(f"symbol dimension {sym.n} != box dimension {box.n}")
     n, p, N = box.n, sym.p, box.dim
     caps = np.asarray(box.caps, dtype=np.int64)
-    diff_shape = tuple(2 * c + 1 for c in box.caps)
-    table = np.zeros(diff_shape + (p, p), dtype=complex)
+    table = np.zeros(tuple(2 * c + 1 for c in box.caps) + (p, p), dtype=complex)
     for f, blk in sym.coefficients.items():
         fa = np.asarray(f, dtype=np.int64)
         if np.all(np.abs(fa) <= caps):
             table[tuple(fa + caps)] += blk
-    flat = table.reshape(-1, p, p)
-    dstr = np.ones(n, dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        dstr[i] = dstr[i + 1] * diff_shape[i + 1]
-    idx = index_array(box)
-    matrix = np.empty((p * N, p * N), dtype=complex)
-    col_lin = (idx * dstr).sum(axis=1)
-    row_lin = ((idx + caps) * dstr).sum(axis=1)
-    for i in range(N):
-        blocks = flat[row_lin[i] - col_lin]  # (N, p, p): diffs idx[i] - idx[:]
-        matrix[i * p : (i + 1) * p, :] = blocks.transpose(1, 0, 2).reshape(p, N * p)
+    # open grids on the (l, a, k, b) axes of the matrix read as a tensor
+    side = tuple(c + 1 for c in box.caps) + (p,)
+    grids = np.ix_(*(np.arange(s) for s in side + side))
+    l, a, k, b = grids[:n], grids[n], grids[n + 1 : -1], grids[-1]
+    diff = tuple(li - ki + c for li, ki, c in zip(l, k, box.caps))
+    matrix = table[diff + (a, b)].reshape(p * N, p * N)
     return TruncatedOperator(box, p, matrix, symbol=sym)
 
 

@@ -15,7 +15,7 @@ from polytoep.analysis import (
     section,
     toeplitz_defect,
 )
-from polytoep.lattice import Box, enumerate_basis, index_array, interior
+from polytoep.lattice import Box, enumerate_basis, index_array, interior, position
 from polytoep.operators import TruncatedOperator, block_rows, identity, toeplitz
 from polytoep.symbols import from_coefficients, max_coeff_difference, random_symbol
 
@@ -60,6 +60,49 @@ def test_defect_detects_single_entry_perturbation():
     M[7, 3] += 1e-3
     rep = toeplitz_defect(TruncatedOperator(T.box, 1, M))
     assert rep.overall >= 5e-4
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("caps", [(4, 3), (2, 3, 2)])
+def test_defect_witness_names_the_perturbed_blocks(caps, p):
+    rng = np.random.default_rng(len(caps) * 10 + p)
+    box = Box(caps)
+    T = toeplitz(random_symbol(box.n, 2, p=p, rng=rng), box)
+    for j in range(box.n):
+        # block (l0, k0) has a shifted partner in direction j only: in every
+        # other direction l0 sits on the top layer and k0 on the bottom one
+        l0 = tuple(int(rng.integers(c)) if i == j else c for i, c in enumerate(caps))
+        k0 = tuple(int(rng.integers(c)) if i == j else 0 for i, c in enumerate(caps))
+        M = T.matrix.copy()
+        M[np.ix_(block_rows([position(box, l0)], p), block_rows([position(box, k0)], p))] += rng.standard_normal((p, p))
+        op = TruncatedOperator(box, p, M)
+        rep = toeplitz_defect(op)
+        w = rep.witness
+        assert w["direction"] == j
+        assert w["defect"] == rep.overall == rep.defects[j] > 0.0
+        assert all(d == 0.0 for i, d in enumerate(rep.defects) if i != j)
+        base, shifted = [tuple(x) for x in w["base"]], [tuple(x) for x in w["shifted"]]
+        for b, s in zip(base, shifted):
+            assert s == tuple(x + (i == j) for i, x in enumerate(b))
+        assert (l0, k0) in (tuple(base), tuple(shifted))
+        diff = oracles._blk(op, *shifted) - oracles._blk(op, *base)
+        norm = np.abs(diff).item() if p == 1 else np.linalg.norm(diff, ord=2)
+        assert norm == w["defect"]
+
+
+@pytest.mark.parametrize("caps", [(3, 0), (0,), (0, 0, 2)])
+def test_defect_flat_directions(caps):
+    rng = np.random.default_rng(9)
+    box, p = Box(caps), 2
+    d = p * box.dim
+    op = TruncatedOperator(box, p, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rep = toeplitz_defect(op)
+    want, overall = oracles.defect_oracle(op)
+    for j, c in enumerate(caps):
+        if c == 0:
+            assert rep.defects[j] == 0.0 == want[j]
+    assert np.allclose(rep.defects, want, rtol=0, atol=1e-12)
+    assert abs(rep.overall - overall) <= 1e-12
 
 
 def test_recover_round_trip():
@@ -191,7 +234,7 @@ def test_sequence_toeplitz_constant():
     sym = random_symbol(2, 2, rng=rng)
     box = Box((6, 6))
     T = toeplitz(sym, box)
-    seq = asymptotic_sequence(T, 0, 3, tol=1e-10)
+    seq = asymptotic_sequence(T, (0,), 3, tol=1e-10)
     assert seq.step_norms == [0.0, 0.0, 0.0]
     assert seq.cauchy
     for m in range(4):
@@ -204,14 +247,14 @@ def test_sequence_rank_one_settles_after_one_step():
     box = Box((9,))
     sym = from_coefficients(1, 1, [((1,), 1), ((-1,), 1)])
     T = toeplitz(sym, box) + rank_one_corner(box)
-    seq = asymptotic_sequence(T, 0, 4, tol=1e-12)
+    seq = asymptotic_sequence(T, (0,), 4, tol=1e-12)
     assert seq.step_norms[0] > 0.5
     assert seq.step_norms[1:] == [0.0, 0.0, 0.0]
     assert seq.cauchy
 
 
 def test_sequence_flip_not_cauchy():
-    seq = asymptotic_sequence(flip_operator(8), 0, 5, tol=1e-6)
+    seq = asymptotic_sequence(flip_operator(8), (0,), 5, tol=1e-6)
     assert not seq.cauchy
     assert seq.step_norms[0] == pytest.approx(2 * math.cos(math.pi / 9), abs=1e-10)
     assert all(s >= 1.0 for s in seq.step_norms[:4])
@@ -219,7 +262,19 @@ def test_sequence_flip_not_cauchy():
 
 def test_sequence_rejects_deep_m():
     with pytest.raises(ValueError):
-        asymptotic_sequence(identity(Box((3,))), 0, 4)
+        asymptotic_sequence(identity(Box((3,))), (0,), 4)
+
+
+def test_directions_out_of_range_are_refused():
+    K = rank_one_corner(Box((3, 3)))
+    for i, j in [(2, 0), (0, 2), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="directions"):
+            cross_term_profile(K, i, j, 1)
+    for directions in [(2,), (-1,), (0, 2), (-1, 1), (0, 0)]:
+        with pytest.raises(ValueError, match="directions"):
+            asymptotic_sequence(K, directions, 1)
+        with pytest.raises(ValueError, match="directions"):
+            section(K, 1, directions)
 
 
 def test_cross_terms_vanish_for_equal_operators():

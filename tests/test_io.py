@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from polytoep import io
 from polytoep.lattice import Box
-from polytoep.modelspace import model_basis
+from polytoep.modelspace import ModelSpace, model_basis
 from polytoep.operators import TruncatedOperator, toeplitz
 from polytoep.symbols import TorusSymbol, from_coefficients, max_coeff_difference, random_symbol
 
@@ -202,3 +202,53 @@ def test_operator_file_prefixes_are_refused(tmp_path_factory, op, data):
     path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")])
     with pytest.raises(ValueError):
         io.load_operator(path)
+
+
+# The basis payload is raw binary, so any float comes back, NaN payloads too;
+# header floats go through JSON and use FLOATS.
+RAW_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def modelspaces(draw):
+    """A model-space record with every header field drawn and a basis of any floats."""
+    theta = draw(symbols())
+    n, p = theta.n, theta.p
+    box = Box(tuple(draw(st.lists(st.integers(0, 1 if n == 3 else 2), min_size=n, max_size=n))))
+    safe = Box(tuple(draw(st.integers(0, c)) for c in box.caps))
+    q = draw(st.integers(0, 3))
+    basis = hnp.arrays(np.float64, (p * box.dim, q, 2), elements=RAW_FLOATS).map(lambda a: a.view(complex)[..., 0])
+    return ModelSpace(
+        theta=theta,
+        box=box,
+        p=p,
+        safe_box=safe,
+        basis=draw(basis),
+        q=q,
+        column_tail_bound=draw(FLOATS),
+        boundary_note=draw(st.text(max_size=20)),
+    )
+
+
+@given(modelspaces())
+def test_modelspace_save_load_is_bit_exact(tmp_path_factory, ms):
+    path = tmp_path_factory.getbasetemp() / "round-trip.ms"
+    io.save_modelspace(path, ms)
+    back = io.load_modelspace(path)
+    assert (back.box, back.safe_box, back.p, back.q, back.boundary_note) == (ms.box, ms.safe_box, ms.p, ms.q, ms.boundary_note)
+    assert np.float64(back.column_tail_bound).tobytes() == np.float64(ms.column_tail_bound).tobytes()
+    assert back.basis.shape == ms.basis.shape and back.basis.tobytes() == ms.basis.tobytes()
+    assert (back.theta.n, back.theta.p, back.theta.tail_bound) == (ms.theta.n, ms.theta.p, ms.theta.tail_bound)
+    assert list(back.theta.coefficients) == sorted(ms.theta.coefficients)
+    for k, blk in ms.theta.coefficients.items():
+        assert back.theta.coefficients[k].tobytes() == blk.tobytes(), k
+
+
+@given(modelspaces(), st.data())
+def test_modelspace_file_prefixes_are_refused(tmp_path_factory, ms, data):
+    path = tmp_path_factory.getbasetemp() / "prefix.ms"
+    io.save_modelspace(path, ms)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")])
+    with pytest.raises(ValueError):
+        io.load_modelspace(path)

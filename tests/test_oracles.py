@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytoep.analysis import (
     asymptotic_sequence,
@@ -51,7 +53,7 @@ def check_all_ops(T: TruncatedOperator, rng) -> None:
     if m_cap >= 1:
         m_max = min(2, m_cap)
         for j in range(box.n):
-            seq = asymptotic_sequence(T, j, m_max, tol=1e-6)
+            seq = asymptotic_sequence(T, (j,), m_max, tol=1e-6)
             want_steps = oracles.step_norms_oracle(T, (j,), m_max)
             assert np.allclose(seq.step_norms, want_steps, atol=TOL)
             for m in range(m_max + 1):
@@ -93,6 +95,32 @@ def test_oracle_equivalence_sampled(caps, p):
     check_all_ops(random_operator(box, p, rng), rng)
     if min(box.caps) >= 1:
         check_all_ops(toeplitz_plus_noise(box, p, rng), rng)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random operator, or a Toeplitz section perturbed on a random support, with p * N <= 16."""
+    n, p = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
+    room, caps = 16 // p, []
+    for _ in range(n):  # zero caps included
+        caps.append(draw(st.integers(0, room - 1)))
+        room //= caps[-1] + 1
+    box = Box(tuple(caps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_operator(box, p, rng)
+    T = toeplitz(random_symbol(n, draw(st.integers(0, max(caps))), p=p, rng=rng), box)
+    d = p * box.dim
+    M = T.matrix.copy()
+    for a, b in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), max_size=6)):
+        M[a, b] += complex(*rng.standard_normal(2))
+    return TruncatedOperator(box, p, M)
+
+
+@settings(max_examples=300)
+@given(oracle_cases())
+def test_oracle_equivalence_property(T):
+    check_all_ops(T, None)
 
 
 @pytest.mark.nightly
