@@ -101,7 +101,7 @@ def toeplitz_defect(T: TruncatedOperator, tol: float = EXACT_TOL) -> DefectRepor
         grid = _block_norm_grid(_step(T, (j,), 0), p)  # empty in a flat direction
         dj = float(grid.max()) if grid.size else 0.0
         defects.append(dj)
-        if dj > overall:
+        if not (dj <= overall or math.isnan(overall)):  # a NaN defect is the worst one
             overall = dj
             inner = tuple(c + 1 - (i == j) for i, c in enumerate(box.caps))
             at = np.unravel_index(int(np.argmax(grid)), inner + inner)
@@ -328,6 +328,8 @@ def asymptotic_sequence(
 ) -> AsymptoticSequence:
     """Sections of T under iterated simultaneous shifts in the given directions."""
     _check_directions(T.box, directions)
+    if m_max < 0:
+        raise ValueError(f"m_max = {m_max} must be nonnegative")
     for j in directions:
         if m_max > T.box.caps[j]:
             raise ValueError(
@@ -365,6 +367,8 @@ def cross_term_profile(K: TruncatedOperator, i: int, j: int, m_max: int) -> Cros
     box = K.box
     for d in (i, j):
         _check_directions(box, (d,))
+    if m_max < 0:
+        raise ValueError(f"m_max = {m_max} must be nonnegative")
     if m_max > min(box.caps[i], box.caps[j]):
         raise ValueError(f"m_max = {m_max} too deep for directions ({i}, {j})")
     norms = [

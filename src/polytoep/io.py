@@ -23,6 +23,8 @@ from .modelspace import ModelSpace
 from .operators import TruncatedOperator, toeplitz
 from .symbols import TorusSymbol
 
+ORTHONORMAL_TOL = 1e-10  # largest |V*V - I| entry a loaded model-space basis may have
+
 
 def symbol_to_dict(sym: TorusSymbol) -> dict:
     coeffs = []
@@ -218,6 +220,12 @@ def load_modelspace(path) -> ModelSpace:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model-space header: {exc}") from exc
     basis = _matrix_from_bytes(payload, p * box.dim, q)
+    deviation = np.abs(basis.conj().T @ basis - np.eye(q)).max() if q else 0.0
+    if not deviation <= ORTHONORMAL_TOL:  # NaN fails too
+        raise ValueError(
+            f"{path}: basis columns are not orthonormal (Gram deviation {deviation:.3e} "
+            f"> {ORTHONORMAL_TOL:.0e})"
+        )
     return ModelSpace(
         theta=theta,
         box=box,

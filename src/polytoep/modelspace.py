@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .lattice import Box, enumerate_basis, position
-from .operators import compress, operator_norm, shift
+from .operators import operator_norm
 from .symbols import TorusSymbol, is_inner
 
 BOUNDARY_NOTE = (
@@ -23,8 +23,10 @@ BOUNDARY_NOTE = (
     "near-boundary basis vectors may differ from the untruncated space"
 )
 
-# Dense SVD of the stacked invariance map needs n * q^4 complex entries.
-DENSE_KERNEL_BUDGET = 2 * 1024**3
+# Largest q whose invariance map takes the dense SVD.  The matrix-free probe
+# is faster from about q = 11 at n = 2 and 3 and from q = 20 at n = 1, where
+# the dense SVD still wins by at most 11 ms (q ladder in CHANGES.md).
+DENSE_MAX_Q = 12
 
 
 @dataclass(eq=False)
@@ -119,8 +121,21 @@ def model_basis(theta: TorusSymbol, box: Box, tol: float = 1e-10, grid_sizes=Non
 
 
 def compressed_shift(ms: ModelSpace, direction: int) -> np.ndarray:
-    """The q x q compression of one coordinate shift to the model space."""
-    return compress(shift(ms.box, direction, ms.p).matrix, ms.basis)
+    """The q x q compression V* S V of one coordinate shift to the model space.
+
+    S sends the row of k to the row of k + e_direction and kills the top
+    layer, so V* S V is the rows of k + e_direction against the rows of k:
+    two slices of the basis read as a (d_1+1, ..., d_n+1, p, q) tensor.  The
+    columns of V are orthonormal by construction (`model_basis`) or by the
+    check in `io.load_modelspace`.
+    """
+    box = ms.box
+    if direction < 0 or direction >= box.n:
+        raise ValueError(f"direction {direction} out of range for dimension {box.n}")
+    V = ms.basis.reshape(tuple(c + 1 for c in box.caps) + (ms.p, ms.q))
+    src, dst = [slice(None)] * box.n, [slice(None)] * box.n
+    src[direction], dst[direction] = slice(0, -1), slice(1, None)
+    return V[tuple(dst)].reshape(-1, ms.q).conj().T @ V[tuple(src)].reshape(-1, ms.q)
 
 
 def invariance_residual(ms: ModelSpace, A: np.ndarray) -> list[float]:
@@ -137,7 +152,10 @@ def invariance_residual(ms: ModelSpace, A: np.ndarray) -> list[float]:
 
 @dataclass
 class InvarianceKernelReport:
-    """Smallest singular value of the stacked map A -> (A - C_i* A C_i)_i."""
+    """Smallest singular value of the stacked map A -> (A - C_i* A C_i)_i.
+
+    matvecs counts the applications of the normal map (0 for the dense SVD).
+    """
 
     sigma_min: float
     kernel_dim: int
@@ -145,6 +163,7 @@ class InvarianceKernelReport:
     q: int
     method: str
     residual: float
+    matvecs: int
 
     def to_dict(self) -> dict:
         return {
@@ -154,64 +173,86 @@ class InvarianceKernelReport:
             "q": self.q,
             "method": self.method,
             "residual": self.residual,
+            "matvecs": self.matvecs,
         }
 
 
-def _stacked_map_matrix(shifts: list[np.ndarray], q: int) -> np.ndarray:
+def _stacked_map_matrix(shifts: np.ndarray, q: int) -> np.ndarray:
     eye = np.eye(q * q, dtype=complex)
     blocks = [eye - np.kron(C.conj().T, C.T) for C in shifts]
     return np.vstack(blocks)
 
 
 def invariance_kernel(ms: ModelSpace, tol: float = 1e-8) -> InvarianceKernelReport:
-    """Rigidity probe: kernel dimension and sigma_min of the invariance map.
+    """Rigidity probe: sigma_min of the invariance map and how many sigma <= tol.
 
-    Dense SVD of the stacked matrix when it fits DENSE_KERNEL_BUDGET,
-    otherwise a matrix-free Lanczos estimate of the smallest eigenvalues of
-    the normal operator (residual reported), started from a fixed seeded
-    vector so that reruns give identical reports.
+    Dense SVD of the stacked matrix for q <= DENSE_MAX_Q.  Above it, Lanczos
+    (`eigsh`) on the normal map, matrix-free and started from a fixed seeded
+    vector so that reruns give identical reports.  Each run asks for k
+    eigenpairs, k = 1 first.  The singular values are those of the stacked
+    map on the orthonormalized Ritz vectors, not square roots of Ritz
+    values, which would lose half the digits near zero.  The directions
+    with sigma <= tol are locked and lifted out of the normal map, and the
+    next run doubles k while all k were within tol.  The probe stops at the
+    first run that finds none, so kernel_dim counts even the copies of a
+    multiple singular value that one Krylov run misses.  The residual is
+    that of the smallest Ritz pair of the first run.
     """
     q = ms.q
     if q < 1:
         raise ValueError("empty model space has no invariance map")
-    shifts = [compressed_shift(ms, i) for i in range(ms.n)]
-    if ms.n * (q ** 4) * 16 <= DENSE_KERNEL_BUDGET:
-        L = _stacked_map_matrix(shifts, q)
-        svals = np.linalg.svd(L, compute_uv=False)
-        sigma_min = float(svals[-1])
+    S = np.stack([compressed_shift(ms, i) for i in range(ms.n)])
+    if q <= DENSE_MAX_Q:
+        svals = np.linalg.svd(_stacked_map_matrix(S, q), compute_uv=False)
         kernel_dim = int((svals <= tol).sum())
-        return InvarianceKernelReport(sigma_min, kernel_dim, tol, q, "dense-svd", 0.0)
+        return InvarianceKernelReport(float(svals[-1]), kernel_dim, tol, q, "dense-svd", 0.0, 0)
+    SH = np.ascontiguousarray(S.conj().transpose(0, 2, 1))
 
-    def normal_apply(x):
-        A = x.reshape(q, q)
-        out = np.zeros_like(A)
-        for C in shifts:
-            r = A - C.conj().T @ A @ C
-            out += r - C @ r @ C.conj().T
-        return out.reshape(-1)
+    def stacked(A):  # (..., q, q) -> (..., n, q, q)
+        A = A[..., None, :, :]
+        return A - SH @ A @ S
+
+    def normal(x):
+        R = stacked(x.reshape(q, q))
+        return (R - S @ R @ SH).sum(axis=0).reshape(-1)
 
     dim = q * q
-    op = scipy.sparse.linalg.LinearOperator(
-        (dim, dim),
-        matvec=normal_apply,
-        dtype=complex,
-    )
-    k = min(6, dim - 1)
+    locked = np.zeros((dim, 0), dtype=complex)  # orthonormal, each mapped within tol
+    lift = 4.0 * ms.n  # >= ||normal map||, since every ||C_i|| <= 1
+    matvecs = 0
+
+    def deflated(x):
+        nonlocal matvecs
+        matvecs += 1
+        return normal(x) + lift * (locked @ (locked.conj().T @ x))
+
+    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=deflated, dtype=complex)
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    vals, vecs = scipy.sparse.linalg.eigsh(op, k=k, which="SA", maxiter=20 * dim, tol=1e-10, v0=v0)
-    vals = np.maximum(vals, 0.0)
-    sigma = np.sqrt(vals)
-    resid = float(
-        np.linalg.norm(normal_apply(vecs[:, 0]) - vals[0] * vecs[:, 0])
-    )
+    sigma_min, resid, k = np.inf, None, 1
+    while True:
+        vals, vecs = scipy.sparse.linalg.eigsh(op, k=k, which="SA", maxiter=20 * dim, tol=1e-10, v0=v0)
+        if resid is None:
+            j = int(np.argmin(vals))
+            resid = float(np.linalg.norm(normal(vecs[:, j]) - vals[j] * vecs[:, j]))
+        W = np.linalg.qr(vecs - locked @ (locked.conj().T @ vecs))[0]
+        images = stacked(W.T.reshape(k, q, q)).reshape(k, -1).T
+        _, sigma, Yh = np.linalg.svd(images, full_matrices=False)
+        sigma_min = min(sigma_min, float(sigma[-1]))
+        small = sigma <= tol
+        locked = np.hstack([locked, W @ Yh[small].conj().T])
+        if not small.any() or k == dim - 2:
+            break
+        if small.all():
+            k = min(2 * k, dim - 2)
     return InvarianceKernelReport(
-        sigma_min=float(sigma.min()),
-        kernel_dim=int((sigma <= tol).sum()),
+        sigma_min=sigma_min,
+        kernel_dim=locked.shape[1],
         tol=tol,
         q=q,
         method="lanczos",
         residual=resid,
+        matvecs=matvecs,
     )
 
 

@@ -62,6 +62,28 @@ def test_defect_detects_single_entry_perturbation():
     assert rep.overall >= 5e-4
 
 
+# (caps, NaN block (l, k), finite unit corner at (0, 0)?, defects, witness direction, base)
+NAN_CASES = [
+    ((3,), ((1,), (1,)), False, (math.nan,), 0, [[0], [0]]),
+    ((2, 2), ((0, 0), (2, 0)), True, (1.0, math.nan), 1, [[0, 0], [2, 0]]),  # step 0 in direction 0 skips the block
+    ((2, 2), ((0, 0), (0, 2)), True, (math.nan, 1.0), 0, [[0, 0], [0, 2]]),  # a later finite defect keeps the NaN
+]
+
+
+@pytest.mark.parametrize("caps, nan_at, corner, defects, direction, base", NAN_CASES)
+def test_defect_nan_entry_is_the_witness(caps, nan_at, corner, defects, direction, base):
+    box = Box(caps)
+    M = identity(box).matrix.copy()
+    M[position(box, nan_at[0]), position(box, nan_at[1])] = math.nan
+    if corner:
+        M[0, 0] += 1.0
+    rep = toeplitz_defect(TruncatedOperator(box, 1, M))
+    assert np.array_equal(rep.defects, defects, equal_nan=True)
+    assert math.isnan(rep.overall) and rep.verdict is False
+    assert rep.witness["direction"] == direction and rep.witness["base"] == base
+    assert math.isnan(rep.witness["defect"])
+
+
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("caps", [(4, 3), (2, 3, 2)])
 def test_defect_witness_names_the_perturbed_blocks(caps, p):
@@ -263,6 +285,15 @@ def test_sequence_flip_not_cauchy():
 def test_sequence_rejects_deep_m():
     with pytest.raises(ValueError):
         asymptotic_sequence(identity(Box((3,))), (0,), 4)
+
+
+def test_negative_depth_is_refused():
+    T = toeplitz(from_coefficients(1, 1, [((1,), 1.0)]), Box((3,)))
+    for m_max in (-1, -2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            asymptotic_sequence(T, (0,), m_max)
+        with pytest.raises(ValueError, match="nonnegative"):
+            cross_term_profile(T, 0, 0, m_max)
 
 
 def test_directions_out_of_range_are_refused():

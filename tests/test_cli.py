@@ -47,6 +47,16 @@ def test_check_toeplitz_rank_one_exit_one(tmp_path, capsys):
     assert "not Toeplitz" in out and "direction 0" in out
 
 
+def test_check_toeplitz_nan_entry_exit_one(tmp_path):
+    M = np.eye(4, dtype=complex)
+    M[1, 1] = math.nan
+    io.save_operator(tmp_path / "nan.op", TruncatedOperator(Box((3,)), 1, M))
+    assert main(["check-toeplitz", str(tmp_path / "nan.op"), "--out", str(tmp_path / "r.json")]) == 1
+    data = json.loads((tmp_path / "r.json").read_text())
+    assert data["verdict"] is False and math.isnan(data["overall"])
+    assert data["witness"]["shifted"] == [[1], [1]]
+
+
 def test_malformed_input_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.op"
     bad.write_text("this is not an operator\n")
@@ -275,6 +285,17 @@ def test_malformed_file_exit_two(tmp_path, capsys, files, argv):
         (tmp_path / name).write_bytes(json.dumps(header).encode() + b"\n" + payload)
     assert main([a.format(d=tmp_path) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("verb", ["invariance", "model-compactness"])
+def test_non_orthonormal_modelspace_exit_two(tmp_path, capsys, verb):
+    column = np.array([2.0, 0.0, 0.0, 0.0]).tobytes()  # 2 e_0: right size, not a unit vector
+    (tmp_path / "Q.ms").write_bytes(json.dumps(MS).encode() + b"\n" + column)
+    argv = [verb, "--modelspace", str(tmp_path / "Q.ms")]
+    if verb == "model-compactness":
+        argv += ["--identity", "--m-max", "1"]
+    assert main(argv) == 2
+    assert "not orthonormal" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["check-toeplitz", "compactness", "model-compactness"])

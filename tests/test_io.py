@@ -87,6 +87,20 @@ def test_modelspace_round_trip(tmp_path):
     assert max_coeff_difference(back.theta, theta) == 0.0
 
 
+@pytest.mark.parametrize("damage", ["scale", "nan", "duplicate"])
+def test_modelspace_basis_must_be_orthonormal(tmp_path, damage):
+    ms = model_basis(from_coefficients(2, 1, [((1, 1), 1)]), Box((3, 3)))
+    if damage == "scale":
+        ms.basis = ms.basis * (1 + 1e-9)
+    elif damage == "nan":
+        ms.basis[0, 0] = complex(math.nan, 0.0)
+    else:
+        ms.basis[:, 1] = ms.basis[:, 0]
+    io.save_modelspace(tmp_path / "Q.ms", ms)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        io.load_modelspace(tmp_path / "Q.ms")
+
+
 def test_report_determinism(tmp_path):
     report = {"b": 1.0 / 3.0, "a": [1, 2.5e-17], "nested": {"x": True}}
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -204,20 +218,31 @@ def test_operator_file_prefixes_are_refused(tmp_path_factory, op, data):
         io.load_operator(path)
 
 
-# The basis payload is raw binary, so any float comes back, NaN payloads too;
-# header floats go through JSON and use FLOATS.
-RAW_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+# A loaded basis must be orthonormal, so the drawn one is: q distinct rows
+# hold a unit phase, every other entry is a signed zero.  Header floats go
+# through JSON and use FLOATS.
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def orthonormal_bases(draw, rows: int, q: int) -> np.ndarray:
+    parts = draw(hnp.arrays(np.float64, (rows, q, 2), elements=SIGNED_ZEROS))
+    basis = parts.view(complex)[..., 0].copy()
+    for j, r in enumerate(draw(st.permutations(range(rows)))[:q]):
+        phi = draw(st.floats(-math.pi, math.pi))
+        basis[r, j] = complex(math.cos(phi), math.sin(phi))
+    return basis
 
 
 @st.composite
 def modelspaces(draw):
-    """A model-space record with every header field drawn and a basis of any floats."""
+    """A model-space record with every header field drawn and an orthonormal basis."""
     theta = draw(symbols())
     n, p = theta.n, theta.p
     box = Box(tuple(draw(st.lists(st.integers(0, 1 if n == 3 else 2), min_size=n, max_size=n))))
     safe = Box(tuple(draw(st.integers(0, c)) for c in box.caps))
-    q = draw(st.integers(0, 3))
-    basis = hnp.arrays(np.float64, (p * box.dim, q, 2), elements=RAW_FLOATS).map(lambda a: a.view(complex)[..., 0])
+    q = draw(st.integers(0, min(3, p * box.dim)))
+    basis = orthonormal_bases(p * box.dim, q)
     return ModelSpace(
         theta=theta,
         box=box,

@@ -183,9 +183,75 @@ def test_block_model_space():
     assert kr.kernel_dim == 0
 
 
-def test_invariance_kernel_lanczos_is_deterministic(monkeypatch):
-    monkeypatch.setattr(modelspace, "DENSE_KERNEL_BUDGET", 0)
-    ms = model_basis(monomial(2, (1, 1)), Box((4, 4)))
+def test_invariance_kernel_lanczos_is_deterministic():
+    ms = model_basis(monomial(2, (1, 1)), Box((6, 6)))
+    assert ms.q == 13 > modelspace.DENSE_MAX_Q
     first = invariance_kernel(ms, tol=1e-8).to_dict()
     assert first["method"] == "lanczos"
     assert first == invariance_kernel(ms, tol=1e-8).to_dict()
+
+
+def blaschke_pair(degree):
+    return product_inner([blaschke_factor(0.5, degree), blaschke_factor(-0.5j, degree)])
+
+
+# (theta, caps): q = 10, 16 (n = 1), 9, 16 (n = 2), 10, 14 (n = 3), one on each
+# side of the dense/Lanczos crossover per dimension; z^16 and z1z2z3 have
+# repeated singular values, b2*b2 has distinct ones.
+PROBE_SPACES = [
+    (monomial(1, (10,)), (12,)),
+    (monomial(1, (16,)), (18,)),
+    (monomial(2, (1, 1)), (4, 4)),
+    (blaschke_pair(2), (4, 4)),
+    (monomial(3, (1, 1, 1)), (2, 1, 1)),
+    (monomial(3, (1, 1, 1)), (2, 2, 1)),
+]
+
+
+def oracle_singular_values(ms):
+    shifts = [ms.basis.conj().T @ shift(ms.box, i, ms.p).matrix @ ms.basis for i in range(ms.n)]
+    return np.linalg.svd(stacked_invariance_oracle(shifts), compute_uv=False)
+
+
+@pytest.mark.parametrize("theta, caps", PROBE_SPACES)
+def test_invariance_kernel_matches_dense_oracle(theta, caps):
+    ms = model_basis(theta, Box(caps))
+    svals = oracle_singular_values(ms)
+    rep = invariance_kernel(ms, tol=1e-8)
+    dense = ms.q <= modelspace.DENSE_MAX_Q
+    assert rep.method == ("dense-svd" if dense else "lanczos")
+    assert abs(rep.sigma_min - svals[-1]) <= 1e-10
+    assert rep.kernel_dim == 0
+    assert (rep.matvecs == 0) == dense and (rep.residual == 0.0) == dense
+    assert rep.residual <= 1e-8
+
+
+@pytest.mark.parametrize("theta, caps, tol", [
+    (blaschke_pair(2), (4, 4), 0.9),    # 14 distinct singular values below tol
+    (monomial(1, (16,)), (18,), 0.7),   # 62, most of them in equal pairs
+    (monomial(2, (2, 1)), (4, 4), 0.95),  # 11, in equal pairs but the first
+])
+def test_invariance_kernel_counts_every_sigma_within_tol(theta, caps, tol):
+    ms = model_basis(theta, Box(caps))
+    assert ms.q > modelspace.DENSE_MAX_Q
+    svals = oracle_singular_values(ms)
+    rep = invariance_kernel(ms, tol=tol)
+    assert rep.method == "lanczos"
+    assert rep.kernel_dim == int((svals <= tol).sum()) > 6
+    assert abs(rep.sigma_min - svals[-1]) <= 1e-10
+
+
+def test_compressed_shift_is_the_compression():
+    spaces = [
+        model_basis(blaschke_pair(3), Box((6, 6))),
+        model_basis(monomial(1, (2,), p=2), Box((4,))),
+        model_basis(monomial(2, (1, 0)), Box((3, 0))),  # flat direction 1: C_1 = 0
+        model_basis(monomial(3, (1, 1, 1)), Box((2, 2, 1))),
+    ]
+    for ms in spaces:
+        for i in range(ms.n):
+            want = ms.basis.conj().T @ shift(ms.box, i, ms.p).matrix @ ms.basis
+            assert np.abs(compressed_shift(ms, i) - want).max() <= 1e-14
+    assert not compressed_shift(spaces[2], 1).any()
+    with pytest.raises(ValueError, match="out of range"):
+        compressed_shift(spaces[0], 2)
