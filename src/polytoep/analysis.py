@@ -6,9 +6,10 @@ shifts fail to be isometries at the top layer, so the entry-shifted sections
 are the exact finite forms of the infinite-dimensional identities; nothing
 in this module is polluted by truncation artifacts.
 
-The matrix is read as a tensor with one axis per variable and one for the
-block component, on each side, so a shifted sub-box is one slice per
-variable and a window of the matrix is a slice of that tensor (`_window`).
+The matrix is read as `operators`' tensor view, one axis per variable and
+one for the block component on each side, so a shifted sub-box is one slice
+per variable (`_cut`) and a window of the matrix is a slice of that tensor
+(`_window`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Box, MultiIndex, index_array, interior, strides
-from .operators import TruncatedOperator, block_rows, operator_norm, toeplitz
+from .operators import TruncatedOperator, _check_directions, _corner, _cut, _window, operator_norm, toeplitz
 from .symbols import TorusSymbol
 
 EXACT_TOL = 1e-10   # identities that hold in exact arithmetic on polynomial inputs
@@ -37,27 +38,6 @@ def _block_norm_grid(D: np.ndarray, p: int) -> np.ndarray:
     R, C = D.shape[0] // p, D.shape[1] // p
     blocks = D.reshape(R, p, C, p).transpose(0, 2, 1, 3)
     return np.linalg.norm(blocks, ord=2, axis=(-2, -1))
-
-
-def _check_directions(box: Box, directions: tuple[int, ...]) -> None:
-    if len(set(directions)) != len(directions) or any(not 0 <= j < box.n for j in directions):
-        raise ValueError(f"directions {directions} must be distinct axes in 0..{box.n - 1}")
-
-
-def _cut(box: Box, directions: tuple[int, ...], start: int, drop: int) -> tuple[slice, ...]:
-    """One slice per variable: start..cap - drop in the selected directions, all of the rest."""
-    return tuple(slice(start, c + 1 - drop) if j in directions else slice(None) for j, c in enumerate(box.caps))
-
-
-def _window(T: TruncatedOperator, rows: tuple[slice, ...], cols: tuple[slice, ...]) -> np.ndarray:
-    """Flat block-major matrix of T on the row sub-box × column sub-box.
-
-    A view of T.matrix where the slices allow one, a copy otherwise.
-    """
-    shape = tuple(c + 1 for c in T.box.caps) + (T.p,)
-    W = T.matrix.reshape(shape + shape)[rows + (slice(None),) + cols]
-    half = len(shape)
-    return W.reshape(math.prod(W.shape[:half]), math.prod(W.shape[half:]))
 
 
 def _step(T: TruncatedOperator, directions: tuple[int, ...], m: int) -> np.ndarray:
@@ -409,12 +389,10 @@ def compactness_profile(T: TruncatedOperator, m_max: int, tol: float = LIMIT_TOL
     box, p = T.box, T.p
     if m_max < 0 or m_max > min(box.caps) + 1:
         raise ValueError(f"m_max = {m_max} outside [0, {min(box.caps) + 1}]")
-    idx = index_array(box)
     values: list[float] = []
     for m in range(m_max + 1):
-        outside = np.nonzero((idx >= m).any(axis=1))[0]
-        rows = block_rows(outside, p)
-        values.append(operator_norm(T.matrix[np.ix_(rows, rows)]))
+        outside = ~_corner(box, m, p)
+        values.append(operator_norm(T.matrix[np.ix_(outside, outside)]))
     monotone = all(values[i + 1] <= values[i] + 10.0 * tol for i in range(len(values) - 1))
     verdict = values[-1] <= tol and monotone
     return CompactnessProfile(

@@ -4,7 +4,8 @@ Exit codes: 0 = success, 1 = analysis ran and the property failed
 (verdict-false is a result, not an error), 2 = input error, 3 = internal
 error (an unexpected exception, reported on one stderr line).  Reports embed
 the full configuration and are byte-identical across reruns with the same
-inputs and flags.
+inputs and flags.  A report written to stdout is all that goes there, so it
+parses as JSON; `check-toeplitz` writes its witness line to stderr.
 
 `decompose` serves every dimension n >= 1; `block-decompose` runs the same
 handler and refuses operators with n != 1 (exit 2).
@@ -184,7 +185,7 @@ def _cmd_check_toeplitz(args) -> int:
         _emit(args, payload)
     if not report.verdict and report.witness is not None:
         w = report.witness
-        sys.stdout.write(
+        sys.stderr.write(
             f"not Toeplitz: direction {w['direction']}, entry {w['base']} vs "
             f"{w['shifted']}, defect {w['defect']:.6e}\n"
         )
@@ -307,13 +308,8 @@ def _cmd_model_compactness(args) -> int:
         T = np.eye(ms.q, dtype=complex)
     report = modelspace.model_compactness_test(ms, T, m_max=args.m_max, tol=args.tol)
     if args.format == "csv":
-        rows = []
-        for m in range(report.m_max):
-            rows.append([m + 1] + [seq[m] for seq in report.norms])
-        lines = [",".join(["m"] + [f"norm_dir{i}" for i in range(ms.n)])]
-        for row in rows:
-            lines.append(",".join([str(row[0])] + [repr(float(x)) for x in row[1:]]))
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        header = ("m",) + tuple(f"norm_dir{i}" for i in range(ms.n))
+        io.write_sequence_csv(args.out, zip(range(1, report.m_max + 1), *report.norms), header)
     else:
         payload = {
             "kind": "model_compactness",

@@ -8,7 +8,9 @@ so identical inputs produce bit-identical files.
 
 An operator header carries a `symbol` only for a Toeplitz section; loading
 refuses a file whose payload is not exactly that symbol's section, so the
-symbol never disagrees with the matrix it travels with.
+symbol never disagrees with the matrix it travels with.  Likewise a
+model-space header's n, p, safe_caps and column_tail_bound are read off
+theta and the caps, and loading refuses a header that states other values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import Box
-from .modelspace import ModelSpace
+from .modelspace import BOUNDARY_NOTE, ModelSpace
 from .operators import TruncatedOperator, toeplitz
 from .symbols import TorusSymbol
 
@@ -200,7 +202,7 @@ def save_modelspace(path, ms: ModelSpace) -> None:
         "q": ms.q,
         "theta": symbol_to_dict(ms.theta),
         "column_tail_bound": ms.column_tail_bound,
-        "boundary_note": ms.boundary_note,
+        "boundary_note": BOUNDARY_NOTE,
     }
     with open(path, "wb") as fh:
         fh.write((dumps_header(header) + "\n").encode())
@@ -208,34 +210,35 @@ def save_modelspace(path, ms: ModelSpace) -> None:
 
 
 def load_modelspace(path) -> ModelSpace:
+    """Read a model-space file; a header field that disagrees with theta is refused."""
     header, payload = _read_header(path)
     if header.get("kind") != "modelspace":
         raise ValueError(f"{path}: not a model-space file")
     try:
         box = Box(tuple(header["caps"]))
-        safe = Box(tuple(header["safe_caps"]))
-        p = _integer(header["p"])
-        q = _integer(header["q"])
+        n, p, q = (_integer(header[key]) for key in ("n", "p", "q"))
+        safe = [_integer(c) for c in header["safe_caps"]]
         theta = symbol_from_dict(header["theta"])
+        tail = float(header.get("column_tail_bound", theta.tail_bound))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model-space header: {exc}") from exc
+    if (n, p) != (theta.n, theta.p) or box.n != theta.n:
+        raise ValueError(
+            f"{path}: header has n = {n}, p = {p} and {box.n} caps; theta has n = {theta.n}, p = {theta.p}"
+        )
+    if not np.array_equal(tail, theta.tail_bound, equal_nan=True):
+        raise ValueError(f"{path}: column_tail_bound {tail!r} is not theta's tail bound {theta.tail_bound!r}")
     basis = _matrix_from_bytes(payload, p * box.dim, q)
+    ms = ModelSpace(theta=theta, box=box, basis=basis)
+    if safe != list(ms.safe_box.caps):
+        raise ValueError(f"{path}: safe_caps {safe} are not the caps minus theta's top frequency, {list(ms.safe_box.caps)}")
     deviation = np.abs(basis.conj().T @ basis - np.eye(q)).max() if q else 0.0
     if not deviation <= ORTHONORMAL_TOL:  # NaN fails too
         raise ValueError(
             f"{path}: basis columns are not orthonormal (Gram deviation {deviation:.3e} "
             f"> {ORTHONORMAL_TOL:.0e})"
         )
-    return ModelSpace(
-        theta=theta,
-        box=box,
-        p=p,
-        safe_box=safe,
-        basis=basis,
-        q=q,
-        column_tail_bound=float(header.get("column_tail_bound", theta.tail_bound)),
-        boundary_note=header.get("boundary_note", ""),
-    )
+    return ms
 
 
 def dumps(obj) -> str:
@@ -252,9 +255,9 @@ def write_report(path, report: dict) -> None:
     Path(path).write_text(dumps(report) + "\n")
 
 
-def write_sequence_csv(path, pairs, header: tuple[str, str]) -> None:
-    """Two-column CSV of (m, value) rows for external plotting."""
+def write_sequence_csv(path, rows, header: tuple[str, ...]) -> None:
+    """CSV of (m, v_1, ..., v_k) rows under k + 1 column names, for external plotting."""
     lines = [",".join(header)]
-    for m, value in pairs:
-        lines.append(f"{int(m)},{repr(float(value))}")
+    for m, *values in rows:
+        lines.append(",".join([str(int(m))] + [repr(float(v)) for v in values]))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -1,10 +1,11 @@
 """Truncated Beurling-type quotient spaces and their compressed shifts.
 
 The quotient is realized as the orthogonal complement, inside the truncated
-basis, of the exactly representable columns theta * z^k (k in the safe
-sub-box where the whole product fits).  Near the box boundary these columns
-undercount the untruncated quotient, so theorem tests should prefer deep
-interiors; every model space carries a note to that effect.
+basis, of the exactly representable columns theta * z^k = T_theta e_k (k in
+the safe sub-box where the whole product fits): the columns of T_theta on
+that sub-box.  Near the box boundary these columns undercount the
+untruncated quotient, so theorem tests should prefer deep interiors; every
+model-space file carries a note to that effect.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .lattice import Box, enumerate_basis, position
-from .operators import operator_norm
+from .lattice import Box
+from .operators import _check_directions, _cut, _gather, _side, operator_norm
 from .symbols import TorusSymbol, is_inner
 
 BOUNDARY_NOTE = (
@@ -31,36 +32,44 @@ DENSE_MAX_Q = 12
 
 @dataclass(eq=False)
 class ModelSpace:
-    """Orthonormal basis of the truncated quotient and its bookkeeping."""
+    """Orthonormal basis of the truncated quotient of theta on a box.
+
+    Everything else is read off theta and the box: the block size, the safe
+    sub-box (caps minus theta's top frequency) and the tail bound.
+    """
 
     theta: TorusSymbol
     box: Box
-    p: int
-    safe_box: Box
     basis: np.ndarray
-    q: int
-    column_tail_bound: float
-    boundary_note: str = BOUNDARY_NOTE
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"block size p = {self.p} must be at least 1")
 
     @property
     def n(self) -> int:
         return self.box.n
 
+    @property
+    def p(self) -> int:
+        return self.theta.p
 
-def _analytic_columns(theta: TorusSymbol, box: Box, safe: Box) -> np.ndarray:
-    """Columns theta * z^k (k in the safe box), one per block component."""
-    p, N = theta.p, box.dim
-    cols = np.zeros((p * N, p * safe.dim), dtype=complex)
-    for ci, k in enumerate(enumerate_basis(safe)):
-        for s, blk in theta.coefficients.items():
-            target = tuple(ki + si for ki, si in zip(k, s))
-            r = position(box, target) * p
-            cols[r : r + p, ci * p : (ci + 1) * p] += blk
-    return cols
+    @property
+    def q(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def safe_box(self) -> Box:
+        return _safe_box(self.theta, self.box)
+
+    @property
+    def column_tail_bound(self) -> float:
+        return self.theta.tail_bound
+
+
+def _safe_box(theta: TorusSymbol, box: Box) -> Box:
+    """Caps minus theta's top frequency: the k for which theta * z^k fits the box."""
+    _, hi = theta.freq_range()
+    caps = tuple(int(c - h) for c, h in zip(box.caps, hi))
+    if any(c < 0 for c in caps):
+        raise ValueError(f"empty safe box: support reach {hi} does not fit caps {box.caps}")
+    return Box(caps)
 
 
 def _is_selection(cols: np.ndarray) -> bool:
@@ -87,37 +96,17 @@ def model_basis(theta: TorusSymbol, box: Box, tol: float = 1e-10, grid_sizes=Non
             f"inner certification failed: deviation {cert.max_deviation:.3e} "
             f"> tolerance {cert.tolerance:.3e}"
         )
-    _, hi = theta.freq_range()
-    safe_caps = tuple(c - h for c, h in zip(box.caps, hi))
-    if any(s < 0 for s in safe_caps):
-        raise ValueError(
-            f"empty safe box: support reach {hi} does not fit caps {box.caps}"
-        )
-    safe = Box(safe_caps)
-    cols = _analytic_columns(theta, box, safe)
-    p, N = theta.p, box.dim
+    cols = _gather(theta, box, _safe_box(theta, box))
     if _is_selection(cols):
-        used = set(np.nonzero(cols)[0].tolist())
-        free = [r for r in range(p * N) if r not in used]
-        basis = np.zeros((p * N, len(free)), dtype=complex)
-        for j, r in enumerate(free):
-            basis[r, j] = 1.0
-        q = len(free)
+        free = np.flatnonzero(~cols.any(axis=1))
+        basis = np.zeros((cols.shape[0], free.size), dtype=complex)
+        basis[free, np.arange(free.size)] = 1.0
     else:
         U, S, _ = np.linalg.svd(cols, full_matrices=True)
         cutoff = max(cols.shape) * np.finfo(float).eps * (S[0] if S.size else 0.0)
         rank = int((S > cutoff).sum())
         basis = U[:, rank:]
-        q = basis.shape[1]
-    return ModelSpace(
-        theta=theta,
-        box=box,
-        p=p,
-        safe_box=safe,
-        basis=basis,
-        q=q,
-        column_tail_bound=theta.tail_bound,
-    )
+    return ModelSpace(theta=theta, box=box, basis=basis)
 
 
 def compressed_shift(ms: ModelSpace, direction: int) -> np.ndarray:
@@ -130,12 +119,10 @@ def compressed_shift(ms: ModelSpace, direction: int) -> np.ndarray:
     check in `io.load_modelspace`.
     """
     box = ms.box
-    if direction < 0 or direction >= box.n:
-        raise ValueError(f"direction {direction} out of range for dimension {box.n}")
-    V = ms.basis.reshape(tuple(c + 1 for c in box.caps) + (ms.p, ms.q))
-    src, dst = [slice(None)] * box.n, [slice(None)] * box.n
-    src[direction], dst[direction] = slice(0, -1), slice(1, None)
-    return V[tuple(dst)].reshape(-1, ms.q).conj().T @ V[tuple(src)].reshape(-1, ms.q)
+    _check_directions(box, (direction,))
+    V = ms.basis.reshape(_side(box, ms.p) + (ms.q,))
+    src, dst = _cut(box, (direction,), 0, 1), _cut(box, (direction,), 1, 0)
+    return V[dst].reshape(-1, ms.q).conj().T @ V[src].reshape(-1, ms.q)
 
 
 def invariance_residual(ms: ModelSpace, A: np.ndarray) -> list[float]:

@@ -1,18 +1,24 @@
 """Dense (block) operators on a truncated monomial basis.
 
 The matrix of an operator lives on C^(p*N) with block-major layout: row
-index = p * position(l) + component.  Multilevel Toeplitz operators are
-built directly from symbol coefficients (block (l, k) = coeff(l - k)), and
-their matvec has a fast path through an n-dimensional circulant embedding.
+index = p * position(l) + component.  This module owns that layout: the
+matrix reads as a tensor with axes (d_1 + 1, ..., d_n + 1, p) on each side
+(`_side`), a shifted sub-box is one slice per variable (`_cut`), a window of
+the matrix is a slice of the tensor (`_window`) and the corner of small
+exponents is a mask (`_corner`).  Multilevel Toeplitz operators are
+gathered directly from symbol coefficients (block (l, k) = coeff(l - k),
+`_gather`), and their matvec has a fast path through an n-dimensional
+circulant embedding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Box, index_array, strides
+from .lattice import Box
 from .symbols import TorusSymbol, _next_pow2
 
 
@@ -64,12 +70,59 @@ class TruncatedOperator:
             raise ValueError("operators live on different truncations")
 
 
-def block_rows(positions: np.ndarray, p: int) -> np.ndarray:
-    """Expand monomial positions to matrix row indices in block-major layout."""
-    positions = np.asarray(positions, dtype=np.int64)
-    if p == 1:
-        return positions
-    return (positions[:, None] * p + np.arange(p)[None, :]).reshape(-1)
+def _side(box: Box, p: int) -> tuple[int, ...]:
+    """Shape of one side of the tensor view: (d_1 + 1, ..., d_n + 1, p)."""
+    return tuple(c + 1 for c in box.caps) + (p,)
+
+
+def _check_directions(box: Box, directions: tuple[int, ...]) -> None:
+    if len(set(directions)) != len(directions) or any(not 0 <= j < box.n for j in directions):
+        raise ValueError(
+            f"directions {directions} out of range or repeated: need distinct axes in 0..{box.n - 1}"
+        )
+
+
+def _cut(box: Box, directions: tuple[int, ...], start: int, drop: int) -> tuple[slice, ...]:
+    """One slice per variable: start..cap - drop in the selected directions, all of the rest."""
+    return tuple(slice(start, c + 1 - drop) if j in directions else slice(None) for j, c in enumerate(box.caps))
+
+
+def _window(T: TruncatedOperator, rows: tuple[slice, ...], cols: tuple[slice, ...]) -> np.ndarray:
+    """Flat block-major matrix of T on the row sub-box × column sub-box.
+
+    A view of T.matrix where the slices allow one, a copy otherwise.
+    """
+    shape = _side(T.box, T.p)
+    W = T.matrix.reshape(shape + shape)[rows + (slice(None),) + cols]
+    half = len(shape)
+    return W.reshape(math.prod(W.shape[:half]), math.prod(W.shape[half:]))
+
+
+def _corner(box: Box, m: int, p: int) -> np.ndarray:
+    """Block-major row mask of the monomials with every exponent below m."""
+    mask = np.zeros(_side(box, p), dtype=bool)
+    mask[(slice(0, m),) * box.n] = True
+    return mask.reshape(-1)
+
+
+def _gather(sym: TorusSymbol, rows: Box, cols: Box) -> np.ndarray:
+    """Flat block-major matrix of the blocks coeff(l - k), l in rows and k in cols.
+
+    Frequencies outside the difference range [-cols.caps, rows.caps] never
+    enter the matrix and are dropped.
+    """
+    n, p = rows.n, sym.p
+    lo, hi = np.asarray(cols.caps, dtype=np.int64), np.asarray(rows.caps, dtype=np.int64)
+    table = np.zeros(tuple(hi + lo + 1) + (p, p), dtype=complex)
+    for f, blk in sym.coefficients.items():
+        fa = np.asarray(f, dtype=np.int64)
+        if np.all((-lo <= fa) & (fa <= hi)):
+            table[tuple(fa + lo)] += blk
+    # open grids on the (l, a, k, b) axes of the matrix read as a tensor
+    grids = np.ix_(*(np.arange(s) for s in _side(rows, p) + _side(cols, p)))
+    l, a, k, b = grids[:n], grids[n], grids[n + 1 : -1], grids[-1]
+    diff = tuple(li - ki + c for li, ki, c in zip(l, k, cols.caps))
+    return table[diff + (a, b)].reshape(p * rows.dim, p * cols.dim)
 
 
 def toeplitz(sym: TorusSymbol, box: Box) -> TruncatedOperator:
@@ -80,36 +133,18 @@ def toeplitz(sym: TorusSymbol, box: Box) -> TruncatedOperator:
     """
     if sym.n != box.n:
         raise ValueError(f"symbol dimension {sym.n} != box dimension {box.n}")
-    n, p, N = box.n, sym.p, box.dim
-    caps = np.asarray(box.caps, dtype=np.int64)
-    table = np.zeros(tuple(2 * c + 1 for c in box.caps) + (p, p), dtype=complex)
-    for f, blk in sym.coefficients.items():
-        fa = np.asarray(f, dtype=np.int64)
-        if np.all(np.abs(fa) <= caps):
-            table[tuple(fa + caps)] += blk
-    # open grids on the (l, a, k, b) axes of the matrix read as a tensor
-    side = tuple(c + 1 for c in box.caps) + (p,)
-    grids = np.ix_(*(np.arange(s) for s in side + side))
-    l, a, k, b = grids[:n], grids[n], grids[n + 1 : -1], grids[-1]
-    diff = tuple(li - ki + c for li, ki, c in zip(l, k, box.caps))
-    matrix = table[diff + (a, b)].reshape(p * N, p * N)
-    return TruncatedOperator(box, p, matrix, symbol=sym)
+    return TruncatedOperator(box, sym.p, _gather(sym, box, box), symbol=sym)
 
 
 def shift(box: Box, direction: int, p: int = 1) -> TruncatedOperator:
     """Truncated coordinate shift: e_k -> e_(k + e_direction), top layer killed."""
-    if direction < 0 or direction >= box.n:
-        raise ValueError(f"direction {direction} out of range for dimension {box.n}")
-    N = box.dim
-    idx = index_array(box)
-    keep = idx[:, direction] < box.caps[direction]
-    src = np.nonzero(keep)[0]
-    dst = src + strides(box)[direction]
-    mat = np.zeros((N, N))
-    mat[dst, src] = 1.0
-    if p > 1:
-        mat = np.kron(mat, np.eye(p))
-    return TruncatedOperator(box, p, mat.astype(complex))
+    _check_directions(box, (direction,))
+    side, dim = _side(box, p), p * box.dim
+    eye = np.eye(dim, dtype=complex).reshape(side + side)
+    mat = np.zeros_like(eye)
+    src, dst = _cut(box, (direction,), 0, 1), _cut(box, (direction,), 1, 0)
+    mat[dst + (slice(None),) + src] = eye[src + (slice(None),) + src]
+    return TruncatedOperator(box, p, mat.reshape(dim, dim))
 
 
 def layer_projector(box: Box, m: int, p: int = 1) -> TruncatedOperator:
@@ -120,11 +155,7 @@ def layer_projector(box: Box, m: int, p: int = 1) -> TruncatedOperator:
     """
     if m < 0 or m > min(box.caps) + 1:
         raise ValueError(f"m = {m} outside [0, {min(box.caps) + 1}] for box {box.caps}")
-    idx = index_array(box)
-    diag = (idx < m).all(axis=1).astype(float)
-    if p > 1:
-        diag = np.repeat(diag, p)
-    return TruncatedOperator(box, p, np.diag(diag).astype(complex))
+    return TruncatedOperator(box, p, np.diag(_corner(box, m, p).astype(complex)))
 
 
 def identity(box: Box, p: int = 1) -> TruncatedOperator:
@@ -159,15 +190,10 @@ def apply_fast(op: TruncatedOperator, v: np.ndarray) -> np.ndarray:
         # idempotent cache write; concurrent recomputation is safe
         op._spectrum = _fast_spectrum(op)
     spec, embed = op._spectrum
-    n, p = op.box.n, op.p
-    shape = tuple(c + 1 for c in op.box.caps)
-    buf = np.zeros(embed + (p,), dtype=complex)
-    region = tuple(slice(0, s) for s in shape)
-    buf[region] = v.reshape(shape + (p,))
-    vf = np.fft.fftn(buf, axes=tuple(range(n)))
-    wf = np.einsum("...ab,...b->...a", spec, vf)
-    w = np.fft.ifftn(wf, axes=tuple(range(n)))
-    return w[region].reshape(-1)
+    side, axes = _side(op.box, op.p), tuple(range(op.box.n))
+    vf = np.fft.fftn(v.reshape(side), s=embed, axes=axes)  # zero-padded to the embedding
+    w = np.fft.ifftn(spec @ vf[..., None], axes=axes)
+    return w[tuple(slice(s) for s in side[:-1])].reshape(-1)
 
 
 def apply_dense(op: TruncatedOperator, v: np.ndarray) -> np.ndarray:

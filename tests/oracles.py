@@ -13,6 +13,7 @@ import numpy as np
 
 from polytoep.lattice import Box, enumerate_basis, position
 from polytoep.operators import TruncatedOperator
+from polytoep.symbols import TorusSymbol
 
 
 def _blk(T: TruncatedOperator, l, k) -> np.ndarray:
@@ -137,6 +138,40 @@ def compactness_oracle(T: TruncatedOperator, m_max: int) -> list[float]:
                     proj[pos * p + c, pos * p + c] = 1.0
         comp = np.eye(T.dim) - proj
         out.append(_norm(comp @ T.matrix @ comp))
+    return out
+
+
+def analytic_columns_oracle(theta: TorusSymbol, box: Box, safe: Box) -> np.ndarray:
+    """Columns theta * z^k (k in the safe box), one per block component."""
+    p, N = theta.p, box.dim
+    cols = np.zeros((p * N, p * safe.dim), dtype=complex)
+    for ci, k in enumerate(enumerate_basis(safe)):
+        for s, blk in theta.coefficients.items():
+            target = tuple(ki + si for ki, si in zip(k, s))
+            r = position(box, target) * p
+            cols[r : r + p, ci * p : (ci + 1) * p] += blk
+    return cols
+
+
+def shift_oracle(box: Box, direction: int, p: int) -> np.ndarray:
+    """Matrix of e_k -> e_(k + e_direction), built entry by entry; the top layer maps to 0."""
+    out = np.zeros((p * box.dim, p * box.dim), dtype=complex)
+    for k in enumerate_basis(box):
+        target = tuple(x + (i == direction) for i, x in enumerate(k))
+        if box.contains(target):
+            r, c = position(box, target) * p, position(box, k) * p
+            for a in range(p):
+                out[r + a, c + a] = 1.0
+    return out
+
+
+def layer_projector_oracle(box: Box, m: int, p: int) -> np.ndarray:
+    """Diagonal 0/1 matrix with a one on each row whose monomial has every exponent below m."""
+    out = np.zeros((p * box.dim, p * box.dim), dtype=complex)
+    for pos, k in enumerate(enumerate_basis(box)):
+        if all(x < m for x in k):
+            for a in range(p):
+                out[pos * p + a, pos * p + a] = 1.0
     return out
 
 

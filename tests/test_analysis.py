@@ -16,10 +16,15 @@ from polytoep.analysis import (
     toeplitz_defect,
 )
 from polytoep.lattice import Box, enumerate_basis, index_array, interior, position
-from polytoep.operators import TruncatedOperator, block_rows, identity, toeplitz
+from polytoep.operators import TruncatedOperator, identity, toeplitz
 from polytoep.symbols import from_coefficients, max_coeff_difference, random_symbol
 
 import oracles
+
+
+def block_rows(positions, p: int) -> np.ndarray:
+    """Matrix rows of the given monomial positions in block-major layout."""
+    return (np.asarray(positions, dtype=np.int64)[:, None] * p + np.arange(p)).reshape(-1)
 
 
 def rank_one_corner(box: Box, p: int = 1) -> TruncatedOperator:

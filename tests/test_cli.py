@@ -43,8 +43,18 @@ def test_check_toeplitz_rank_one_exit_one(tmp_path, capsys):
     io.save_operator(tmp_path / "rank1.op", TruncatedOperator(box, 1, M))
     code = main(["check-toeplitz", str(tmp_path / "rank1.op"), "--out", str(tmp_path / "r.json")])
     assert code == 1
-    out = capsys.readouterr().out
-    assert "not Toeplitz" in out and "direction 0" in out
+    err = capsys.readouterr().err
+    assert "not Toeplitz" in err and "direction 0" in err
+
+
+def test_check_toeplitz_stdout_stays_json(tmp_path, capsys):
+    M = np.zeros((4, 4), dtype=complex)
+    M[0, 0] = 1
+    io.save_operator(tmp_path / "rank1.op", TruncatedOperator(Box((3,)), 1, M))
+    assert main(["check-toeplitz", str(tmp_path / "rank1.op")]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] is False
+    assert captured.err.startswith("not Toeplitz: direction 0")
 
 
 def test_check_toeplitz_nan_entry_exit_one(tmp_path):
@@ -242,7 +252,7 @@ BIG_SYMBOL = {
 }
 OP = {"kind": "operator", "n": 1, "p": 1, "caps": [2], "format": "binary"}
 MS = {"kind": "modelspace", "n": 1, "p": 1, "caps": [1], "safe_caps": [0], "q": 1,
-      "theta": {"n": 1, "p": 1, "coefficients": [], "tail_bound": 0.0}}
+      "theta": {"n": 1, "p": 1, "coefficients": [{"k": [1], "re": [[1.0]], "im": [[0.0]]}], "tail_bound": 0.0}}
 ZEROS_3X3 = bytes(8 * 2 * 9)  # interleaved float64 (re, im) payload
 E0 = np.array([1.0, 0.0, 0.0, 0.0]).tobytes()  # the 2 x 1 basis column e_0
 # file name -> (header, payload); each would load, or crash, unrefused today
@@ -296,6 +306,34 @@ def test_non_orthonormal_modelspace_exit_two(tmp_path, capsys, verb):
         argv += ["--identity", "--m-max", "1"]
     assert main(argv) == 2
     assert "not orthonormal" in capsys.readouterr().err
+
+
+Z3 = {"n": 1, "p": 1, "coefficients": [{"k": [3], "re": [[1.0]], "im": [[0.0]]}], "tail_bound": 0.0}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 2),
+    ("p", 2),
+    ("safe_caps", [5]),
+    ("column_tail_bound", 0.5),
+    ("theta", {**Z3, "n": 2, "coefficients": [{**Z3["coefficients"][0], "k": [3, 0]}]}),
+])
+def test_modelspace_header_must_match_theta(tmp_path, capsys, field, value):
+    path = tmp_path / "Q.ms"
+    io.save_modelspace(path, model_basis(io.symbol_from_dict(Z3), Box((6,))))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    assert json.loads(header)["safe_caps"] == [3]
+    path.write_bytes(json.dumps({**json.loads(header), field: value}).encode() + b"\n" + payload)
+    assert main(["invariance", "--modelspace", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_model_compactness_csv_bytes(tmp_path):
+    io.save_modelspace(tmp_path / "Q.ms", model_basis(from_coefficients(2, 1, [((1, 1), 1.0)]), Box((2, 2))))
+    out = tmp_path / "mc.csv"
+    argv = ["model-compactness", "--modelspace", str(tmp_path / "Q.ms"), "--identity", "--m-max", "3"]
+    assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"m,norm_dir0,norm_dir1\n1,1.0,1.0\n2,1.0,1.0\n3,0.0,0.0\n"
 
 
 @pytest.mark.parametrize("verb", ["check-toeplitz", "compactness", "model-compactness"])

@@ -10,10 +10,10 @@ from polytoep.modelspace import (
     model_basis,
     model_compactness_test,
 )
-from polytoep.operators import shift
+from polytoep.operators import _gather, shift
 from polytoep.symbols import blaschke_factor, from_coefficients, product_inner
 
-from oracles import stacked_invariance_oracle
+from oracles import analytic_columns_oracle, stacked_invariance_oracle
 
 
 def monomial(n, k, p=1):
@@ -61,10 +61,23 @@ def test_model_basis_orthogonality_invariants():
     gram = ms.basis.conj().T @ ms.basis
     assert np.abs(gram - np.eye(ms.q)).max() < 1e-10
     # complement columns really annihilate the analytic columns
-    from polytoep.modelspace import _analytic_columns
-
-    cols = _analytic_columns(theta, Box((6, 4)), ms.safe_box)
+    cols = analytic_columns_oracle(theta, Box((6, 4)), ms.safe_box)
     assert np.abs(ms.basis.conj().T @ cols).max() < 1e-10
+
+
+@pytest.mark.parametrize("theta, caps", [
+    (blaschke_factor(0.5, 6), (9,)),
+    (product_inner([blaschke_factor(0.5, 3), blaschke_factor(-0.25j, 2)]), (5, 4)),
+    (monomial(2, (2, 1)), (4, 1)),
+    (monomial(1, (3,)), (3,)),  # safe box (0,)
+    (monomial(1, (2,), p=2), (4,)),
+    (monomial(3, (1, 0, 2)), (2, 0, 3)),  # zero cap
+])
+def test_gathered_columns_match_loop_oracle(theta, caps):
+    box = Box(caps)
+    safe = modelspace._safe_box(theta, box)
+    got, want = _gather(theta, box, safe), analytic_columns_oracle(theta, box, safe)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_compressed_shift_jordan_block():

@@ -19,7 +19,7 @@ from polytoep.operators import (
 )
 from polytoep.symbols import from_coefficients, random_symbol
 
-from oracles import _blk
+from oracles import _blk, layer_projector_oracle, shift_oracle
 
 
 def test_toeplitz_constant_is_identity():
@@ -84,6 +84,16 @@ def test_shift_adjoint_identity():
     top = np.zeros((5, 5))
     top[4, 4] = 1
     assert np.array_equal(S.matrix.conj().T @ S.matrix, np.eye(5) - top)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("caps", [(0,), (3,), (2, 0), (0, 3), (2, 3), (1, 0, 2)])
+def test_shift_and_layer_projector_match_loop_oracles(caps, p):
+    box = Box(caps)
+    for j in range(box.n):
+        assert np.array_equal(shift(box, j, p).matrix, shift_oracle(box, j, p))
+    for m in range(min(caps) + 2):
+        assert np.array_equal(layer_projector(box, m, p).matrix, layer_projector_oracle(box, m, p))
 
 
 def test_layer_projector_examples():
