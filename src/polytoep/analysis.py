@@ -9,7 +9,9 @@ in this module is polluted by truncation artifacts.
 The matrix is read as `operators`' tensor view, one axis per variable and
 one for the block component on each side, so a shifted sub-box is one slice
 per variable (`_cut`) and a window of the matrix is a slice of that tensor
-(`_window`).
+(`_window`).  Each m-indexed norm sequence takes nested windows of one matrix
+built once (the one-step difference D_e, or the remainder), each cropped to
+its own nonzero rows and columns (`_nested_norms`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Box, MultiIndex, index_array, interior, strides
-from .operators import TruncatedOperator, _check_directions, _corner, _cut, _window, operator_norm, toeplitz
+from .operators import (
+    TruncatedOperator,
+    _check_directions,
+    _corner,
+    _cut,
+    _flat,
+    _mask,
+    _nested_norms,
+    _view,
+    _window,
+    toeplitz,
+)
 from .symbols import TorusSymbol
 
 EXACT_TOL = 1e-10   # identities that hold in exact arithmetic on polynomial inputs
@@ -32,18 +45,31 @@ _PRUNE_RTOL = 1e-9  # relative slack of the diameter pruning bounds, far above t
 
 
 def _block_norm_grid(D: np.ndarray, p: int) -> np.ndarray:
-    """Per-block spectral norms of a (R*p, C*p) matrix as an (R, C) grid."""
+    """Per-block spectral norms of a (R*p, C*p) matrix as an (R, C) grid.
+
+    For p > 1 LAPACK runs only on the blocks with a nonzero (or NaN) entry;
+    an all-zero block has norm 0.0.
+    """
     if p == 1:
         return np.abs(D)
     R, C = D.shape[0] // p, D.shape[1] // p
     blocks = D.reshape(R, p, C, p).transpose(0, 2, 1, 3)
-    return np.linalg.norm(blocks, ord=2, axis=(-2, -1))
+    nonzero = blocks.any(axis=(-2, -1))
+    if nonzero.all():
+        return np.linalg.norm(blocks, ord=2, axis=(-2, -1))
+    grid = np.zeros((R, C))
+    grid[nonzero] = np.linalg.norm(blocks[nonzero], ord=2, axis=(-2, -1))
+    return grid
 
 
-def _step(T: TruncatedOperator, directions: tuple[int, ...], m: int) -> np.ndarray:
-    """B_(m+1) - B_m on interior(m + 1): T[l + (m+1)e, k + (m+1)e] - T[l + m*e, k + m*e]."""
-    hi, lo = _cut(T.box, directions, m + 1, 0), _cut(T.box, directions, m, 1)
-    return _window(T, hi, hi) - _window(T, lo, lo)
+def _step(T: TruncatedOperator, directions: tuple[int, ...]) -> np.ndarray:
+    """D_e = B_1 - B_0 on interior(1): T[l + e, k + e] - T[l, k].
+
+    B_(m+1) - B_m is the window of D_e on its rows and columns from m in the
+    directions of e (`asymptotic_sequence`).
+    """
+    hi, lo = _cut(T.box, directions, 1, 0), _cut(T.box, directions, 0, 1)
+    return _flat(_view(T, hi, hi) - _view(T, lo, lo))  # one pass: the difference is contiguous
 
 
 @dataclass
@@ -78,7 +104,7 @@ def toeplitz_defect(T: TruncatedOperator, tol: float = EXACT_TOL) -> DefectRepor
     witness: dict | None = None
     overall = 0.0
     for j in range(box.n):
-        grid = _block_norm_grid(_step(T, (j,), 0), p)  # empty in a flat direction
+        grid = _block_norm_grid(_step(T, (j,)), p)  # empty in a flat direction
         dj = float(grid.max()) if grid.size else 0.0
         defects.append(dj)
         if not (dj <= overall or math.isnan(overall)):  # a NaN defect is the worst one
@@ -315,7 +341,14 @@ def asymptotic_sequence(
             raise ValueError(
                 f"m_max = {m_max} exceeds cap {T.box.caps[j]} in direction {j}"
             )
-    step_norms = [operator_norm(_step(T, directions, m)) for m in range(m_max)]
+    # step m reads T[l + (m+1)e, k + (m+1)e] - T[l + m*e, k + m*e], which is
+    # entry (l + m*e, k + m*e) of the one matrix D_e; D_e needs every cap in
+    # the directions to be at least 1, which m_max >= 1 guarantees
+    step_norms: list[float] = []
+    if m_max:
+        inner = interior(T.box, 1, directions)
+        cuts = [_mask(inner, T.p, _cut(inner, directions, m, 0)) for m in range(m_max)]
+        step_norms = _nested_norms(_step(T, directions), [(c, c) for c in cuts])
     cauchy = bool(step_norms) and step_norms[-1] <= tol
     return AsymptoticSequence(
         directions=directions,
@@ -351,10 +384,11 @@ def cross_term_profile(K: TruncatedOperator, i: int, j: int, m_max: int) -> Cros
         raise ValueError(f"m_max = {m_max} must be nonnegative")
     if m_max > min(box.caps[i], box.caps[j]):
         raise ValueError(f"m_max = {m_max} too deep for directions ({i}, {j})")
-    norms = [
-        operator_norm(_window(K, _cut(box, (i,), m, 0), _cut(box, (j,), m, 0)))
+    cuts = [
+        (_mask(box, K.p, _cut(box, (i,), m, 0)), _mask(box, K.p, _cut(box, (j,), m, 0)))
         for m in range(1, m_max + 1)
     ]
+    norms = _nested_norms(K.matrix, cuts)
     return CrossTermProfile(i=i, j=j, norms=norms)
 
 
@@ -389,10 +423,8 @@ def compactness_profile(T: TruncatedOperator, m_max: int, tol: float = LIMIT_TOL
     box, p = T.box, T.p
     if m_max < 0 or m_max > min(box.caps) + 1:
         raise ValueError(f"m_max = {m_max} outside [0, {min(box.caps) + 1}]")
-    values: list[float] = []
-    for m in range(m_max + 1):
-        outside = ~_corner(box, m, p)
-        values.append(operator_norm(T.matrix[np.ix_(outside, outside)]))
+    outside = [~_corner(box, m, p) for m in range(m_max + 1)]
+    values = _nested_norms(T.matrix, [(o, o) for o in outside])
     monotone = all(values[i + 1] <= values[i] + 10.0 * tol for i in range(len(values) - 1))
     verdict = values[-1] <= tol and monotone
     return CompactnessProfile(
@@ -466,10 +498,15 @@ def asymptotic_decompose(
     part_defect = toeplitz_defect(part)
     profile_depth = min(m_max, min(box.caps) + 1)
     remainder_profile = compactness_profile(remainder, profile_depth, tol)
-    cross_terms = [
-        cross_term_profile(remainder, i, j, m_max)
-        for i, j in itertools.product(range(box.n), repeat=2)
-    ]
+    if box.n == 1:
+        # the (0, 0) section at m is the remainder on {l >= m} x {k >= m},
+        # which is c_m's window
+        cross_terms = [CrossTermProfile(i=0, j=0, norms=remainder_profile.values[1 : m_max + 1])]
+    else:
+        cross_terms = [
+            cross_term_profile(remainder, i, j, m_max)
+            for i, j in itertools.product(range(box.n), repeat=2)
+        ]
     witness: dict | None = None
     for seq in sequences:
         if not seq.cauchy:

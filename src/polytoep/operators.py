@@ -4,11 +4,12 @@ The matrix of an operator lives on C^(p*N) with block-major layout: row
 index = p * position(l) + component.  This module owns that layout: the
 matrix reads as a tensor with axes (d_1 + 1, ..., d_n + 1, p) on each side
 (`_side`), a shifted sub-box is one slice per variable (`_cut`), a window of
-the matrix is a slice of the tensor (`_window`) and the corner of small
-exponents is a mask (`_corner`).  Multilevel Toeplitz operators are
-gathered directly from symbol coefficients (block (l, k) = coeff(l - k),
-`_gather`), and their matvec has a fast path through an n-dimensional
-circulant embedding.
+the matrix is a slice of the tensor (`_window`), and a sub-box or the corner
+of small exponents is a row mask (`_mask`, `_corner`).  The norms of a
+nested family of windows of one matrix are taken in one call
+(`_nested_norms`).  Multilevel Toeplitz operators are gathered directly from
+symbol coefficients (block (l, k) = coeff(l - k), `_gather`), and their
+matvec has a fast path through an n-dimensional circulant embedding.
 """
 
 from __future__ import annotations
@@ -87,22 +88,36 @@ def _cut(box: Box, directions: tuple[int, ...], start: int, drop: int) -> tuple[
     return tuple(slice(start, c + 1 - drop) if j in directions else slice(None) for j, c in enumerate(box.caps))
 
 
+def _view(T: TruncatedOperator, rows: tuple[slice, ...], cols: tuple[slice, ...]) -> np.ndarray:
+    """T on the row sub-box × column sub-box as a tensor, row axes first: a view of T.matrix."""
+    shape = _side(T.box, T.p)
+    return T.matrix.reshape(shape + shape)[rows + (slice(None),) + cols]
+
+
+def _flat(W: np.ndarray) -> np.ndarray:
+    """Flat block-major matrix of a (row axes, column axes) tensor: a view if strides allow, else a copy."""
+    half = W.ndim // 2
+    return W.reshape(math.prod(W.shape[:half]), math.prod(W.shape[half:]))
+
+
 def _window(T: TruncatedOperator, rows: tuple[slice, ...], cols: tuple[slice, ...]) -> np.ndarray:
     """Flat block-major matrix of T on the row sub-box × column sub-box.
 
     A view of T.matrix where the slices allow one, a copy otherwise.
     """
-    shape = _side(T.box, T.p)
-    W = T.matrix.reshape(shape + shape)[rows + (slice(None),) + cols]
-    half = len(shape)
-    return W.reshape(math.prod(W.shape[:half]), math.prod(W.shape[half:]))
+    return _flat(_view(T, rows, cols))
+
+
+def _mask(box: Box, p: int, cut: tuple[slice, ...]) -> np.ndarray:
+    """Block-major row mask of the sub-box cut out by one slice per variable."""
+    mask = np.zeros(_side(box, p), dtype=bool)
+    mask[cut] = True
+    return mask.reshape(-1)
 
 
 def _corner(box: Box, m: int, p: int) -> np.ndarray:
     """Block-major row mask of the monomials with every exponent below m."""
-    mask = np.zeros(_side(box, p), dtype=bool)
-    mask[(slice(0, m),) * box.n] = True
-    return mask.reshape(-1)
+    return _mask(box, p, (slice(0, m),) * box.n)
 
 
 def _gather(sym: TorusSymbol, rows: Box, cols: Box) -> np.ndarray:
@@ -215,6 +230,20 @@ def operator_norm(matrix: np.ndarray) -> float:
     if not (rows.all() and cols.all()):
         matrix = matrix[np.ix_(rows, cols)]
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
+
+
+def _nested_norms(M: np.ndarray, cuts) -> list[float]:
+    """`operator_norm` of M on each (row mask, column mask) cut, in order.
+
+    M's nonzero rows and columns are found once, and each cut is narrowed to
+    them before it is copied out, so a cut costs its share of M's support
+    rather than its full size.  Narrowing drops only rows and columns that
+    are zero in the cut, and keeps the rest in order, so `operator_norm`
+    crops every copy to the same matrix as the whole cut: the cut's own
+    nonzero rows x columns.
+    """
+    rows, cols = M.any(axis=1), M.any(axis=0)
+    return [operator_norm(M[np.ix_(r & rows, c & cols)]) for r, c in cuts]
 
 
 def compress(matrix: np.ndarray, basis: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:

@@ -59,10 +59,6 @@ class TorusSymbol:
         if max(map(abs, itertools.chain.from_iterable(self.coefficients)), default=0) >= 2**63:
             raise ValueError("a symbol frequency lies outside int64 (|k_i| < 2^63)")
 
-    @property
-    def support(self) -> list[MultiIndex]:
-        return list(self.coefficients.keys())
-
     def freq_range(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(per-variable min, per-variable max) over the support; zeros if empty."""
         if not self.coefficients:

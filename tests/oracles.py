@@ -2,7 +2,11 @@
 
 Everything here walks index pairs one at a time through position lookups and
 takes norms with a full dense SVD, deliberately avoiding the vectorized
-gather paths used by the production code.
+gather paths used by the production code.  The `*_reference` functions are
+the exception: they rebuild each window of an m-indexed sequence from the
+section and norm it on its own with `operator_norm`, so the production
+sequences, which take every window of one fixed matrix in one pass, must
+equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import itertools
 import numpy as np
 
 from polytoep.lattice import Box, enumerate_basis, position
-from polytoep.operators import TruncatedOperator
+from polytoep.operators import TruncatedOperator, _corner, _cut, _window, operator_norm
 from polytoep.symbols import TorusSymbol
 
 
@@ -139,6 +143,38 @@ def compactness_oracle(T: TruncatedOperator, m_max: int) -> list[float]:
         comp = np.eye(T.dim) - proj
         out.append(_norm(comp @ T.matrix @ comp))
     return out
+
+
+def step_norms_reference(T: TruncatedOperator, directions, m_max: int) -> list[float]:
+    """||B_(m+1) - B_m|| for m < m_max, each step the difference of two windows of T."""
+    out = []
+    for m in range(m_max):
+        hi, lo = _cut(T.box, directions, m + 1, 0), _cut(T.box, directions, m, 1)
+        out.append(operator_norm(_window(T, hi, hi) - _window(T, lo, lo)))
+    return out
+
+
+def cross_norms_reference(K: TruncatedOperator, i: int, j: int, m_max: int) -> list[float]:
+    """Norm of K on rows from m in direction i x columns from m in direction j, m = 1..m_max."""
+    return [
+        operator_norm(_window(K, _cut(K.box, (i,), m, 0), _cut(K.box, (j,), m, 0)))
+        for m in range(1, m_max + 1)
+    ]
+
+
+def compactness_reference(T: TruncatedOperator, m_max: int) -> list[float]:
+    """c_m for m = 0..m_max, each the principal submatrix outside the corner copied whole."""
+    out = []
+    for m in range(m_max + 1):
+        outside = ~_corner(T.box, m, T.p)
+        out.append(operator_norm(T.matrix[np.ix_(outside, outside)]))
+    return out
+
+
+def block_norm_grid_reference(D: np.ndarray, p: int) -> np.ndarray:
+    """Spectral norm of every (p, p) block of D, zero blocks included."""
+    R, C = D.shape[0] // p, D.shape[1] // p
+    return np.linalg.norm(D.reshape(R, p, C, p).transpose(0, 2, 1, 3), ord=2, axis=(-2, -1))
 
 
 def analytic_columns_oracle(theta: TorusSymbol, box: Box, safe: Box) -> np.ndarray:

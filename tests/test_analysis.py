@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polytoep import operators
 from polytoep.analysis import (
+    _block_norm_grid,
     asymptotic_decompose,
     asymptotic_sequence,
     compactness_profile,
@@ -35,6 +37,16 @@ def rank_one_corner(box: Box, p: int = 1) -> TruncatedOperator:
 
 def flip_operator(d: int) -> TruncatedOperator:
     return TruncatedOperator(Box((d,)), 1, np.eye(d + 1)[::-1].astype(complex))
+
+
+def toeplitz_plus_corner(caps, p: int, depth: int, seed: int = 13) -> TruncatedOperator:
+    """A span-2 Toeplitz section plus a random block on the exponents-below-depth corner."""
+    rng = np.random.default_rng(seed)
+    box = Box(caps)
+    rows = block_rows(np.nonzero((index_array(box) < depth).all(axis=1))[0], p)
+    K = np.zeros((p * box.dim,) * 2, dtype=complex)
+    K[np.ix_(rows, rows)] = rng.standard_normal((rows.size,) * 2) + 1j * rng.standard_normal((rows.size,) * 2)
+    return toeplitz(random_symbol(box.n, 2, p=p, rng=rng), box) + TruncatedOperator(box, p, K)
 
 
 def test_defect_zero_for_toeplitz():
@@ -407,6 +419,66 @@ def test_decompose_corner_block_is_bit_exact(caps, p, depth):
     for m, c in enumerate(res.remainder_profile.values):
         if m >= depth:
             assert c == 0.0, m
+
+
+@pytest.mark.parametrize("caps, p, depth", [((19, 19), 1, 4), ((6, 6, 6), 1, 2), ((95,), 2, 4)])
+def test_decompose_norms_stay_on_the_corner_block(monkeypatch, caps, p, depth):
+    # Every step, cross term and c_m window is cropped to its share of the
+    # support before it reaches the norm kernel, so no SVD input outgrows the
+    # perturbed corner block, whatever the size of the section.
+    shapes = []
+    norm = operators.operator_norm
+
+    def spy(matrix):
+        shapes.append(matrix.shape)
+        return norm(matrix)
+
+    monkeypatch.setattr(operators, "operator_norm", spy)
+    res = asymptotic_decompose(toeplitz_plus_corner(caps, p, depth))
+    assert res.verdict
+    assert shapes and max(max(s) for s in shapes) <= p * depth ** len(caps)
+
+
+@pytest.mark.parametrize(
+    "T",
+    [toeplitz_plus_corner((31,), 1, 3), toeplitz_plus_corner((15,), 2, 2), flip_operator(12)],
+    ids=["corner", "corner-p2", "flip"],
+)
+def test_decompose_one_variable_cross_term_is_c_m(T):
+    # For n = 1 the (0, 0) cross section at m is the remainder on
+    # {l >= m} x {k >= m}, the window of c_m, so decompose reads it off the
+    # remainder profile.
+    res = asymptotic_decompose(T)
+    (ct,) = res.cross_terms
+    assert (ct.i, ct.j) == (0, 0)
+    assert ct.norms == cross_term_profile(res.remainder, 0, 0, res.m_max).norms
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("fill", ["sparse", "dense", "zero", "nan"])
+def test_block_norm_grid_matches_every_block_norm(p, fill):
+    rng = np.random.default_rng(p)
+    R, C = 5, 4
+    D = rng.standard_normal((R * p, C * p)) + 1j * rng.standard_normal((R * p, C * p))
+    if fill != "dense":
+        keep = np.kron(rng.random((R, C)) < 0.3, np.ones((p, p), dtype=bool))
+        D[~keep] = 0.0
+    if fill == "zero":
+        D[:] = 0.0
+    if fill == "nan":
+        # a NaN block counts as nonzero: it reaches LAPACK, which refuses it
+        # in both, rather than reading 0.0
+        D[:p, :p] = 0.0
+        D[p - 1, 0] = math.nan  # the only nonzero entry of its block
+        with pytest.raises(np.linalg.LinAlgError):
+            oracles.block_norm_grid_reference(D, p)
+        with pytest.raises(np.linalg.LinAlgError):
+            _block_norm_grid(D, p)
+        return
+    D[-1, -1] = -0.0
+    want = oracles.block_norm_grid_reference(D, p)
+    assert np.array_equal(_block_norm_grid(D, p), want)
+    assert _block_norm_grid(D[:0], p).shape == (0, C)
 
 
 def test_decompose_pure_toeplitz():

@@ -67,6 +67,26 @@ def test_check_toeplitz_nan_entry_exit_one(tmp_path):
     assert data["witness"]["shifted"] == [[1], [1]]
 
 
+@pytest.mark.parametrize(
+    "value, verb, code",
+    [
+        (math.nan, "compactness", 2),
+        (math.nan, "decompose", 2),
+        (math.inf, "compactness", 1),
+        (math.inf, "decompose", 1),
+    ],
+)
+def test_non_finite_entry_exit_codes(tmp_path, capsys, value, verb, code):
+    # A NaN reaches the SVD, which refuses it (exit 2); an inf leaves finite
+    # or NaN norms and a false verdict (exit 1).
+    M = np.eye(7, dtype=complex)
+    M[2, 3] = value
+    io.save_operator(tmp_path / "x.op", TruncatedOperator(Box((6,)), 1, M))
+    assert main([verb, str(tmp_path / "x.op"), "--out", str(tmp_path / "r.json")]) == code
+    if code == 2:
+        assert "SVD did not converge" in capsys.readouterr().err
+
+
 def test_malformed_input_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.op"
     bad.write_text("this is not an operator\n")

@@ -1,5 +1,7 @@
 """Production analysis paths against brute-force loop oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,26 @@ def oracle_cases(draw):
 @given(oracle_cases())
 def test_oracle_equivalence_property(T):
     check_all_ops(T, None)
+
+
+@settings(max_examples=200)
+@given(oracle_cases())
+def test_sequences_equal_per_window_references(T):
+    # Each sequence takes nested windows of one matrix cropped to its support;
+    # the references rebuild every window from the section, so the SVD inputs
+    # and hence the norms must be the same bit for bit.  The remainder after
+    # recovery is sparse on perturbed Toeplitz cases, the section itself dense.
+    box = T.box
+    for dirs in [(j,) for j in range(box.n)] + [tuple(range(box.n))]:
+        m_max = min(box.caps[j] for j in dirs)
+        assert asymptotic_sequence(T, dirs, m_max).step_norms == oracles.step_norms_reference(T, dirs, m_max)
+    remainder = T - toeplitz(recover_symbol(T).symbol, box)
+    for K in (T, remainder):
+        for i, j in itertools.product(range(box.n), repeat=2):
+            m_max = min(box.caps[i], box.caps[j])
+            assert cross_term_profile(K, i, j, m_max).norms == oracles.cross_norms_reference(K, i, j, m_max)
+        m_max = min(box.caps) + 1
+        assert compactness_profile(K, m_max).values == oracles.compactness_reference(K, m_max)
 
 
 @pytest.mark.nightly
