@@ -55,8 +55,6 @@ def _block_norm_grid(D: np.ndarray, p: int) -> np.ndarray:
     R, C = D.shape[0] // p, D.shape[1] // p
     blocks = D.reshape(R, p, C, p).transpose(0, 2, 1, 3)
     nonzero = blocks.any(axis=(-2, -1))
-    if nonzero.all():
-        return np.linalg.norm(blocks, ord=2, axis=(-2, -1))
     grid = np.zeros((R, C))
     grid[nonzero] = np.linalg.norm(blocks[nonzero], ord=2, axis=(-2, -1))
     return grid
