@@ -27,31 +27,23 @@ from .modelspace import (
     ModelSpace,
     compressed_shift,
     invariance_kernel,
-    invariance_residual,
     model_basis,
     model_compactness_test,
 )
 from .operators import (
     TruncatedOperator,
-    apply_dense,
     apply_fast,
     compress,
-    identity,
-    layer_projector,
     operator_norm,
-    shift,
     toeplitz,
 )
 from .symbols import (
     InnerCertificate,
-    InvertibilityReport,
     TorusSymbol,
     blaschke_factor,
-    coefficients_from_samples,
     evaluate_grid,
     from_coefficients,
     is_inner,
-    is_invertible_ae,
     multiply,
     product_inner,
     random_symbol,
@@ -67,23 +59,16 @@ __all__ = [
     "interior",
     "TorusSymbol",
     "InnerCertificate",
-    "InvertibilityReport",
     "from_coefficients",
-    "coefficients_from_samples",
     "evaluate_grid",
     "multiply",
     "blaschke_factor",
     "product_inner",
     "is_inner",
-    "is_invertible_ae",
     "random_symbol",
     "TruncatedOperator",
     "toeplitz",
-    "shift",
-    "layer_projector",
-    "identity",
     "apply_fast",
-    "apply_dense",
     "operator_norm",
     "compress",
     "DefectReport",
@@ -104,7 +89,6 @@ __all__ = [
     "ModelCompactnessReport",
     "model_basis",
     "compressed_shift",
-    "invariance_residual",
     "invariance_kernel",
     "model_compactness_test",
 ]

@@ -440,7 +440,9 @@ class DecompositionResult:
 
     The remainder is T - toeplitz(symbol, box) as computed, whatever the
     verdict says.  Adding the Toeplitz part back reproduces T to rounding,
-    and bit for bit where every recovered diagonal was constant.  The verdict
+    and bit for bit where every recovered diagonal was constant.  The
+    Toeplitz part puts coeff(l - k) on every block, so its defect is 0.0 by
+    construction and is not computed.  The verdict
     certifies (at this box and tolerance) that the per-direction sequences
     settled, the remainder profile decayed, and all cross terms ended below
     tolerance.
@@ -448,7 +450,6 @@ class DecompositionResult:
 
     symbol: TorusSymbol
     remainder: TruncatedOperator
-    toeplitz_part_defect: DefectReport
     remainder_profile: CompactnessProfile
     sequences: list[AsymptoticSequence]
     diagonal: AsymptoticSequence
@@ -491,9 +492,7 @@ def asymptotic_decompose(
     stabilized = [m for m, s in enumerate(diagonal.step_norms) if s <= tol]
     m_star = stabilized[-1] if stabilized else m_max
     symbol = recover_symbol(section(T, m_star, diagonal.directions)).symbol
-    part = toeplitz(symbol, box)
-    remainder = T - part
-    part_defect = toeplitz_defect(part)
+    remainder = T - toeplitz(symbol, box)
     profile_depth = min(m_max, min(box.caps) + 1)
     remainder_profile = compactness_profile(remainder, profile_depth, tol)
     if box.n == 1:
@@ -538,7 +537,6 @@ def asymptotic_decompose(
     return DecompositionResult(
         symbol=symbol,
         remainder=remainder,
-        toeplitz_part_defect=part_defect,
         remainder_profile=remainder_profile,
         sequences=sequences,
         diagonal=diagonal,

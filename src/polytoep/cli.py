@@ -219,7 +219,6 @@ def _decompose_payload(args, result) -> dict:
         "witness": result.witness,
         "m_star": result.m_star,
         "symbol": io.symbol_to_dict(result.symbol),
-        "toeplitz_part_defect": result.toeplitz_part_defect.to_dict(),
         "sequences": [
             {
                 "directions": list(seq.directions),

@@ -125,18 +125,6 @@ def compressed_shift(ms: ModelSpace, direction: int) -> np.ndarray:
     return V[dst].reshape(-1, ms.q).conj().T @ V[src].reshape(-1, ms.q)
 
 
-def invariance_residual(ms: ModelSpace, A: np.ndarray) -> list[float]:
-    """Per-direction norms ||A - C_i* A C_i|| for a q x q operator."""
-    A = np.asarray(A, dtype=complex)
-    if A.shape != (ms.q, ms.q):
-        raise ValueError(f"operator shape {A.shape} does not match model dimension {ms.q}")
-    out = []
-    for i in range(ms.n):
-        C = compressed_shift(ms, i)
-        out.append(operator_norm(A - C.conj().T @ A @ C))
-    return out
-
-
 @dataclass
 class InvarianceKernelReport:
     """Smallest singular value of the stacked map A -> (A - C_i* A C_i)_i.

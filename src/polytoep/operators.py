@@ -151,32 +151,6 @@ def toeplitz(sym: TorusSymbol, box: Box) -> TruncatedOperator:
     return TruncatedOperator(box, sym.p, _gather(sym, box, box), symbol=sym)
 
 
-def shift(box: Box, direction: int, p: int = 1) -> TruncatedOperator:
-    """Truncated coordinate shift: e_k -> e_(k + e_direction), top layer killed."""
-    _check_directions(box, (direction,))
-    side, dim = _side(box, p), p * box.dim
-    eye = np.eye(dim, dtype=complex).reshape(side + side)
-    mat = np.zeros_like(eye)
-    src, dst = _cut(box, (direction,), 0, 1), _cut(box, (direction,), 1, 0)
-    mat[dst + (slice(None),) + src] = eye[src + (slice(None),) + src]
-    return TruncatedOperator(box, p, mat.reshape(dim, dim))
-
-
-def layer_projector(box: Box, m: int, p: int = 1) -> TruncatedOperator:
-    """Orthogonal projector onto monomials with every exponent below m.
-
-    Rank is p * m^n while m - 1 stays within every cap; idempotent and
-    self-adjoint exactly (diagonal 0/1 matrix).
-    """
-    if m < 0 or m > min(box.caps) + 1:
-        raise ValueError(f"m = {m} outside [0, {min(box.caps) + 1}] for box {box.caps}")
-    return TruncatedOperator(box, p, np.diag(_corner(box, m, p).astype(complex)))
-
-
-def identity(box: Box, p: int = 1) -> TruncatedOperator:
-    return TruncatedOperator(box, p, np.eye(p * box.dim, dtype=complex))
-
-
 def _fast_spectrum(op: TruncatedOperator) -> tuple[np.ndarray, tuple[int, ...]]:
     """FFT of the multilevel circulant embedding of the operator's symbol."""
     caps = op.box.caps
@@ -209,11 +183,6 @@ def apply_fast(op: TruncatedOperator, v: np.ndarray) -> np.ndarray:
     vf = np.fft.fftn(v.reshape(side), s=embed, axes=axes)  # zero-padded to the embedding
     w = np.fft.ifftn(spec @ vf[..., None], axes=axes)
     return w[tuple(slice(s) for s in side[:-1])].reshape(-1)
-
-
-def apply_dense(op: TruncatedOperator, v: np.ndarray) -> np.ndarray:
-    """Reference matvec through the stored dense matrix."""
-    return op.matrix @ np.asarray(v, dtype=complex)
 
 
 def operator_norm(matrix: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Box, MultiIndex
+from .lattice import MultiIndex
 
 
 def _next_pow2(x: int) -> int:
@@ -81,16 +81,6 @@ class TorusSymbol:
             return np.zeros((self.p, self.p), dtype=complex)
         return blk
 
-    def evaluate(self, point) -> np.ndarray:
-        """Pointwise value sum_k coeff(k) * exp(i k.theta) as a (p, p) block."""
-        theta = np.asarray(point, dtype=float)
-        if theta.shape != (self.n,):
-            raise ValueError(f"point must have {self.n} angles")
-        out = np.zeros((self.p, self.p), dtype=complex)
-        for k, blk in self.coefficients.items():
-            out += blk * np.exp(1j * float(np.dot(k, theta)))
-        return out
-
 
 def from_coefficients(n: int, p: int, entries) -> TorusSymbol:
     """Build a symbol from (frequency, block) pairs; duplicates are rejected."""
@@ -126,39 +116,6 @@ def evaluate_grid(sym: TorusSymbol, grid_sizes) -> np.ndarray:
         placed[bin_idx] += blk
     vals = np.fft.ifftn(placed, axes=tuple(range(sym.n)))
     return vals * np.prod(grid)
-
-
-def coefficients_from_samples(
-    samples: np.ndarray,
-    support: Box,
-    p: int = 1,
-    tail_bound: float = 0.0,
-) -> TorusSymbol:
-    """Recover coefficients on the symmetric frequency box |k_i| <= support.caps[i].
-
-    samples holds values on the uniform grid (shape G1 x ... x Gn, or with a
-    trailing (p, p) for block symbols).  Each grid size must satisfy
-    G_i >= 2*caps_i + 1 so the declared frequencies occupy distinct bins.
-    """
-    n = support.n
-    samples = np.asarray(samples, dtype=complex)
-    if p == 1 and samples.ndim == n:
-        samples = samples[..., None, None]
-    if samples.ndim != n + 2 or samples.shape[-2:] != (p, p):
-        raise ValueError(f"samples must have shape G1..G{n} (x {p} x {p})")
-    grid = samples.shape[:n]
-    for g, s in zip(grid, support.caps):
-        if g < 2 * s + 1:
-            raise ValueError(
-                f"aliasing: grid size {g} cannot resolve frequencies |k| <= {s} "
-                f"(need at least {2 * s + 1})"
-            )
-    spec = np.fft.fftn(samples, axes=tuple(range(n))) / np.prod(grid)
-    coeffs: dict[MultiIndex, np.ndarray] = {}
-    for k in itertools.product(*(range(-s, s + 1) for s in support.caps)):
-        bin_idx = tuple(ki % g for ki, g in zip(k, grid))
-        coeffs[k] = np.array(spec[bin_idx])
-    return TorusSymbol(n=n, p=p, coefficients=coeffs, tail_bound=float(tail_bound))
 
 
 def multiply(a: TorusSymbol, b: TorusSymbol) -> TorusSymbol:
@@ -284,46 +241,6 @@ def is_inner(sym: TorusSymbol, grid_sizes=None, tol: float = 1e-10) -> InnerCert
         tail_allowance=allowance,
         worst_point=point,
     )
-
-
-@dataclass
-class InvertibilityReport:
-    invertible: bool
-    min_abs_det: float
-    delta: float
-    grid_sizes: tuple[int, ...]
-
-
-def is_invertible_ae(sym: TorusSymbol, grid_sizes=None, delta: float = 1e-8) -> InvertibilityReport:
-    """Dense-grid surrogate for a.e. invertibility: min |det| over the grid vs delta."""
-    grid = default_grid(sym) if grid_sizes is None else tuple(int(g) for g in grid_sizes)
-    vals = evaluate_grid(sym, grid)
-    dets = np.linalg.det(vals)
-    min_det = float(np.abs(dets).min())
-    return InvertibilityReport(
-        invertible=min_det >= delta,
-        min_abs_det=min_det,
-        delta=delta,
-        grid_sizes=grid,
-    )
-
-
-def allclose(a: TorusSymbol, b: TorusSymbol, tol: float = 1e-12) -> bool:
-    """Coefficientwise comparison treating absent frequencies as zero."""
-    if a.n != b.n or a.p != b.p:
-        return False
-    for k in set(a.coefficients) | set(b.coefficients):
-        if _spectral(a.coeff(k) - b.coeff(k)) > tol:
-            return False
-    return True
-
-
-def max_coeff_difference(a: TorusSymbol, b: TorusSymbol) -> float:
-    """Largest block-norm discrepancy over the union of supports."""
-    out = 0.0
-    for k in set(a.coefficients) | set(b.coefficients):
-        out = max(out, _spectral(a.coeff(k) - b.coeff(k)))
-    return out
 
 
 def random_symbol(

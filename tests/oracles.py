@@ -211,6 +211,27 @@ def layer_projector_oracle(box: Box, m: int, p: int) -> np.ndarray:
     return out
 
 
+def symbol_value_oracle(sym: TorusSymbol, point) -> np.ndarray:
+    """Pointwise value sum_k coeff(k) * exp(i k.theta) as a (p, p) block, one term at a time."""
+    out = np.zeros((sym.p, sym.p), dtype=complex)
+    for k, blk in sym.coefficients.items():
+        out += blk * np.exp(1j * float(np.dot(k, point)))
+    return out
+
+
+def max_coeff_difference(a: TorusSymbol, b: TorusSymbol) -> float:
+    """Largest block-norm discrepancy over the union of supports."""
+    out = 0.0
+    for k in set(a.coefficients) | set(b.coefficients):
+        out = max(out, _bnorm(a.coeff(k) - b.coeff(k)))
+    return out
+
+
+def allclose(a: TorusSymbol, b: TorusSymbol, tol: float = 1e-12) -> bool:
+    """Coefficientwise comparison treating absent frequencies as zero."""
+    return a.n == b.n and a.p == b.p and max_coeff_difference(a, b) <= tol
+
+
 def stacked_invariance_oracle(shifts: list[np.ndarray]) -> np.ndarray:
     """Stacked invariance-map matrix built column by column from basis matrices."""
     q = shifts[0].shape[0]

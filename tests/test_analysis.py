@@ -18,15 +18,20 @@ from polytoep.analysis import (
     toeplitz_defect,
 )
 from polytoep.lattice import Box, enumerate_basis, index_array, interior, position
-from polytoep.operators import TruncatedOperator, identity, toeplitz
-from polytoep.symbols import from_coefficients, max_coeff_difference, random_symbol
+from polytoep.operators import TruncatedOperator, toeplitz
+from polytoep.symbols import from_coefficients, random_symbol
 
 import oracles
+from oracles import max_coeff_difference, shift_oracle
 
 
 def block_rows(positions, p: int) -> np.ndarray:
     """Matrix rows of the given monomial positions in block-major layout."""
     return (np.asarray(positions, dtype=np.int64)[:, None] * p + np.arange(p)).reshape(-1)
+
+
+def identity(box: Box) -> TruncatedOperator:
+    return TruncatedOperator(box, 1, np.eye(box.dim, dtype=complex))
 
 
 def rank_one_corner(box: Box, p: int = 1) -> TruncatedOperator:
@@ -50,9 +55,12 @@ def toeplitz_plus_corner(caps, p: int, depth: int, seed: int = 13) -> TruncatedO
 
 
 def test_defect_zero_for_toeplitz():
+    # every block is coeff(l - k), so each one-step difference is x - x = 0.0
     rng = np.random.default_rng(0)
-    for caps, span in [((7, 7), 3), ((15,), 4), ((2, 2, 2), 1)]:
-        T = toeplitz(random_symbol(len(caps), span, rng=rng), Box(caps))
+    cases = [((7, 7), 3, 1), ((15,), 4, 1), ((2, 2, 2), 1, 1), ((9,), 3, 2), ((3, 3), 2, 3),
+             ((0, 3), 2, 1), ((2, 0, 2), 1, 2), ((0, 3), 1, 3)]
+    for caps, span, p in cases:
+        T = toeplitz(random_symbol(len(caps), span, p=p, rng=rng), Box(caps))
         rep = toeplitz_defect(T)
         assert rep.overall == 0.0 and rep.verdict
 
@@ -164,11 +172,9 @@ def test_recover_rank_one():
 
 
 def test_recover_shift_matrix():
-    from polytoep.operators import shift
-
-    S = shift(Box((4,)), 0)
-    for matrix in (S.matrix, S.matrix.real):  # a real matrix reads the same
-        rec = recover_symbol(TruncatedOperator(S.box, 1, matrix))
+    S = shift_oracle(Box((4,)), 0, 1)
+    for matrix in (S, S.real):  # a real matrix reads the same
+        rec = recover_symbol(TruncatedOperator(Box((4,)), 1, matrix))
         assert rec.max_deviation == 0.0
         assert set(rec.symbol.coefficients) == {(1,)}
         assert rec.symbol.coeff((1,)).item() == 1.0
@@ -397,7 +403,7 @@ def test_decompose_toeplitz_plus_rank_one():
     for ct in res.cross_terms:
         assert ct.final <= 1e-10
     assert np.abs((toeplitz(res.symbol, box) + res.remainder).matrix - T.matrix).max() == 0.0  # integer data: exact
-    assert res.toeplitz_part_defect.overall == 0.0
+    assert toeplitz_defect(toeplitz(res.symbol, box)).overall == 0.0
 
 
 @pytest.mark.parametrize("caps, p, depth", [((11, 11), 1, 3), ((63,), 2, 4), ((6, 6, 6), 1, 2)])
