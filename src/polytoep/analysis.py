@@ -10,8 +10,10 @@ The matrix is read as `operators`' tensor view, one axis per variable and
 one for the block component on each side, so a shifted sub-box is one slice
 per variable (`_cut`) and a window of the matrix is a slice of that tensor
 (`_window`).  Each m-indexed norm sequence takes nested windows of one matrix
-built once (the one-step difference D_e, or the remainder), each cropped to
-its own nonzero rows and columns (`_nested_norms`).
+built once (the one-step difference D_e, or the remainder) in one
+`operator_norm` call, each window's norm taken on its own nonzero rows and
+columns.  Decompose reads the remainder's support once (`_scan`) for c_m and
+every cross term.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from .operators import (
     _cut,
     _flat,
     _mask,
-    _nested_norms,
+    _scan,
+    _Scan,
     _view,
     _window,
+    operator_norm,
     toeplitz,
 )
 from .symbols import TorusSymbol
@@ -151,6 +155,7 @@ def _pairs(length: np.ndarray):
         yield seg[i], i, i + 1 + np.arange(i.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
 
 
+@np.errstate(invalid="ignore")
 def _planar_diameters(v: np.ndarray, length: np.ndarray) -> np.ndarray:
     """max |v_i - v_j| within each segment of complex points, bit for bit.
 
@@ -158,6 +163,8 @@ def _planar_diameters(v: np.ndarray, length: np.ndarray) -> np.ndarray:
     bound D on the diameter, and the same extents bound an octagon holding
     the segment.  A point farther than D from no vertex of that octagon ends
     no diameter, so the pairwise maximum runs over the other points only.
+    An infinite point makes the spread NaN through inf - inf, as
+    `recover_symbol` states, so that invalid value raises no warning.
     """
     starts, seg = _segments(length)
     x, y = v.real, v.imag
@@ -346,7 +353,7 @@ def asymptotic_sequence(
     if m_max:
         inner = interior(T.box, 1, directions)
         cuts = [_mask(inner, T.p, _cut(inner, directions, m, 0)) for m in range(m_max)]
-        step_norms = _nested_norms(_step(T, directions), [(c, c) for c in cuts])
+        step_norms = operator_norm(_step(T, directions), [(c, c) for c in cuts])
     cauchy = bool(step_norms) and step_norms[-1] <= tol
     return AsymptoticSequence(
         directions=directions,
@@ -369,11 +376,14 @@ class CrossTermProfile:
         return self.norms[-1] if self.norms else 0.0
 
 
-def cross_term_profile(K: TruncatedOperator, i: int, j: int, m_max: int) -> CrossTermProfile:
+def cross_term_profile(
+    K: TruncatedOperator, i: int, j: int, m_max: int, scan: _Scan | None = None
+) -> CrossTermProfile:
     """Exact finite sections of the cross compressions of K.
 
     Entry (l, k) of the m-th section is K[l + m*e_i, k + m*e_j] over the
-    interior pairs for which both translates stay in the box.
+    interior pairs for which both translates stay in the box.  scan is
+    `operators._scan(K.matrix)` when the caller already holds it.
     """
     box = K.box
     for d in (i, j):
@@ -386,7 +396,7 @@ def cross_term_profile(K: TruncatedOperator, i: int, j: int, m_max: int) -> Cros
         (_mask(box, K.p, _cut(box, (i,), m, 0)), _mask(box, K.p, _cut(box, (j,), m, 0)))
         for m in range(1, m_max + 1)
     ]
-    norms = _nested_norms(K.matrix, cuts)
+    norms = operator_norm(K.matrix, cuts, scan)
     return CrossTermProfile(i=i, j=j, norms=norms)
 
 
@@ -416,13 +426,18 @@ class CompactnessProfile:
         }
 
 
-def compactness_profile(T: TruncatedOperator, m_max: int, tol: float = LIMIT_TOL) -> CompactnessProfile:
-    """Norms of T compressed outside growing corner projectors F_m, m = 0..m_max."""
+def compactness_profile(
+    T: TruncatedOperator, m_max: int, tol: float = LIMIT_TOL, scan: _Scan | None = None
+) -> CompactnessProfile:
+    """Norms of T compressed outside growing corner projectors F_m, m = 0..m_max.
+
+    scan is `operators._scan(T.matrix)` when the caller already holds it.
+    """
     box, p = T.box, T.p
     if m_max < 0 or m_max > min(box.caps) + 1:
         raise ValueError(f"m_max = {m_max} outside [0, {min(box.caps) + 1}]")
     outside = [~_corner(box, m, p) for m in range(m_max + 1)]
-    values = _nested_norms(T.matrix, [(o, o) for o in outside])
+    values = operator_norm(T.matrix, [(o, o) for o in outside], scan)
     monotone = all(values[i + 1] <= values[i] + 10.0 * tol for i in range(len(values) - 1))
     verdict = values[-1] <= tol and monotone
     return CompactnessProfile(
@@ -493,15 +508,16 @@ def asymptotic_decompose(
     m_star = stabilized[-1] if stabilized else m_max
     symbol = recover_symbol(section(T, m_star, diagonal.directions)).symbol
     remainder = T - toeplitz(symbol, box)
+    scan = _scan(remainder.matrix)  # one read of the remainder serves all its norm families
     profile_depth = min(m_max, min(box.caps) + 1)
-    remainder_profile = compactness_profile(remainder, profile_depth, tol)
+    remainder_profile = compactness_profile(remainder, profile_depth, tol, scan)
     if box.n == 1:
         # the (0, 0) section at m is the remainder on {l >= m} x {k >= m},
         # which is c_m's window
         cross_terms = [CrossTermProfile(i=0, j=0, norms=remainder_profile.values[1 : m_max + 1])]
     else:
         cross_terms = [
-            cross_term_profile(remainder, i, j, m_max)
+            cross_term_profile(remainder, i, j, m_max, scan)
             for i, j in itertools.product(range(box.n), repeat=2)
         ]
     witness: dict | None = None

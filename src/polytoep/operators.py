@@ -6,10 +6,12 @@ matrix reads as a tensor with axes (d_1 + 1, ..., d_n + 1, p) on each side
 (`_side`), a shifted sub-box is one slice per variable (`_cut`), a window of
 the matrix is a slice of the tensor (`_window`), and a sub-box or the corner
 of small exponents is a row mask (`_mask`, `_corner`).  The norms of a
-nested family of windows of one matrix are taken in one call
-(`_nested_norms`).  Multilevel Toeplitz operators are gathered directly from
-symbol coefficients (block (l, k) = coeff(l - k), `_gather`), and their
-matvec has a fast path through an n-dimensional circulant embedding.
+nested family of windows of one matrix are taken in one `operator_norm`
+call, each the root of one top eigenvalue of a Gram matrix grown from the
+innermost window outward.  Multilevel Toeplitz operators are gathered
+directly from symbol coefficients (block (l, k) = coeff(l - k), `_gather`),
+and their matvec has a fast path through an n-dimensional circulant
+embedding.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from .lattice import Box
 from .symbols import TorusSymbol, _next_pow2
@@ -185,34 +188,172 @@ def apply_fast(op: TruncatedOperator, v: np.ndarray) -> np.ndarray:
     return w[tuple(slice(s) for s in side[:-1])].reshape(-1)
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value of a matrix.
+_SCAN_CHUNK = 1 << 16   # entries of the support read per step of `_scan`
+_TINY = 2.0 ** -511     # smallest scaled magnitude whose square is still a normal number
 
-    Dense SVD on the nonzero rows x columns; 0.0 when there are none (an
-    all-zero or empty matrix).  Exact: deleting a zero row or column only
-    drops a zero singular value, so the largest one is unchanged.  NaN counts
-    as nonzero and stays in.
+
+@dataclass(frozen=True)
+class _Scan:
+    """What one read of a matrix tells the norm kernel.
+
+    rows and cols mark the rows and columns with a nonzero (or NaN) entry.
+    exp is the power of two that brings every real and imaginary part below
+    1 in magnitude while keeping every nonzero one at least 2**-511, so that
+    each square and product in a Gram matrix is a normal number; it is None
+    when no such power exists or an entry is NaN or infinite, and the kernel
+    then takes an SVD per window.  real means no entry has an imaginary part.
     """
-    rows, cols = matrix.any(axis=1), matrix.any(axis=0)
+
+    rows: np.ndarray
+    cols: np.ndarray
+    exp: int | None
+    real: bool
+
+
+def _scan(M: np.ndarray) -> _Scan:
+    """Support, finiteness, range and realness of M in one read.
+
+    Two `any` reductions find the nonzero rows and columns; the entries on
+    them are then read a bounded chunk of rows at a time.
+    """
+    rows, cols = M.any(axis=1), M.any(axis=0)
+    ri, ci = np.flatnonzero(rows), np.flatnonzero(cols)
+    complex_ = np.iscomplexobj(M)
+    real, hi, lo = True, 0.0, math.inf
+    step = max(1, _SCAN_CHUNK // max(ci.size, 1))
+    for a in range(0, ri.size, step):
+        X = np.asarray(M[np.ix_(ri[a : a + step], ci)], dtype=complex if complex_ else float)
+        real = real and not (complex_ and X.imag.any())
+        parts = np.abs(X.view(float))
+        top = parts.max()
+        if not top < math.inf:  # NaN or inf
+            return _Scan(rows, cols, None, real)
+        hi = max(hi, float(top))
+        lo = min(lo, float(parts.min(initial=math.inf, where=parts > 0)))
+    exp = math.frexp(hi)[1]
+    if hi and math.ldexp(lo, -exp) < _TINY:
+        exp = None
+    return _Scan(rows, cols, exp, real)
+
+
+def _svd_norm(window: np.ndarray) -> float:
+    """Largest singular value from a dense SVD of the window's nonzero rows x columns; 0.0 without any."""
+    rows, cols = window.any(axis=1), window.any(axis=0)
     if not rows.any():
         return 0.0
     if not (rows.all() and cols.all()):
-        matrix = matrix[np.ix_(rows, cols)]
-    return float(np.linalg.svd(matrix, compute_uv=False)[0])
+        window = window[np.ix_(rows, cols)]
+    return float(np.linalg.svd(window, compute_uv=False)[0])
 
 
-def _nested_norms(M: np.ndarray, cuts) -> list[float]:
-    """`operator_norm` of M on each (row mask, column mask) cut, in order.
+def _top_eigenvalue(H: np.ndarray) -> float:
+    """Largest eigenvalue of a Hermitian matrix, read from its upper triangle.
 
-    M's nonzero rows and columns are found once, and each cut is narrowed to
-    them before it is copied out, so a cut costs its share of M's support
-    rather than its full size.  Narrowing drops only rows and columns that
-    are zero in the cut, and keeps the rest in order, so `operator_norm`
-    crops every copy to the same matrix as the whole cut: the cut's own
-    nonzero rows x columns.
+    H must be Fortran-ordered; LAPACK overwrites it.
     """
-    rows, cols = M.any(axis=1), M.any(axis=0)
-    return [operator_norm(M[np.ix_(r & rows, c & cols)]) for r, c in cuts]
+    n = H.shape[0]
+    if np.iscomplexobj(H):
+        # the default minimal workspace leaves zhetrd unblocked, 8-15% slower
+        # at n = 128..400 with one BLAS thread
+        work, rwork, iwork, _ = lapack.zheevr_lwork(n)
+        sizes = {"lwork": int(work.real), "lrwork": int(rwork), "liwork": int(iwork)}
+        w, _, _, _, info = lapack.zheevr(H, compute_v=0, range="I", il=n, iu=n, overwrite_a=1, **sizes)
+    else:
+        w, _, _, _, info = lapack.dsyevr(H, compute_v=0, range="I", il=n, iu=n, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"eigenvalue solver failed (info = {info})")
+    return float(w[0])
+
+
+def _depths(masks) -> np.ndarray:
+    """Index of the innermost of the nested masks holding each entry, -1 for none."""
+    return np.sum(masks, axis=0) - 1
+
+
+def _gram_norms(M: np.ndarray, cuts, scan: _Scan) -> list[float]:
+    """Each window's norm as the root of the top eigenvalue of one growing Gram matrix.
+
+    The Gram matrix G = X* X is over M's nonzero columns (its rows when they
+    are fewer: the singular values of M.T are M's), in order of the innermost
+    cut holding them, so every window's columns lead.  Walking from the
+    innermost cut outward, each shell of new rows X is added as G += X* X by
+    one `herk`, so every entry is a plain sum of products, never a
+    difference.  A window's squared norm is the top eigenvalue of G on its
+    own nonzero columns, the ones whose diagonal entry is positive.  Entries
+    are scaled by 2**-exp, exactly, first.  G spans all nonzero columns, not
+    only the outermost window's, so two families of one matrix with the same
+    inner windows (c_m and the n = 1 cross term) share every bit of them.
+    """
+    if not cuts:
+        return []
+    rows, cols = scan.rows, scan.cols
+    if np.count_nonzero(rows) < np.count_nonzero(cols):
+        M, cuts, rows, cols = M.T, [(c, r) for r, c in cuts], cols, rows
+    src = M.real if scan.real and np.iscomplexobj(M) else M
+    dtype = float if scan.real else complex
+    rdepth, cdepth = _depths([r for r, _ in cuts]), _depths([c for _, c in cuts])
+    ri = np.flatnonzero(rows & (rdepth >= 0))
+    ri = ri[np.argsort(-rdepth[ri], kind="stable")]
+    ci = np.flatnonzero(cols)
+    ci = ci[np.argsort(-cdepth[ci], kind="stable")]
+    levels = -np.arange(len(cuts))
+    nrows = np.searchsorted(-rdepth[ri], levels, side="right")  # rows of window k: ri[:nrows[k]]
+    ncols = np.searchsorted(-cdepth[ci], levels, side="right")  # its columns: the first ncols[k] of ci
+    herk = blas.dsyrk if scan.real else blas.zherk
+    G = np.zeros((ci.size, ci.size), dtype=dtype, order="F")
+    norms, done = [0.0] * len(cuts), 0
+    for k in reversed(range(len(cuts))):
+        if nrows[k] > done:
+            X = np.asarray(src[np.ix_(ri[done : nrows[k]], ci)], dtype=dtype)
+            np.ldexp(X.view(float), -scan.exp, out=X.view(float))
+            G = herk(1.0, X.T, beta=1.0, c=G, overwrite_c=1)  # adds conj(X* X): the same eigenvalues
+            done = nrows[k]
+        keep = np.flatnonzero(G.diagonal()[: ncols[k]].real > 0)
+        if keep.size == 1:  # one column: no eigensolver, and |a| exactly for a single entry a
+            j = keep[0]
+            col = src[ri[:done], ci[j]]
+            nz = np.flatnonzero(col)
+            if nz.size == 1:
+                norms[k] = float(abs(col[nz[0]]))
+            else:
+                norms[k] = math.ldexp(math.sqrt(G[j, j].real), scan.exp)
+        elif keep.size:
+            if keep.size == G.shape[0] and k == 0:
+                H = G  # the outermost window takes all of G, which is not needed after it
+            else:
+                H = G.T[np.ix_(keep, keep)].T  # Fortran-ordered copy of G on keep x keep
+            norms[k] = math.ldexp(math.sqrt(_top_eigenvalue(H)), scan.exp)
+    return norms
+
+
+def operator_norm(matrix: np.ndarray, cuts=None, scan: _Scan | None = None):
+    """Largest singular value of a matrix, or of each of its nested windows.
+
+    Without cuts, the norm of the whole matrix as a float.  With cuts, a list
+    of (row mask, column mask) pairs each containing the next, the list of
+    the norms of those windows, in order.  scan is `_scan(matrix)` when the
+    caller already holds it.
+
+    A window's norm is taken on its nonzero rows x columns and is 0.0 when
+    there are none.  Each is the root of the top eigenvalue of one Gram
+    matrix grown over all windows (`_gram_norms`), from one LAPACK `?syevr`
+    or `?heevr` call, in real arithmetic when the matrix has no imaginary
+    part.  A matrix with a NaN or infinite entry, or one whose nonzero
+    magnitudes span too wide a range to square after scaling, keeps a dense
+    SVD per window, and a NaN reaches LAPACK there rather than being cropped
+    away.
+    """
+    M = np.asarray(matrix)
+    whole = cuts is None
+    if whole:
+        cuts = [(np.ones(M.shape[0], dtype=bool), np.ones(M.shape[1], dtype=bool))]
+    if scan is None:
+        scan = _scan(M)
+    if scan.exp is None:
+        norms = [_svd_norm(M[np.ix_(r & scan.rows, c & scan.cols)]) for r, c in cuts]
+    else:
+        norms = _gram_norms(M, cuts, scan)
+    return norms[0] if whole else norms
 
 
 def compress(matrix: np.ndarray, basis: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:

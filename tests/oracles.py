@@ -2,11 +2,11 @@
 
 Everything here walks index pairs one at a time through position lookups and
 takes norms with a full dense SVD, deliberately avoiding the vectorized
-gather paths used by the production code.  The `*_reference` functions are
+gather paths used by the production code.  The `*_windows` functions are
 the exception: they rebuild each window of an m-indexed sequence from the
-section and norm it on its own with `operator_norm`, so the production
-sequences, which take every window of one fixed matrix in one pass, must
-equal them bit for bit.
+section, so the production sequences, which take every window of one fixed
+matrix in one pass, can be held to each window's own SVD within
+`gram_bound`.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ import itertools
 import numpy as np
 
 from polytoep.lattice import Box, enumerate_basis, position
-from polytoep.operators import TruncatedOperator, _corner, _cut, _window, operator_norm
+from polytoep.operators import TruncatedOperator, _corner, _cut, _window
 from polytoep.symbols import TorusSymbol
+
+EPS = np.finfo(float).eps
 
 
 def _blk(T: TruncatedOperator, l, k) -> np.ndarray:
@@ -145,30 +147,50 @@ def compactness_oracle(T: TruncatedOperator, m_max: int) -> list[float]:
     return out
 
 
-def step_norms_reference(T: TruncatedOperator, directions, m_max: int) -> list[float]:
-    """||B_(m+1) - B_m|| for m < m_max, each step the difference of two windows of T."""
+def step_windows(T: TruncatedOperator, directions, m_max: int) -> list[np.ndarray]:
+    """B_(m+1) - B_m for m < m_max, each step the difference of two windows of T."""
     out = []
     for m in range(m_max):
         hi, lo = _cut(T.box, directions, m + 1, 0), _cut(T.box, directions, m, 1)
-        out.append(operator_norm(_window(T, hi, hi) - _window(T, lo, lo)))
+        out.append(_window(T, hi, hi) - _window(T, lo, lo))
     return out
 
 
-def cross_norms_reference(K: TruncatedOperator, i: int, j: int, m_max: int) -> list[float]:
-    """Norm of K on rows from m in direction i x columns from m in direction j, m = 1..m_max."""
-    return [
-        operator_norm(_window(K, _cut(K.box, (i,), m, 0), _cut(K.box, (j,), m, 0)))
-        for m in range(1, m_max + 1)
-    ]
+def cross_windows(K: TruncatedOperator, i: int, j: int, m_max: int) -> list[np.ndarray]:
+    """K on rows from m in direction i x columns from m in direction j, m = 1..m_max."""
+    return [_window(K, _cut(K.box, (i,), m, 0), _cut(K.box, (j,), m, 0)) for m in range(1, m_max + 1)]
 
 
-def compactness_reference(T: TruncatedOperator, m_max: int) -> list[float]:
-    """c_m for m = 0..m_max, each the principal submatrix outside the corner copied whole."""
+def compactness_windows(T: TruncatedOperator, m_max: int) -> list[np.ndarray]:
+    """For m = 0..m_max, the principal submatrix outside the corner, copied whole."""
     out = []
     for m in range(m_max + 1):
         outside = ~_corner(T.box, m, T.p)
-        out.append(operator_norm(T.matrix[np.ix_(outside, outside)]))
+        out.append(T.matrix[np.ix_(outside, outside)])
     return out
+
+
+def cropped(W: np.ndarray) -> np.ndarray:
+    """W on its nonzero rows x nonzero columns."""
+    return W[np.ix_(W.any(axis=1), W.any(axis=0))]
+
+
+def gram_bound(W: np.ndarray) -> float:
+    """Bound on |operator_norm - _norm| for a window W, from the error of its Gram matrix.
+
+    With r rows and c columns on W's support, the Gram sum carries at most
+    r*eps/2 * ||abs(W)||^2 of rounding, and the eigensolver adds about
+    c*eps*||W||^2.  The square root divides an error in ||W||^2 by at least
+    ||W||, since |sqrt(a) - sqrt(b)| = |a - b| / (sqrt(a) + sqrt(b)), and
+    the SVD oracle is off by about max(r, c)*eps*||W|| itself.  Together
+    that stays below 4*max(r, c)*eps*||abs(W)||^2/||W||, which is
+    4*max(r, c)*eps*||W|| for a nonnegative W.
+    """
+    Wc = cropped(W)
+    if Wc.size == 0:
+        return 0.0
+    top = _norm(np.abs(Wc))
+    return 4 * max(Wc.shape) * EPS * top * (top / _norm(Wc))  # in this order, nothing over- or underflows
 
 
 def block_norm_grid_reference(D: np.ndarray, p: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ def test_recover_nan_spread_propagates():
     assert all(math.isnan(rec.deviations[f]) for f in nan)
     assert all(s == 0.0 for f, s in rec.deviations.items() if f not in nan)
     assert math.isnan(rec.max_deviation)
+
+
+def test_recover_inf_spread_is_quiet():
+    # An infinite point on a diagonal of complex points makes its spread NaN
+    # through inf - inf, by design: recovery raises no warning for it, and
+    # every other spread is still its diagonal's pairwise maximum.
+    rng = np.random.default_rng(14)
+    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    M[3, 1] = complex(math.inf, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = recover_symbol(TruncatedOperator(Box((5,)), 1, M))
+    assert math.isnan(rec.deviations[(2,)])
+    for (f,), spread in rec.deviations.items():
+        if f != 2:
+            assert spread == pairwise_spread(np.diagonal(M, -f).reshape(-1, 1, 1)), f
 
 
 # How the entries of one diagonal vary about its base value.
@@ -430,16 +447,17 @@ def test_decompose_corner_block_is_bit_exact(caps, p, depth):
 @pytest.mark.parametrize("caps, p, depth", [((19, 19), 1, 4), ((6, 6, 6), 1, 2), ((95,), 2, 4)])
 def test_decompose_norms_stay_on_the_corner_block(monkeypatch, caps, p, depth):
     # Every step, cross term and c_m window is cropped to its share of the
-    # support before it reaches the norm kernel, so no SVD input outgrows the
-    # perturbed corner block, whatever the size of the section.
+    # support before its Gram block reaches the eigensolver, so no eigensolver
+    # input outgrows the perturbed corner block, whatever the size of the
+    # section.
     shapes = []
-    norm = operators.operator_norm
+    top = operators._top_eigenvalue
 
-    def spy(matrix):
-        shapes.append(matrix.shape)
-        return norm(matrix)
+    def spy(H):
+        shapes.append(H.shape)
+        return top(H)
 
-    monkeypatch.setattr(operators, "operator_norm", spy)
+    monkeypatch.setattr(operators, "_top_eigenvalue", spy)
     res = asymptotic_decompose(toeplitz_plus_corner(caps, p, depth))
     assert res.verdict
     assert shapes and max(max(s) for s in shapes) <= p * depth ** len(caps)

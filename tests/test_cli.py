@@ -98,6 +98,21 @@ def test_unknown_flag_exit_two(tmp_path, capsys):
     assert main(["check-toeplitz", "--bogus"]) == 2
 
 
+def test_parser_is_built_once(monkeypatch):
+    # main reuses one parser; a reused parser still maps bad input to exit 2
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert main(["check-toeplitz", "--bogus"]) == 2
+        assert main(["no-such-verb"]) == 2
+        assert main(["check-toeplitz", "--bogus"]) == 2
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_decompose_round_trip(tmp_path):
     phi = from_coefficients(1, 1, [((-1,), 1.0), ((1,), 1.0)])
     box = Box((15,))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from polytoep.lattice import Box, enumerate_basis
 from polytoep.operators import (
     TruncatedOperator,
     _corner,
+    _scan,
     apply_fast,
     compress,
     operator_norm,
@@ -213,6 +215,39 @@ def test_operator_norm_single_entry_and_single_row():
     M = np.zeros((5, 7), dtype=complex)
     M[2, [0, 3, 6]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     assert operator_norm(M) == pytest.approx(np.linalg.norm(M[2]), rel=1e-12)
+
+
+def _nested_masks(d: int) -> list:
+    """Cuts from 0..d-1 down to the last row and column alone."""
+    masks = [np.arange(d) >= m for m in range(d)]
+    return [(r, r) for r in masks]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200, 5e-324])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_operator_norm_exact_cases(scale, dtype):
+    rng = np.random.default_rng(11)
+    M = np.zeros((6, 6), dtype=dtype)
+    norms = operator_norm(M, _nested_masks(6))
+    assert norms == [0.0] * 6 and all(math.copysign(1.0, x) == 1.0 for x in norms)
+    M[5, 5] = scale * complex(*rng.standard_normal(2)) if dtype is complex else -scale * 0.7
+    M[1, 2] = scale * 3.0
+    a, b = M[5, 5], M[1, 2]
+    # windows from 2 on hold M[5, 5] alone; windows 0 and 1 hold both entries
+    assert operator_norm(M, _nested_masks(6)) == [abs(b), abs(b), abs(a), abs(a), abs(a), abs(a)]
+    assert operator_norm(M[5:, 5:]) == abs(a)
+
+
+def test_operator_norm_wide_range_keeps_the_svd():
+    # squares of 1e-200 next to 1e200 would underflow after any common
+    # scaling, so each window keeps a dense SVD of its nonzero rows x columns
+    rng = np.random.default_rng(12)
+    M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    M[:4] *= 1e200
+    M[4:] *= 1e-200
+    assert _scan(M).exp is None
+    for (r, c), got in zip(_nested_masks(8), operator_norm(M, _nested_masks(8))):
+        assert got == float(np.linalg.svd(M[np.ix_(r, c)], compute_uv=False)[0])
 
 
 def test_operator_norm_keeps_nan_entries():

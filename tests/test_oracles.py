@@ -1,13 +1,16 @@
 """Production analysis paths against brute-force loop oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polytoep import operators
 from polytoep.analysis import (
+    _step,
     asymptotic_sequence,
     compactness_profile,
     cross_term_profile,
@@ -125,28 +128,131 @@ def test_oracle_equivalence_property(T):
     check_all_ops(T, None)
 
 
+def _eigensolver_spectra(mp: pytest.MonkeyPatch) -> list[np.ndarray]:
+    """Spy on the norm kernel's eigensolver: each input's full spectrum, taken before LAPACK overwrites it."""
+    seen = []
+    top = operators._top_eigenvalue
+
+    def spy(H):
+        seen.append(np.linalg.eigvalsh(H, UPLO="U"))
+        return top(H)
+
+    mp.setattr(operators, "_top_eigenvalue", spy)
+    return seen
+
+
+def check_family(norms, M: np.ndarray, windows, seen: list) -> None:
+    """One norm family of M against its reference windows, rebuilt one by one.
+
+    Each value is within `oracles.gram_bound` of the window's own SVD, 0.0
+    exactly on an empty window and |a| exactly on a single entry a.  The
+    kernel walks from the innermost window outward, and each eigensolver
+    input must be the Gram matrix, scaled by 4**-exp, of exactly the
+    window's cropped support: as many rows and columns as the support has
+    on the Gram side, and the support's squared singular values as its
+    spectrum.  One-column and empty windows need no eigensolver.
+    """
+    scan = operators._scan(M)
+    by_rows = np.count_nonzero(scan.rows) < np.count_nonzero(scan.cols)
+    solved = []
+    for got, W in zip(norms, windows, strict=True):
+        Wc = oracles.cropped(W)
+        want = oracles._norm(Wc)
+        assert abs(got - want) <= oracles.gram_bound(W), (got, want)
+        if Wc.size == 0:
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        if Wc.size == 1 and scan.exp is not None:
+            assert got == abs(Wc.item())
+        if scan.exp is not None and Wc.shape[0 if by_rows else 1] > 1:
+            solved.append(Wc)
+    assert len(seen) == len(solved)
+    for spectrum, Wc in zip(seen, reversed(solved)):
+        side = Wc.shape[0 if by_rows else 1]
+        assert spectrum.size == side
+        Ws = Wc * 2.0 ** -scan.exp
+        want = np.zeros(side)
+        want[: min(Wc.shape)] = np.linalg.svd(Ws, compute_uv=False) ** 2
+        want.sort()
+        tol = oracles.gram_bound(Ws) * oracles._norm(Ws)
+        assert np.abs(spectrum - want).max() <= tol
+    seen.clear()
+
+
+def check_families(T: TruncatedOperator, with_remainder: bool = True) -> None:
+    """Every step, cross-term and compactness family of T, and of its remainder, by `check_family`."""
+    box = T.box
+    matrices = [T]
+    if with_remainder:
+        matrices.append(T - toeplitz(recover_symbol(T).symbol, box))
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _eigensolver_spectra(mp)
+        for dirs in [(j,) for j in range(box.n)] + [tuple(range(box.n))]:
+            m_max = min(box.caps[j] for j in dirs)
+            if m_max:
+                norms = asymptotic_sequence(T, dirs, m_max).step_norms
+                check_family(norms, _step(T, dirs), oracles.step_windows(T, dirs, m_max), seen)
+        for K in matrices:
+            for i, j in itertools.product(range(box.n), repeat=2):
+                m_max = min(box.caps[i], box.caps[j])
+                norms = cross_term_profile(K, i, j, m_max).norms
+                check_family(norms, K.matrix, oracles.cross_windows(K, i, j, m_max), seen)
+            m_max = min(box.caps) + 1
+            norms = compactness_profile(K, m_max).values
+            check_family(norms, K.matrix, oracles.compactness_windows(K, m_max), seen)
+
+
 @settings(max_examples=200)
 @given(oracle_cases())
 def test_sequences_equal_per_window_references(T):
-    # Each sequence takes nested windows of one matrix cropped to its support;
-    # the references rebuild every window from the section, so the SVD inputs
-    # and hence the norms must be the same bit for bit.  The remainder after
-    # recovery is sparse on perturbed Toeplitz cases, the section itself dense.
+    # Each sequence takes nested windows of one matrix through one Gram
+    # matrix, summed in another order than a window's own SVD would see, so
+    # the values agree within the Gram bound rather than bit for bit; the
+    # support each eigenvalue is taken on is the reference window's, exactly.
+    # The remainder after recovery is sparse on perturbed Toeplitz cases, the
+    # section itself dense.
+    check_families(T)
+
+
+@st.composite
+def kernel_cases(draw):
+    """`oracle_cases` scaled by 1 or 1e+-200, real or complex, with rows, columns and entries zeroed.
+
+    Scaling the first half of the rows by 1e-160 as well spreads the
+    magnitudes too wide for one Gram matrix, which takes the SVD fallback.
+    """
+    T = draw(oracle_cases())
+    M = T.matrix * draw(st.sampled_from([1.0, 1e200, 1e-200]))
+    if draw(st.booleans()):
+        M = M.real.astype(draw(st.sampled_from([float, complex])))
+    d = M.shape[0]
+    M[: d // 2] *= draw(st.sampled_from([1.0, 1e-160]))
+    for axis, at in draw(st.lists(st.tuples(st.sampled_from([0, 1, 2]), st.integers(0, d - 1)), max_size=d)):
+        if axis == 0:
+            M[at, :] = 0
+        elif axis == 1:
+            M[:, at] = 0
+        else:
+            M[at, (at * 7 + 3) % d] = 0
+    return TruncatedOperator(T.box, T.p, M)
+
+
+@settings(max_examples=200)
+@given(kernel_cases())
+def test_norm_kernel_matches_svd_oracle(T):
+    check_families(T, with_remainder=False)
     box = T.box
-    for dirs in [(j,) for j in range(box.n)] + [tuple(range(box.n))]:
-        m_max = min(box.caps[j] for j in dirs)
-        assert asymptotic_sequence(T, dirs, m_max).step_norms == oracles.step_norms_reference(T, dirs, m_max)
-    remainder = T - toeplitz(recover_symbol(T).symbol, box)
-    for K in (T, remainder):
-        for i, j in itertools.product(range(box.n), repeat=2):
-            m_max = min(box.caps[i], box.caps[j])
-            assert cross_term_profile(K, i, j, m_max).norms == oracles.cross_norms_reference(K, i, j, m_max)
-        m_max = min(box.caps) + 1
-        assert compactness_profile(K, m_max).values == oracles.compactness_reference(K, m_max)
+    m_max = min(box.caps) + 1
+    first = compactness_profile(T, m_max).values
+    assert compactness_profile(T, m_max).values == first  # reruns are bit-identical
+    for i, j in itertools.product(range(box.n), repeat=2):
+        m = min(box.caps[i], box.caps[j])
+        assert cross_term_profile(T, i, j, m).norms == cross_term_profile(T, i, j, m).norms
 
 
 @pytest.mark.nightly
 def test_oracle_equivalence_exhaustive():
     rng = np.random.default_rng(2024)
     for box in oracles.all_boxes_up_to(64, max_n=3):
-        check_all_ops(random_operator(box, 1, rng), rng)
+        T = random_operator(box, 1, rng)
+        check_all_ops(T, rng)
+        check_families(T)
