@@ -46,6 +46,9 @@ LIMIT_TOL = 1e-6    # finite surrogates for norm-limit statements
 TIE_RTOL = 1e-12    # step norms this close to the largest, relative to it, count as tied
 _CHUNK = 1 << 14    # blocks gathered, or block pairs compared, per step of recover_symbol
 _PRUNE_RTOL = 1e-9  # relative slack of the diameter pruning bounds, far above their rounding
+# a Frobenius distance in this range came from squares that neither overflowed
+# nor lost a relevant bit to underflow
+_FRO_MIN, _FRO_MAX = 2.0**-484, 2.0**500
 
 
 def _block_norm_grid(D: np.ndarray, p: int) -> np.ndarray:
@@ -182,13 +185,18 @@ def _planar_diameters(v: np.ndarray, length: np.ndarray) -> np.ndarray:
         (xmax, umax - xmax), (umax - ymax, ymax), (wmin + ymax, ymax), (xmin, xmin - wmin),
         (xmin, umin - xmin), (umin - ymin, ymin), (wmax + ymin, ymin), (xmax, xmax - wmax),
     ]
-    reach2 = np.zeros(v.size)  # squared distance to the farthest vertex
-    for vx, vy in vertices:
-        np.maximum(reach2, np.square(x - vx[seg]) + np.square(y - vy[seg]), out=reach2)
     # the bounds carry rounding of a few ulps of the largest coordinate
     scale = np.maximum.reduce([xmax, -xmin, ymax, -ymin])
     need = np.maximum(diam * (1.0 - _PRUNE_RTOL) - 64 * np.finfo(float).eps * scale, 0.0)
-    keep = reach2 >= np.square(need)[seg]
+    # distances are squared in units of a power of two near the segment's
+    # scale (an exact change of units), so no square overflows and a
+    # segment at a tiny scale still prunes
+    rescale = np.ldexp(1.0, -np.frexp(scale)[1])
+    xs, ys = x * rescale[seg], y * rescale[seg]
+    reach2 = np.zeros(v.size)  # squared distance to the farthest vertex
+    for vx, vy in vertices:
+        np.maximum(reach2, np.square(xs - (vx * rescale)[seg]) + np.square(ys - (vy * rescale)[seg]), out=reach2)
+    keep = reach2 >= np.square(need * rescale)[seg]
     survivors = v[keep]
     for s, i, j in _pairs(np.bincount(seg[keep], minlength=length.size)):
         np.maximum.at(diam, s, np.abs(survivors[i] - survivors[j]))
@@ -202,7 +210,10 @@ def _spectral_diameters(blocks: np.ndarray, length: np.ndarray) -> np.ndarray:
     of each segment's widest pair (in Frobenius distance) gives a lower
     bound, and LAPACK runs only on the pairs whose Frobenius distance
     reaches it.  Each such pair is taken in both orders, as the maximum over
-    all ordered pairs does.
+    all ordered pairs does.  A pair whose sum of squares overflowed, or is
+    small enough that a square may have underflowed, is summed again in
+    units of a power of two near its largest part (an exact change of
+    units), so every Frobenius distance holds at any scale.
     """
     def norms(i, j):
         # B_j - B_i is -(B_i - B_j) but for the signs of zero entries, which
@@ -213,7 +224,13 @@ def _spectral_diameters(blocks: np.ndarray, length: np.ndarray) -> np.ndarray:
     diam = np.zeros(length.size)
     widest = np.empty(length.size)
     for s, i, j in _pairs(length):
-        fro = np.sqrt(np.square((blocks[i] - blocks[j]).view(float)).sum(axis=(1, 2)))
+        parts = (blocks[i] - blocks[j]).reshape(i.size, -1).view(float)
+        with np.errstate(over="ignore"):
+            fro = np.sqrt(np.square(parts).sum(axis=1))
+        if not (fro.min() >= _FRO_MIN and fro.max() <= _FRO_MAX):
+            redo = np.flatnonzero(~((fro >= _FRO_MIN) & (fro <= _FRO_MAX)))
+            unit = np.frexp(np.abs(parts[redo]).max(axis=1))[1]
+            fro[redo] = np.ldexp(np.sqrt(np.square(np.ldexp(parts[redo], -unit[:, None])).sum(axis=1)), unit)
         widest.fill(-1.0)
         np.maximum.at(widest, s, fro)
         top = np.flatnonzero(fro == widest[s])

@@ -242,8 +242,12 @@ def load_modelspace(path) -> ModelSpace:
 
 
 def dumps(obj) -> str:
-    """Canonical JSON: sorted keys, no trailing whitespace, repr-exact floats."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Canonical JSON on one line: sorted keys, repr-exact floats.
+
+    Without an indent the json module takes its C encoder, which writes a
+    long report several times faster than the pure-Python one.
+    """
+    return json.dumps(obj, sort_keys=True)
 
 
 def dumps_header(obj) -> str:

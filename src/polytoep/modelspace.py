@@ -25,9 +25,15 @@ BOUNDARY_NOTE = (
 )
 
 # Largest q whose invariance map takes the dense SVD.  The matrix-free probe
-# is faster from about q = 11 at n = 2 and 3 and from q = 20 at n = 1, where
-# the dense SVD still wins by at most 11 ms (q ladder in CHANGES.md).
+# is faster from about q = 10 at n = 3, q = 11 at n = 2 and q = 16 at n = 1,
+# where the dense SVD still wins by at most 7 ms (q ladder in CHANGES.md).
 DENSE_MAX_Q = 12
+
+# Smallest Krylov dimension of a Lanczos run in `invariance_kernel`.  At
+# b7*b7 (q = 91, n = 2) the matvecs fall from 461 at 20 to 385 at 32 but
+# only to 353 at 64, while each restart costs more; 28 and 32 were fastest
+# (ncv ladder in CHANGES.md).
+NCV = 32
 
 
 @dataclass(eq=False)
@@ -158,15 +164,36 @@ def _stacked_map_matrix(shifts: np.ndarray, q: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def _hermitian(X: np.ndarray) -> np.ndarray:
+    """Hermitian matrices with real coordinates X: (X + X^T)/2 + i (X - X^T)/2.
+
+    An isometry of R^{q x q} onto the Hermitian q x q matrices, each taken
+    with the real inner product Re tr(A* B); its inverse is A -> Re A + Im A.
+    """
+    Xt = np.swapaxes(X, -1, -2)
+    A = np.empty(X.shape, dtype=complex)
+    A.real = (X + Xt) / 2
+    A.imag = (X - Xt) / 2
+    return A
+
+
 def invariance_kernel(ms: ModelSpace, tol: float = 1e-8) -> InvarianceKernelReport:
     """Rigidity probe: sigma_min of the invariance map and how many sigma <= tol.
 
-    Dense SVD of the stacked matrix for q <= DENSE_MAX_Q.  Above it, Lanczos
-    (`eigsh`) on the normal map, matrix-free and started from a fixed seeded
-    vector so that reruns give identical reports.  Each run asks for k
-    eigenpairs, k = 1 first.  The singular values are those of the stacked
-    map on the orthonormalized Ritz vectors, not square roots of Ritz
-    values, which would lose half the digits near zero.  The directions
+    Dense SVD of the stacked matrix L for q <= DENSE_MAX_Q.  Above it,
+    Lanczos (`eigsh`, ARPACK's real symmetric `dsaupd`) on the normal map
+    restricted to the Hermitian matrices H, matrix-free and started from a
+    fixed seeded vector so that reruns give identical reports.  That half is
+    exact: L_i(A*) = L_i(A)*, so the normal map keeps H; C^{q x q} = H + iH is
+    orthogonal in Re tr(A* B), and multiplying by i carries L on H onto L on
+    iH, so L on H has the singular values of L, with the same multiplicities.
+    `_hermitian` gives H real coordinates, which makes the normal map a real
+    symmetric operator of size q^2.
+
+    Each run asks for k eigenpairs, k = 1 first, from a Krylov space of
+    dimension max(2k + 1, NCV).  The singular values are those of the
+    stacked map on the orthonormalized Ritz vectors, not square roots of
+    Ritz values, which would lose half the digits near zero.  The directions
     with sigma <= tol are locked and lifted out of the normal map, and the
     next run doubles k while all k were within tol.  The probe stops at the
     first run that finds none, so kernel_dim counts even the copies of a
@@ -187,35 +214,38 @@ def invariance_kernel(ms: ModelSpace, tol: float = 1e-8) -> InvarianceKernelRepo
         A = A[..., None, :, :]
         return A - SH @ A @ S
 
-    def normal(x):
-        R = stacked(x.reshape(q, q))
-        return (R - S @ R @ SH).sum(axis=0).reshape(-1)
+    def normal(x):  # coordinates of A in H -> coordinates of N(A)
+        R = stacked(_hermitian(x.reshape(q, q)))
+        image = (R - S @ R @ SH).sum(axis=0)
+        return (image.real + image.imag).reshape(-1)
 
     dim = q * q
-    locked = np.zeros((dim, 0), dtype=complex)  # orthonormal, each mapped within tol
+    locked = np.zeros((dim, 0))  # orthonormal, each mapped within tol
     lift = 4.0 * ms.n  # >= ||normal map||, since every ||C_i|| <= 1
     matvecs = 0
 
     def deflated(x):
         nonlocal matvecs
         matvecs += 1
-        return normal(x) + lift * (locked @ (locked.conj().T @ x))
+        return normal(x) + lift * (locked @ (locked.T @ x))
 
-    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=deflated, dtype=complex)
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=deflated, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(dim)
     sigma_min, resid, k = np.inf, None, 1
     while True:
-        vals, vecs = scipy.sparse.linalg.eigsh(op, k=k, which="SA", maxiter=20 * dim, tol=1e-10, v0=v0)
+        ncv = min(dim - 1, max(2 * k + 1, NCV))
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            op, k=k, which="SA", ncv=ncv, maxiter=20 * dim, tol=1e-10, v0=v0
+        )
         if resid is None:
             j = int(np.argmin(vals))
             resid = float(np.linalg.norm(normal(vecs[:, j]) - vals[j] * vecs[:, j]))
-        W = np.linalg.qr(vecs - locked @ (locked.conj().T @ vecs))[0]
-        images = stacked(W.T.reshape(k, q, q)).reshape(k, -1).T
-        _, sigma, Yh = np.linalg.svd(images, full_matrices=False)
+        W = np.linalg.qr(vecs - locked @ (locked.T @ vecs))[0]
+        images = stacked(_hermitian(W.T.reshape(k, q, q))).reshape(k, -1)
+        _, sigma, Yh = np.linalg.svd(np.hstack([images.real, images.imag]).T, full_matrices=False)
         sigma_min = min(sigma_min, float(sigma[-1]))
         small = sigma <= tol
-        locked = np.hstack([locked, W @ Yh[small].conj().T])
+        locked = np.hstack([locked, W @ Yh[small].T])
         if not small.any() or k == dim - 2:
             break
         if small.all():

@@ -291,6 +291,20 @@ def test_recover_matches_pairwise_oracle(case):
             assert np.abs(rec.symbol.coeff(f) - want).max() <= 1e-12 * scale, f
 
 
+@settings(max_examples=100)
+@given(diagonal_operators(), st.sampled_from([600, -600]))
+def test_recover_spreads_are_exact_at_extreme_scales(case, exponent):
+    # Scaling by 2^+-600 is exact, and squared coordinates at that scale would
+    # overflow or underflow; the prunes must still keep every diameter's ends.
+    T, blocks = case
+    scaled = TruncatedOperator(T.box, T.p, np.ldexp(T.matrix.real, exponent) + 1j * np.ldexp(T.matrix.imag, exponent))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = recover_symbol(scaled)
+    want = {f: pairwise_spread(np.ldexp(b.real, exponent) + 1j * np.ldexp(b.imag, exponent)) for f, b in blocks.items()}
+    assert rec.deviations == want
+
+
 def test_sequence_toeplitz_constant():
     rng = np.random.default_rng(3)
     sym = random_symbol(2, 2, rng=rng)

@@ -1,5 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polytoep import modelspace
 from polytoep.lattice import Box, enumerate_basis
@@ -198,8 +203,9 @@ def blaschke_pair(degree):
 
 
 # (theta, caps): q = 10, 16 (n = 1), 9, 16 (n = 2), 10, 14 (n = 3), one on each
-# side of the dense/Lanczos crossover per dimension; z^16 and z1z2z3 have
-# repeated singular values, b2*b2 has distinct ones.
+# side of the dense/Lanczos crossover per dimension, and q = 14 at p = 2;
+# z^16 and z1z2z3 have repeated singular values, b2*b2 has distinct ones, and
+# the p = 2 space is two copies of z1z2's, so each of its values is fourfold.
 PROBE_SPACES = [
     (monomial(1, (10,)), (12,)),
     (monomial(1, (16,)), (18,)),
@@ -207,6 +213,7 @@ PROBE_SPACES = [
     (blaschke_pair(2), (4, 4)),
     (monomial(3, (1, 1, 1)), (2, 1, 1)),
     (monomial(3, (1, 1, 1)), (2, 2, 1)),
+    (monomial(2, (1, 1), p=2), (3, 3)),
 ]
 
 
@@ -257,3 +264,66 @@ def test_compressed_shift_is_the_compression():
     assert not compressed_shift(spaces[2], 1).any()
     with pytest.raises(ValueError, match="out of range"):
         compressed_shift(spaces[0], 2)
+
+
+def eigsh_operators(ms, tol=1e-8):
+    """The operators `invariance_kernel` hands to eigsh, one per Lanczos run.
+
+    Each applies the normal map plus a lift of the directions locked when
+    the probe ended, none unless some singular value is within tol.
+    """
+    with mock.patch.object(scipy.sparse.linalg, "eigsh", wraps=scipy.sparse.linalg.eigsh) as spy:
+        invariance_kernel(ms, tol=tol)
+    return [call.args[0] for call in spy.call_args_list]
+
+
+# q = 13 (n = 2), 14 (n = 3), 16 (n = 1, repeated singular values), 14 (p = 2)
+HERMITIAN_SPACES = [
+    model_basis(monomial(2, (1, 1)), Box((6, 6))),
+    model_basis(monomial(3, (1, 1, 1)), Box((2, 2, 1))),
+    model_basis(monomial(1, (16,)), Box((18,))),
+    model_basis(monomial(2, (1, 1), p=2), Box((3, 3))),
+]
+
+
+def test_eigsh_gets_a_float64_operator():
+    ms = model_basis(monomial(1, (16,)), Box((18,)))  # 62 sigma <= 0.7: several runs
+    ops = eigsh_operators(ms, tol=0.7)
+    assert len(ops) > 1
+    for op in ops:
+        assert op.dtype == np.float64 and op.shape == (ms.q**2, ms.q**2)
+        assert op.matvec(np.ones(ms.q**2)).dtype == np.float64
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_hermitian_coordinates_are_an_isometry_onto_hermitian_matrices(q, seed):
+    rng = np.random.default_rng(seed)
+    X, Y = rng.standard_normal((2, q, q))
+    A, B = modelspace._hermitian(X), modelspace._hermitian(Y)
+    assert np.array_equal(A, A.conj().T)
+    assert np.allclose(A.real + A.imag, X, rtol=0, atol=1e-15 * np.abs(X).max())
+    inner = np.vdot(A, B).real  # Re tr(A* B)
+    assert abs(inner - np.vdot(X, Y)) <= 1e-12 * np.linalg.norm(X) * np.linalg.norm(Y)
+    H = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+    H = H + H.conj().T  # any Hermitian matrix is the image of its own coordinates
+    assert np.allclose(modelspace._hermitian(H.real + H.imag), H, rtol=0, atol=1e-15 * np.abs(H).max())
+
+
+@given(st.sampled_from(range(len(HERMITIAN_SPACES))), st.integers(0, 2**32 - 1))
+def test_normal_map_on_the_hermitian_half_is_symmetric(index, seed):
+    ms = HERMITIAN_SPACES[index]
+    normal = eigsh_operators(ms)[0].matvec
+    x, y = np.random.default_rng(seed).standard_normal((2, ms.q**2))
+    Nx, Ny = normal(x), normal(y)
+    scale = max(np.linalg.norm(Nx) * np.linalg.norm(y), np.linalg.norm(Ny) * np.linalg.norm(x))
+    assert abs(y @ Nx - x @ Ny) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("index", range(len(HERMITIAN_SPACES)))
+def test_hermitian_half_has_the_spectrum_of_the_normal_map(index):
+    # L on H has the singular values of L on C^{q x q}, multiplicities included
+    ms = HERMITIAN_SPACES[index]
+    normal = eigsh_operators(ms)[0].matvec
+    real = np.stack([normal(e) for e in np.eye(ms.q**2)], axis=1)
+    want = oracle_singular_values(ms)[::-1] ** 2
+    assert np.abs(np.linalg.eigvalsh((real + real.T) / 2) - want).max() <= 1e-12
