@@ -46,9 +46,6 @@ LIMIT_TOL = 1e-6    # finite surrogates for norm-limit statements
 TIE_RTOL = 1e-12    # step norms this close to the largest, relative to it, count as tied
 _CHUNK = 1 << 14    # blocks gathered, or block pairs compared, per step of recover_symbol
 _PRUNE_RTOL = 1e-9  # relative slack of the diameter pruning bounds, far above their rounding
-# a Frobenius distance in this range came from squares that neither overflowed
-# nor lost a relevant bit to underflow
-_FRO_MIN, _FRO_MAX = 2.0**-484, 2.0**500
 
 
 def _block_norm_grid(D: np.ndarray, p: int) -> np.ndarray:
@@ -190,13 +187,13 @@ def _planar_diameters(v: np.ndarray, length: np.ndarray) -> np.ndarray:
     need = np.maximum(diam * (1.0 - _PRUNE_RTOL) - 64 * np.finfo(float).eps * scale, 0.0)
     # distances are squared in units of a power of two near the segment's
     # scale (an exact change of units), so no square overflows and a
-    # segment at a tiny scale still prunes
-    rescale = np.ldexp(1.0, -np.frexp(scale)[1])
-    xs, ys = x * rescale[seg], y * rescale[seg]
+    # segment at a tiny scale, subnormal included, still prunes
+    unit = np.frexp(scale)[1]
+    xs, ys = np.ldexp(x, -unit[seg]), np.ldexp(y, -unit[seg])
     reach2 = np.zeros(v.size)  # squared distance to the farthest vertex
     for vx, vy in vertices:
-        np.maximum(reach2, np.square(xs - (vx * rescale)[seg]) + np.square(ys - (vy * rescale)[seg]), out=reach2)
-    keep = reach2 >= np.square(need * rescale)[seg]
+        np.maximum(reach2, np.square(xs - np.ldexp(vx, -unit)[seg]) + np.square(ys - np.ldexp(vy, -unit)[seg]), out=reach2)
+    keep = reach2 >= np.square(np.ldexp(need, -unit))[seg]
     survivors = v[keep]
     for s, i, j in _pairs(np.bincount(seg[keep], minlength=length.size)):
         np.maximum.at(diam, s, np.abs(survivors[i] - survivors[j]))
@@ -210,10 +207,13 @@ def _spectral_diameters(blocks: np.ndarray, length: np.ndarray) -> np.ndarray:
     of each segment's widest pair (in Frobenius distance) gives a lower
     bound, and LAPACK runs only on the pairs whose Frobenius distance
     reaches it.  Each such pair is taken in both orders, as the maximum over
-    all ordered pairs does.  A pair whose sum of squares overflowed, or is
-    small enough that a square may have underflowed, is summed again in
-    units of a power of two near its largest part (an exact change of
-    units), so every Frobenius distance holds at any scale.
+    all ordered pairs does.
+
+    Frobenius distances are summed in units of a power of two near the
+    segment's widest range of one real part (an exact change of units).  No
+    difference exceeds that range, so no square overflows, and the diameter
+    is at least that range, so the squares that underflow belong to pairs
+    far too close to end it.
     """
     def norms(i, j):
         # B_j - B_i is -(B_i - B_j) but for the signs of zero entries, which
@@ -221,22 +221,25 @@ def _spectral_diameters(blocks: np.ndarray, length: np.ndarray) -> np.ndarray:
         ij = np.linalg.norm(blocks[i] - blocks[j], ord=2, axis=(-2, -1))
         return np.maximum(ij, np.linalg.norm(blocks[j] - blocks[i], ord=2, axis=(-2, -1)))
 
+    starts, _ = _segments(length)
+    flat = blocks.reshape(blocks.shape[0], -1).view(float)
+    half_range = (0.5 * np.maximum.reduceat(flat, starts) - 0.5 * np.minimum.reduceat(flat, starts)).max(axis=1)
+    # clipped so that the factor is a normal number; the range stays within
+    # a few powers of two of one unit either way
+    unit = np.clip(np.frexp(half_range)[1] + 1, -1021, 1022)
+    factor = np.ldexp(1.0, -unit)
     diam = np.zeros(length.size)
     widest = np.empty(length.size)
     for s, i, j in _pairs(length):
         parts = (blocks[i] - blocks[j]).reshape(i.size, -1).view(float)
-        with np.errstate(over="ignore"):
-            fro = np.sqrt(np.square(parts).sum(axis=1))
-        if not (fro.min() >= _FRO_MIN and fro.max() <= _FRO_MAX):
-            redo = np.flatnonzero(~((fro >= _FRO_MIN) & (fro <= _FRO_MAX)))
-            unit = np.frexp(np.abs(parts[redo]).max(axis=1))[1]
-            fro[redo] = np.ldexp(np.sqrt(np.square(np.ldexp(parts[redo], -unit[:, None])).sum(axis=1)), unit)
+        parts *= factor[s][:, None]
+        fro = np.sqrt(np.square(parts).sum(axis=1))
         widest.fill(-1.0)
         np.maximum.at(widest, s, fro)
         top = np.flatnonzero(fro == widest[s])
         top = top[np.unique(s[top], return_index=True)[1]]
         np.maximum.at(diam, s[top], norms(i[top], j[top]))
-        cand = fro >= diam[s] * (1.0 - _PRUNE_RTOL)
+        cand = fro >= diam[s] * factor[s] * (1.0 - _PRUNE_RTOL)
         np.maximum.at(diam, s[cand], norms(i[cand], j[cand]))
     return diam
 

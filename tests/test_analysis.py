@@ -211,7 +211,7 @@ def test_recover_inf_spread_is_quiet():
 
 
 # How the entries of one diagonal vary about its base value.
-DIAGONAL_KINDS = ("constant", "real", "imaginary", "line", "circle", "signed-zero", "zero")
+DIAGONAL_KINDS = ("constant", "real", "imaginary", "line", "circle", "signed-zero", "zero", "tiny")
 
 
 def diagonal_values(kind: str, base: complex, rng, shape) -> np.ndarray:
@@ -226,6 +226,8 @@ def diagonal_values(kind: str, base: complex, rng, shape) -> np.ndarray:
         return np.round(4 * base) / 4 + (1 + 1j) * np.round(3 * t)
     if kind == "circle":  # every point a vertex of the hull
         return base + np.exp(2j * np.pi * rng.random(shape))
+    if kind == "tiny":  # real parts vary 2^-700 times as far as the entries reach
+        return 1j * base.imag + np.ldexp(t, -700)
     out = np.empty(shape, dtype=complex)  # constant up to the signs of zero parts
     out.real = base.real if kind == "signed-zero" else rng.choice([0.0, -0.0], shape)
     out.imag = rng.choice([0.0, -0.0], shape)
@@ -292,10 +294,11 @@ def test_recover_matches_pairwise_oracle(case):
 
 
 @settings(max_examples=100)
-@given(diagonal_operators(), st.sampled_from([600, -600]))
+@given(diagonal_operators(), st.sampled_from([600, -600, -1070]))
 def test_recover_spreads_are_exact_at_extreme_scales(case, exponent):
     # Scaling by 2^+-600 is exact, and squared coordinates at that scale would
-    # overflow or underflow; the prunes must still keep every diameter's ends.
+    # overflow or underflow; at 2^-1070 the entries are subnormal.  The prunes
+    # must still keep every diameter's ends.
     T, blocks = case
     scaled = TruncatedOperator(T.box, T.p, np.ldexp(T.matrix.real, exponent) + 1j * np.ldexp(T.matrix.imag, exponent))
     with warnings.catch_warnings():
