@@ -155,92 +155,60 @@ def _pairs(length: np.ndarray):
         yield seg[i], i, i + 1 + np.arange(i.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
 
 
-@np.errstate(invalid="ignore")
-def _planar_diameters(v: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """max |v_i - v_j| within each segment of complex points, bit for bit.
+def _frobenius(d: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each (p, p) block, overflow-free: np.abs of its entries, then of pairs of those.
 
-    The segment's extreme points along x, y, x + y and x - y attain a lower
-    bound D on the diameter, and the same extents bound an octagon holding
-    the segment.  A point farther than D from no vertex of that octagon ends
-    no diameter, so the pairwise maximum runs over the other points only.
-    An infinite point makes the spread NaN through inf - inf, as
-    `recover_symbol` states, so that invalid value raises no warning.
+    |x + iy| = hypot(x, y), so no square is formed, and for p = 1 this is |d|.
     """
+    a = np.abs(d.reshape(d.shape[0], d.shape[1] * d.shape[2]))
+    while a.shape[1] > 1:
+        if a.shape[1] % 2:
+            a = np.concatenate((a, np.zeros((a.shape[0], 1))), axis=1)
+        a = np.abs(a.view(complex))
+    return a[:, 0]
+
+
+def _diameters(blocks: np.ndarray, length: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """max ||B_i - B_j||_2 within each segment of finite (p, p) blocks, bit for bit.
+
+    For any point C, ||B_i - B_j||_2 <= r_i + r_j with r_i = ||B_i - C||_F.
+    With C the segment's centre and R its largest r_i, a block with
+    r_i + R below an attained diameter D ends no diameter, so the pairwise
+    maximum runs over the other blocks only, skipping the pairs with
+    r_i + r_j below D, and the exact distance is taken only on the pairs
+    whose Frobenius distance reaches D.  D is the distance from the block
+    farthest from C to the block farthest from that one.  Each pair is taken
+    in both orders, as the maximum over all ordered pairs does.
+    """
+    p = blocks.shape[1]
+
+    def dist(a, b):
+        if p == 1:
+            return np.abs(a - b)[:, 0, 0]
+        # b - a is -(a - b) but for the signs of zero entries, which can
+        # still move LAPACK's result by an ulp
+        return np.maximum(np.linalg.norm(a - b, ord=2, axis=(-2, -1)), np.linalg.norm(b - a, ord=2, axis=(-2, -1)))
+
+    def first_argmax(v):
+        return np.minimum.reduceat(np.where(v == np.maximum.reduceat(v, starts)[seg], at, at.size), starts)
+
     starts, seg = _segments(length)
-    x, y = v.real, v.imag
-    at = np.arange(v.size)
-    extents, extremes = [], []
-    for d in (x, y, x + y, x - y):
-        for reduce in (np.minimum, np.maximum):
-            e = reduce.reduceat(d, starts)
-            extents.append(e)
-            extremes.append(np.minimum.reduceat(np.where(d == e[seg], at, v.size), starts))
-    xmin, xmax, ymin, ymax, umin, umax, wmin, wmax = extents
-    ends = v[np.array(extremes)]
-    diam = np.abs(ends[:, None] - ends[None]).max(axis=(0, 1))
-    vertices = [
-        (xmax, umax - xmax), (umax - ymax, ymax), (wmin + ymax, ymax), (xmin, xmin - wmin),
-        (xmin, umin - xmin), (umin - ymin, ymin), (wmax + ymin, ymin), (xmax, xmax - wmax),
-    ]
-    # the bounds carry rounding of a few ulps of the largest coordinate
-    scale = np.maximum.reduce([xmax, -xmin, ymax, -ymin])
-    need = np.maximum(diam * (1.0 - _PRUNE_RTOL) - 64 * np.finfo(float).eps * scale, 0.0)
-    # distances are squared in units of a power of two near the segment's
-    # scale (an exact change of units), so no square overflows and a
-    # segment at a tiny scale, subnormal included, still prunes
-    unit = np.frexp(scale)[1]
-    xs, ys = np.ldexp(x, -unit[seg]), np.ldexp(y, -unit[seg])
-    reach2 = np.zeros(v.size)  # squared distance to the farthest vertex
-    for vx, vy in vertices:
-        np.maximum(reach2, np.square(xs - np.ldexp(vx, -unit)[seg]) + np.square(ys - np.ldexp(vy, -unit)[seg]), out=reach2)
-    keep = reach2 >= np.square(np.ldexp(need, -unit))[seg]
-    survivors = v[keep]
+    at = np.arange(seg.size)
+    r = _frobenius(blocks - centre[seg])
+    r[np.isnan(r)] = np.inf  # a mean whose sum overflowed to NaN bounds nothing
+    far = first_argmax(r)
+    mate = first_argmax(_frobenius(blocks - blocks[far][seg]))
+    diam = dist(blocks[far], blocks[mate])
+    # the bounds carry rounding of a few ulps, or at a subnormal scale of a
+    # few units of the smallest subnormal per entry
+    need = diam * (1.0 - _PRUNE_RTOL) - 4 * blocks[0].size * np.finfo(float).smallest_subnormal
+    keep = ~(r + np.maximum.reduceat(r, starts)[seg] < need[seg])
+    survivors, rk = blocks[keep], r[keep]
     for s, i, j in _pairs(np.bincount(seg[keep], minlength=length.size)):
-        np.maximum.at(diam, s, np.abs(survivors[i] - survivors[j]))
-    return diam
-
-
-def _spectral_diameters(blocks: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """max ||B_i - B_j||_2 within each segment of (p, p) blocks, bit for bit.
-
-    ||X||_2 <= ||X||_F, so within each chunk of pairs i < j the spectral norm
-    of each segment's widest pair (in Frobenius distance) gives a lower
-    bound, and LAPACK runs only on the pairs whose Frobenius distance
-    reaches it.  Each such pair is taken in both orders, as the maximum over
-    all ordered pairs does.
-
-    Frobenius distances are summed in units of a power of two near the
-    segment's widest range of one real part (an exact change of units).  No
-    difference exceeds that range, so no square overflows, and the diameter
-    is at least that range, so the squares that underflow belong to pairs
-    far too close to end it.
-    """
-    def norms(i, j):
-        # B_j - B_i is -(B_i - B_j) but for the signs of zero entries, which
-        # can still move LAPACK's result by an ulp
-        ij = np.linalg.norm(blocks[i] - blocks[j], ord=2, axis=(-2, -1))
-        return np.maximum(ij, np.linalg.norm(blocks[j] - blocks[i], ord=2, axis=(-2, -1)))
-
-    starts, _ = _segments(length)
-    flat = blocks.reshape(blocks.shape[0], -1).view(float)
-    half_range = (0.5 * np.maximum.reduceat(flat, starts) - 0.5 * np.minimum.reduceat(flat, starts)).max(axis=1)
-    # clipped so that the factor is a normal number; the range stays within
-    # a few powers of two of one unit either way
-    unit = np.clip(np.frexp(half_range)[1] + 1, -1021, 1022)
-    factor = np.ldexp(1.0, -unit)
-    diam = np.zeros(length.size)
-    widest = np.empty(length.size)
-    for s, i, j in _pairs(length):
-        parts = (blocks[i] - blocks[j]).reshape(i.size, -1).view(float)
-        parts *= factor[s][:, None]
-        fro = np.sqrt(np.square(parts).sum(axis=1))
-        widest.fill(-1.0)
-        np.maximum.at(widest, s, fro)
-        top = np.flatnonzero(fro == widest[s])
-        top = top[np.unique(s[top], return_index=True)[1]]
-        np.maximum.at(diam, s[top], norms(i[top], j[top]))
-        cand = fro >= diam[s] * factor[s] * (1.0 - _PRUNE_RTOL)
-        np.maximum.at(diam, s[cand], norms(i[cand], j[cand]))
+        ok = ~(rk[i] + rk[j] < need[s])  # the same bound, pair by pair
+        s, i, j = s[ok], i[ok], j[ok]
+        near = _frobenius(survivors[i] - survivors[j]) >= need[s]
+        np.maximum.at(diam, s[near], dist(survivors[i[near]], survivors[j[near]]))
     return diam
 
 
@@ -258,25 +226,22 @@ def _recover_diagonals(B4: np.ndarray, f: np.ndarray, length: np.ndarray, caps: 
     blocks = np.asarray(B4[col + (f @ stride)[seg], :, col, :], dtype=complex)
     parts = blocks.reshape(seg.size, -1).view(float)  # real and imaginary parts of every entry
     lo, hi = np.minimum.reduceat(parts, starts), np.maximum.reduceat(parts, starts)
-    nan = np.isnan(lo).any(axis=1)
+    bad = ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=1)  # an inf block minus itself is NaN
+    p = blocks.shape[1]
     flat = lo == hi
     const = flat.all(axis=1)
-    spread = np.where(nan, np.nan, 0.0)
-    vary = ~(const | nan)
-    p = blocks.shape[1]
-    if p == 1:
-        # with one part constant the pairwise maximum is the other part's
-        # max - min, since rounding a difference is monotone
-        line = vary & flat.any(axis=1)
-        spread[line] = (hi - lo)[line].max(axis=1)
-        plane = vary & ~line
-        if plane.any():
-            spread[plane] = _planar_diameters(blocks[plane[seg], 0, 0], length[plane])
-    elif vary.any():
-        spread[vary] = _spectral_diameters(blocks[vary[seg]], length[vary])
+    spread = np.where(bad, np.nan, 0.0)
+    vary = ~(const | bad)
+    # with one part of a scalar diagonal constant the pairwise maximum is the
+    # other part's max - min, since rounding a difference is monotone
+    line = vary & flat.any(axis=1) & (p == 1)
+    spread[line] = (hi - lo)[line].max(axis=1)
     coef = np.add.reduceat(blocks, starts)
     coef.real /= length[:, None, None]
     coef.imag /= length[:, None, None]
+    rest = vary & ~line
+    if rest.any():
+        spread[rest] = _diameters(blocks[rest[seg]], length[rest], coef[rest])
     coef[const] = blocks[starts[const]]
     return coef, spread
 
@@ -299,16 +264,18 @@ def recover_symbol(T: TruncatedOperator) -> SymbolRecovery:
     the representative keeps a constant diagonal bit-exact, so a Toeplitz
     part rebuilt from the symbol cancels it entry by entry.  The deviation
     map records each diagonal's spread, the largest distance between two of
-    its blocks in the spectral norm: zero exactly on constant diagonals and
-    NaN exactly on diagonals holding a NaN entry (infinite entries may add
-    NaN through inf - inf), so max_deviation is NaN whenever some spread is.
+    its blocks in the spectral norm: zero exactly on constant finite
+    diagonals and NaN exactly on diagonals with a non-finite part (the
+    pairwise maximum is NaN there too, since an infinite block minus itself
+    is NaN), so max_deviation is NaN whenever some spread is.
 
     One pass over the matrix, a bounded chunk of diagonals at a time, so the
     working memory does not grow with the box.  Spreads are exact, equal bit
-    for bit to the maximum over all pairs: a diagonal whose real or imaginary
-    parts are all equal spreads by the other part's range; otherwise
-    `_planar_diameters` (p = 1) or `_spectral_diameters` (p > 1) prune the
-    pairs that cannot attain the maximum and evaluate the rest.
+    for bit to the maximum over all pairs: a scalar diagonal whose real or
+    imaginary parts are all equal spreads by the other part's range; every
+    other diagonal goes to `_diameters`, which prunes by distance to the
+    diagonal's mean the blocks that cannot end a diameter and evaluates the
+    pairs of the rest.
     """
     box, p = T.box, T.p
     caps = np.asarray(box.caps, dtype=np.int64)

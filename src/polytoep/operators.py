@@ -123,6 +123,17 @@ def _corner(box: Box, m: int, p: int) -> np.ndarray:
     return _mask(box, p, (slice(0, m),) * box.n)
 
 
+def _table(sym: TorusSymbol, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
+    """Coefficient blocks at the frequencies -lo..hi, entry f + lo holding coeff(f); others are dropped."""
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    table = np.zeros(tuple(hi + lo + 1) + (sym.p, sym.p), dtype=complex)
+    for f, blk in sym.coefficients.items():
+        fa = np.asarray(f, dtype=np.int64)
+        if np.all((-lo <= fa) & (fa <= hi)):
+            table[tuple(fa + lo)] += blk
+    return table
+
+
 def _gather(sym: TorusSymbol, rows: Box, cols: Box) -> np.ndarray:
     """Flat block-major matrix of the blocks coeff(l - k), l in rows and k in cols.
 
@@ -130,12 +141,7 @@ def _gather(sym: TorusSymbol, rows: Box, cols: Box) -> np.ndarray:
     enter the matrix and are dropped.
     """
     n, p = rows.n, sym.p
-    lo, hi = np.asarray(cols.caps, dtype=np.int64), np.asarray(rows.caps, dtype=np.int64)
-    table = np.zeros(tuple(hi + lo + 1) + (p, p), dtype=complex)
-    for f, blk in sym.coefficients.items():
-        fa = np.asarray(f, dtype=np.int64)
-        if np.all((-lo <= fa) & (fa <= hi)):
-            table[tuple(fa + lo)] += blk
+    table = _table(sym, cols.caps, rows.caps)
     # open grids on the (l, a, k, b) axes of the matrix read as a tensor
     grids = np.ix_(*(np.arange(s) for s in _side(rows, p) + _side(cols, p)))
     l, a, k, b = grids[:n], grids[n], grids[n + 1 : -1], grids[-1]
@@ -159,11 +165,7 @@ def _fast_spectrum(op: TruncatedOperator) -> tuple[np.ndarray, tuple[int, ...]]:
     caps = op.box.caps
     embed = tuple(_next_pow2(2 * c + 1) for c in caps)
     grid = np.zeros(embed + (op.p, op.p), dtype=complex)
-    caps_arr = np.asarray(caps, dtype=np.int64)
-    for f, blk in op.symbol.coefficients.items():
-        fa = np.asarray(f, dtype=np.int64)
-        if np.all(np.abs(fa) <= caps_arr):
-            grid[tuple(fa % np.asarray(embed))] += blk
+    grid[np.ix_(*(np.arange(-c, c + 1) % e for c, e in zip(caps, embed)))] = _table(op.symbol, caps, caps)
     return np.fft.fftn(grid, axes=tuple(range(op.box.n))), embed
 
 

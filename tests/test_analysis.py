@@ -210,6 +210,37 @@ def test_recover_inf_spread_is_quiet():
             assert spread == pairwise_spread(np.diagonal(M, -f).reshape(-1, 1, 1)), f
 
 
+def test_recover_inf_block_spread_is_quiet():
+    # The p = 2 twin: a diagonal with an infinite entry spreads NaN without a
+    # warning, and every finite diagonal keeps its pairwise maximum.
+    rng = np.random.default_rng(14)
+    M = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    M[6, 2] = math.inf
+    T = TruncatedOperator(Box((5,)), 2, M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = recover_symbol(T)
+    blocks = M.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3)
+    for (f,), spread in rec.deviations.items():
+        if f == 2:
+            assert math.isnan(spread)
+        else:
+            assert spread == pairwise_spread(np.diagonal(blocks, -f).transpose(2, 0, 1)), f
+    assert math.isnan(rec.max_deviation)
+
+
+def test_recover_spread_survives_an_overflowing_mean():
+    # Finite entries near the top of the range: the diagonal's pairwise sum
+    # meets +inf and -inf, so its mean, the prune's centre, is NaN.  The
+    # spread is still the pairwise maximum.
+    v = np.repeat([1.7e308, -1.7e308], 100) + 1j * np.arange(200.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = recover_symbol(TruncatedOperator(Box((199,)), 1, np.diag(v)))
+        want = pairwise_spread(v.reshape(-1, 1, 1))
+    assert np.isnan(rec.symbol.coeff((0,)).item().real)
+    assert rec.deviations[(0,)] == want == math.inf
+
+
 # How the entries of one diagonal vary about its base value.
 DIAGONAL_KINDS = ("constant", "real", "imaginary", "line", "circle", "signed-zero", "zero", "tiny")
 
@@ -237,8 +268,8 @@ def diagonal_values(kind: str, base: complex, rng, shape) -> np.ndarray:
 @st.composite
 def diagonal_operators(draw):
     """An operator whose diagonals each follow one of DIAGONAL_KINDS, with its diagonals' blocks."""
-    n, p = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
-    top = {1: 10, 2: 3, 3: 2}[n] if p == 1 else {1: 8, 2: 2, 3: 1}[n]
+    n, p = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3]))
+    top = {1: {1: 10, 2: 3, 3: 2}, 2: {1: 8, 2: 2, 3: 1}, 3: {1: 5, 2: 1, 3: 1}}[p][n]
     box = Box(tuple(draw(st.lists(st.integers(0, top), min_size=n, max_size=n))))
     freqs = list(itertools.product(*(range(-c, c + 1) for c in box.caps)))
     kinds = draw(st.lists(st.sampled_from(DIAGONAL_KINDS), min_size=len(freqs), max_size=len(freqs)))
