@@ -20,7 +20,7 @@ from .analysis import (
     section,
     toeplitz_defect,
 )
-from .lattice import Box, MultiIndex, enumerate_basis, interior, position
+from .lattice import Box, MultiIndex, interior
 from .modelspace import (
     InvarianceKernelReport,
     ModelCompactnessReport,
@@ -54,8 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Box",
     "MultiIndex",
-    "enumerate_basis",
-    "position",
     "interior",
     "TorusSymbol",
     "InnerCertificate",

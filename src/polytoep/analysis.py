@@ -12,8 +12,9 @@ per variable (`_cut`) and a window of the matrix is a slice of that tensor
 (`_window`).  Each m-indexed norm sequence takes nested windows of one matrix
 built once (the one-step difference D_e, or the remainder) in one
 `operator_norm` call, each window's norm taken on its own nonzero rows and
-columns.  Decompose reads the remainder's support once (`_scan`) for c_m and
-every cross term.
+columns; window m is the rows and columns of depth at least m, a depth read
+off the rows' monomial exponents (`_exponents`).  Decompose reads the
+remainder's support once (`_scan`) for c_m and every cross term.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Box, MultiIndex, index_array, interior, strides
+from .lattice import Box, MultiIndex, interior
 from .operators import (
     TruncatedOperator,
     _check_directions,
-    _corner,
     _cut,
+    _exponents,
     _flat,
-    _mask,
     _scan,
     _Scan,
     _view,
@@ -111,9 +111,9 @@ def toeplitz_defect(T: TruncatedOperator, tol: float = EXACT_TOL) -> DefectRepor
         defects.append(dj)
         if not (dj <= overall or math.isnan(overall)):  # a NaN defect is the worst one
             overall = dj
-            inner = tuple(c + 1 - (i == j) for i, c in enumerate(box.caps))
-            at = np.unravel_index(int(np.argmax(grid)), inner + inner)
-            l, k = [int(x) for x in at[: box.n]], [int(x) for x in at[box.n :]]
+            x = _exponents(interior(box, 1, (j,)), 1)
+            r, c = np.unravel_index(int(np.argmax(grid)), grid.shape)
+            l, k = x[:, r].tolist(), x[:, c].tolist()
             witness = {
                 "direction": j,
                 "base": [l, k],
@@ -195,7 +195,6 @@ def _diameters(blocks: np.ndarray, length: np.ndarray, centre: np.ndarray) -> np
     starts, seg = _segments(length)
     at = np.arange(seg.size)
     r = _frobenius(blocks - centre[seg])
-    r[np.isnan(r)] = np.inf  # a mean whose sum overflowed to NaN bounds nothing
     far = first_argmax(r)
     mate = first_argmax(_frobenius(blocks - blocks[far][seg]))
     diam = dist(blocks[far], blocks[mate])
@@ -212,18 +211,19 @@ def _diameters(blocks: np.ndarray, length: np.ndarray, centre: np.ndarray) -> np
     return diam
 
 
-def _recover_diagonals(B4: np.ndarray, f: np.ndarray, length: np.ndarray, caps: np.ndarray, stride: np.ndarray):
-    """Coefficients and spreads of the diagonals with frequencies f (one row each)."""
+def _recover_diagonals(B4: np.ndarray, f: np.ndarray, length: np.ndarray, side: np.ndarray):
+    """Coefficients and spreads of the diagonals with frequencies f (one row each); side is caps + 1."""
     starts, seg = _segments(length)
-    # column positions along each diagonal in increasing order, so the first
+    # column exponents along each diagonal in increasing order, so the first
     # block of a diagonal is the one in its lowest column
     j = np.arange(seg.size) - starts[seg]
-    col = np.zeros(seg.size, dtype=np.int64)
-    for i in range(caps.size - 1, -1, -1):
-        radix = (caps[i] + 1 - np.abs(f[:, i]))[seg]
-        col += (j % radix + np.maximum(-f[:, i], 0)[seg]) * stride[i]
+    k = np.empty((side.size, seg.size), dtype=np.int64)
+    for i in range(side.size - 1, -1, -1):
+        radix = (side[i] - np.abs(f[:, i]))[seg]
+        k[i] = j % radix + np.maximum(-f[:, i], 0)[seg]
         j //= radix
-    blocks = np.asarray(B4[col + (f @ stride)[seg], :, col, :], dtype=complex)
+    col = np.ravel_multi_index(k, side)
+    blocks = np.asarray(B4[np.ravel_multi_index(k + f.T[:, seg], side), :, col, :], dtype=complex)
     parts = blocks.reshape(seg.size, -1).view(float)  # real and imaginary parts of every entry
     lo, hi = np.minimum.reduceat(parts, starts), np.maximum.reduceat(parts, starts)
     bad = ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=1)  # an inf block minus itself is NaN
@@ -232,16 +232,23 @@ def _recover_diagonals(B4: np.ndarray, f: np.ndarray, length: np.ndarray, caps: 
     const = flat.all(axis=1)
     spread = np.where(bad, np.nan, 0.0)
     vary = ~(const | bad)
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite diagonal whose sum overflows is redone below
+        coef = np.add.reduceat(blocks, starts)
+    coef.real /= length[:, None, None]
+    coef.imag /= length[:, None, None]
+    over = vary & ~np.isfinite(coef).all(axis=(1, 2))
+    if over.any():  # summed again scaled by 2**-e, exactly, with 2**e above every length: no partial sum overflows
+        e = int(length.max()).bit_length()
+        sums = np.add.reduceat(np.ldexp(blocks[over[seg]].view(float), -e), _segments(length[over])[0])
+        coef[over] = np.ldexp(sums / length[over, None, None], e).view(complex)
     # with one part of a scalar diagonal constant the pairwise maximum is the
     # other part's max - min, since rounding a difference is monotone
     line = vary & flat.any(axis=1) & (p == 1)
-    spread[line] = (hi - lo)[line].max(axis=1)
-    coef = np.add.reduceat(blocks, starts)
-    coef.real /= length[:, None, None]
-    coef.imag /= length[:, None, None]
     rest = vary & ~line
-    if rest.any():
-        spread[rest] = _diameters(blocks[rest[seg]], length[rest], coef[rest])
+    with np.errstate(over="ignore"):  # finite blocks farther apart than the largest float: inf is the pairwise answer
+        spread[line] = (hi - lo)[line].max(axis=1)
+        if rest.any():
+            spread[rest] = _diameters(blocks[rest[seg]], length[rest], coef[rest])
     coef[const] = blocks[starts[const]]
     return coef, spread
 
@@ -258,16 +265,16 @@ class SymbolRecovery:
 def recover_symbol(T: TruncatedOperator) -> SymbolRecovery:
     """Read a candidate symbol off the matrix diagonals.
 
-    The coefficient at frequency f is taken from the blocks with
-    row - col = f: a constant diagonal yields its first block (lowest column),
-    any other diagonal its mean.  The two agree in exact arithmetic; taking
-    the representative keeps a constant diagonal bit-exact, so a Toeplitz
-    part rebuilt from the symbol cancels it entry by entry.  The deviation
-    map records each diagonal's spread, the largest distance between two of
-    its blocks in the spectral norm: zero exactly on constant finite
-    diagonals and NaN exactly on diagonals with a non-finite part (the
-    pairwise maximum is NaN there too, since an infinite block minus itself
-    is NaN), so max_deviation is NaN whenever some spread is.
+    The coefficient at frequency f is taken from the blocks with row - col = f:
+    a constant diagonal yields its first block (lowest column), any other
+    diagonal its mean, finite when its blocks are.  The two agree in exact
+    arithmetic; taking the representative keeps a constant diagonal bit-exact,
+    so a Toeplitz part rebuilt from the symbol cancels it entry by entry.  The
+    deviation map records each diagonal's spread, the largest distance between
+    two of its blocks in the spectral norm: zero exactly on constant finite
+    diagonals and NaN exactly on diagonals with a non-finite part (the pairwise
+    maximum is NaN there too, since an infinite block minus itself is NaN), so
+    max_deviation is NaN whenever some spread is.
 
     One pass over the matrix, a bounded chunk of diagonals at a time, so the
     working memory does not grow with the box.  Spreads are exact, equal bit
@@ -279,14 +286,13 @@ def recover_symbol(T: TruncatedOperator) -> SymbolRecovery:
     """
     box, p = T.box, T.p
     caps = np.asarray(box.caps, dtype=np.int64)
-    freqs = index_array(Box(tuple(2 * c for c in box.caps))) - caps
+    freqs = _exponents(Box(tuple(2 * c for c in box.caps)), 1).T - caps
     length = np.prod(caps + 1 - np.abs(freqs), axis=1)
-    stride = np.asarray(strides(box), dtype=np.int64)
     B4 = T.matrix.reshape(box.dim, p, box.dim, p)
     coef = np.empty((len(freqs), p, p), dtype=complex)
     spread = np.empty(len(freqs))
     for lo, hi in _spans(length):
-        coef[lo:hi], spread[lo:hi] = _recover_diagonals(B4, freqs[lo:hi], length[lo:hi], caps, stride)
+        coef[lo:hi], spread[lo:hi] = _recover_diagonals(B4, freqs[lo:hi], length[lo:hi], caps + 1)
     keys = [tuple(f) for f in freqs.tolist()]
     nonzero = coef.reshape(len(keys), -1).any(axis=1)
     coeffs = {f: coef[i] for i, f in enumerate(keys) if nonzero[i]}
@@ -338,9 +344,8 @@ def asymptotic_sequence(
     # the directions to be at least 1, which m_max >= 1 guarantees
     step_norms: list[float] = []
     if m_max:
-        inner = interior(T.box, 1, directions)
-        cuts = [_mask(inner, T.p, _cut(inner, directions, m, 0)) for m in range(m_max)]
-        step_norms = operator_norm(_step(T, directions), [(c, c) for c in cuts])
+        depth = _exponents(interior(T.box, 1, directions), T.p)[list(directions)].min(axis=0)
+        step_norms = operator_norm(_step(T, directions), (depth, depth, m_max))
     cauchy = bool(step_norms) and step_norms[-1] <= tol
     return AsymptoticSequence(
         directions=directions,
@@ -379,11 +384,8 @@ def cross_term_profile(
         raise ValueError(f"m_max = {m_max} must be nonnegative")
     if m_max > min(box.caps[i], box.caps[j]):
         raise ValueError(f"m_max = {m_max} too deep for directions ({i}, {j})")
-    cuts = [
-        (_mask(box, K.p, _cut(box, (i,), m, 0)), _mask(box, K.p, _cut(box, (j,), m, 0)))
-        for m in range(1, m_max + 1)
-    ]
-    norms = operator_norm(K.matrix, cuts, scan)
+    x = _exponents(box, K.p)
+    norms = operator_norm(K.matrix, (x[i] - 1, x[j] - 1, m_max), scan)
     return CrossTermProfile(i=i, j=j, norms=norms)
 
 
@@ -418,21 +420,23 @@ def compactness_profile(
 ) -> CompactnessProfile:
     """Norms of T compressed outside growing corner projectors F_m, m = 0..m_max.
 
-    scan is `operators._scan(T.matrix)` when the caller already holds it.
+    Each window contains the next, so c_m cannot rise in exact arithmetic,
+    and a check that the values fall could fail only through rounding.  The
+    verdict is the last value within tol, with every value finite: a NaN or
+    infinite entry leaves its windows without a finite norm.  scan is
+    `operators._scan(T.matrix)` when the caller already holds it.
     """
     box, p = T.box, T.p
     if m_max < 0 or m_max > min(box.caps) + 1:
         raise ValueError(f"m_max = {m_max} outside [0, {min(box.caps) + 1}]")
-    outside = [~_corner(box, m, p) for m in range(m_max + 1)]
-    values = operator_norm(T.matrix, [(o, o) for o in outside], scan)
-    monotone = all(values[i + 1] <= values[i] + 10.0 * tol for i in range(len(values) - 1))
-    verdict = values[-1] <= tol and monotone
+    depth = _exponents(box, p).max(axis=0)
+    values = operator_norm(T.matrix, (depth, depth, m_max + 1), scan)
     return CompactnessProfile(
         ms=list(range(m_max + 1)),
         values=values,
         tol=tol,
         m_max=m_max,
-        verdict=verdict,
+        verdict=values[-1] <= tol and all(map(math.isfinite, values)),
     )
 
 

@@ -3,14 +3,12 @@
 A multi-index is a plain tuple of ints.  Exponents of basis monomials are
 nonnegative; symbol frequencies may be negative.  A :class:`Box` fixes
 per-variable degree caps and therefore a finite section of the monomial
-basis, enumerated in row-major order with the last variable fastest.
+basis; its layout as matrix rows belongs to `operators`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,39 +39,6 @@ class Box:
         for c in self.caps:
             out *= c + 1
         return out
-
-    def contains(self, k: MultiIndex) -> bool:
-        return len(k) == self.n and all(0 <= ki <= ci for ki, ci in zip(k, self.caps))
-
-
-def enumerate_basis(box: Box) -> list[MultiIndex]:
-    """All in-box multi-indices in row-major order (last coordinate fastest)."""
-    return list(itertools.product(*(range(c + 1) for c in box.caps)))
-
-
-@lru_cache(maxsize=256)
-def index_array(box: Box) -> np.ndarray:
-    """Enumeration as a read-only (N, n) int array, cached per box."""
-    arr = np.array(enumerate_basis(box), dtype=np.int64).reshape(box.dim, box.n)
-    arr.flags.writeable = False
-    return arr
-
-
-def strides(box: Box) -> tuple[int, ...]:
-    """Mixed-radix weights so that position(k) = sum(k_i * stride_i)."""
-    out = [1] * box.n
-    for i in range(box.n - 2, -1, -1):
-        out[i] = out[i + 1] * (box.caps[i + 1] + 1)
-    return tuple(out)
-
-
-def position(box: Box, k: MultiIndex) -> int:
-    """Ordinal of ``k`` in enumerate_basis(box); inverse of enumeration."""
-    if len(k) != box.n:
-        raise ValueError(f"index {k} has length {len(k)}, box has dimension {box.n}")
-    if not box.contains(k):
-        raise ValueError(f"index {k} outside box caps {box.caps}")
-    return int(sum(ki * si for ki, si in zip(k, strides(box))))
 
 
 def interior(box: Box, m: int, directions: tuple[int, ...] | None = None) -> Box:

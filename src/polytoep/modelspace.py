@@ -99,8 +99,9 @@ def model_basis(theta: TorusSymbol, box: Box, tol: float = 1e-10, grid_sizes=Non
     cert = is_inner(theta, grid_sizes=grid_sizes, tol=tol)
     if not cert.passed:
         raise ValueError(
-            f"inner certification failed: deviation {cert.max_deviation:.3e} "
-            f"> tolerance {cert.tolerance:.3e}"
+            f"inner certification failed: deviation {cert.max_deviation:.3e} at grid point "
+            f"[{', '.join(f'{t:.6g}' for t in cert.worst_point)}] > tolerance {cert.tolerance:.3e} "
+            f"(requested {cert.requested_tol:.3e} + tail allowance {cert.tail_allowance:.3e})"
         )
     cols = _gather(theta, box, _safe_box(theta, box))
     if _is_selection(cols):

@@ -1,17 +1,18 @@
 """Dense (block) operators on a truncated monomial basis.
 
-The matrix of an operator lives on C^(p*N) with block-major layout: row
-index = p * position(l) + component.  This module owns that layout: the
-matrix reads as a tensor with axes (d_1 + 1, ..., d_n + 1, p) on each side
-(`_side`), a shifted sub-box is one slice per variable (`_cut`), a window of
-the matrix is a slice of the tensor (`_window`), and a sub-box or the corner
-of small exponents is a row mask (`_mask`, `_corner`).  The norms of a
-nested family of windows of one matrix are taken in one `operator_norm`
-call, each the root of one top eigenvalue of a Gram matrix grown from the
-innermost window outward.  Multilevel Toeplitz operators are gathered
-directly from symbol coefficients (block (l, k) = coeff(l - k), `_gather`),
-and their matvec has a fast path through an n-dimensional circulant
-embedding.
+The matrix of an operator lives on C^(p*N) with block-major layout: the
+monomials z^l in row-major order (last variable fastest), each repeated for
+the p components.  This module owns that layout: the matrix reads as a
+tensor with axes (d_1 + 1, ..., d_n + 1, p) on each side (`_side`), a
+shifted sub-box is one slice per variable (`_cut`), a window of the matrix
+is a slice of the tensor (`_window`), and every other row set is read off
+the exponents l of each row (`_exponents`).  The norms of a nested family
+of windows of one matrix, window k holding the rows and columns of depth at
+least k, are taken in one `operator_norm` call, each the root of one top
+eigenvalue of a Gram matrix grown from the innermost window outward.
+Multilevel Toeplitz operators are gathered directly from symbol coefficients
+(block (l, k) = coeff(l - k), `_gather`), and their matvec has a fast path
+through an n-dimensional circulant embedding.
 """
 
 from __future__ import annotations
@@ -111,16 +112,9 @@ def _window(T: TruncatedOperator, rows: tuple[slice, ...], cols: tuple[slice, ..
     return _flat(_view(T, rows, cols))
 
 
-def _mask(box: Box, p: int, cut: tuple[slice, ...]) -> np.ndarray:
-    """Block-major row mask of the sub-box cut out by one slice per variable."""
-    mask = np.zeros(_side(box, p), dtype=bool)
-    mask[cut] = True
-    return mask.reshape(-1)
-
-
-def _corner(box: Box, m: int, p: int) -> np.ndarray:
-    """Block-major row mask of the monomials with every exponent below m."""
-    return _mask(box, p, (slice(0, m),) * box.n)
+def _exponents(box: Box, p: int) -> np.ndarray:
+    """Exponents of the monomial of each block-major row, as an (n, p*N) array."""
+    return np.indices(_side(box, p))[:-1].reshape(box.n, -1)
 
 
 def _table(sym: TorusSymbol, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
@@ -267,44 +261,39 @@ def _top_eigenvalue(H: np.ndarray) -> float:
     return float(w[0])
 
 
-def _depths(masks) -> np.ndarray:
-    """Index of the innermost of the nested masks holding each entry, -1 for none."""
-    return np.sum(masks, axis=0) - 1
-
-
-def _gram_norms(M: np.ndarray, cuts, scan: _Scan) -> list[float]:
+def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: int, scan: _Scan) -> list[float]:
     """Each window's norm as the root of the top eigenvalue of one growing Gram matrix.
 
     The Gram matrix G = X* X is over M's nonzero columns (its rows when they
-    are fewer: the singular values of M.T are M's), in order of the innermost
-    cut holding them, so every window's columns lead.  Walking from the
-    innermost cut outward, each shell of new rows X is added as G += X* X by
-    one `herk`, so every entry is a plain sum of products, never a
-    difference.  A window's squared norm is the top eigenvalue of G on its
-    own nonzero columns, the ones whose diagonal entry is positive.  Entries
-    are scaled by 2**-exp, exactly, first.  G spans all nonzero columns, not
-    only the outermost window's, so two families of one matrix with the same
-    inner windows (c_m and the n = 1 cross term) share every bit of them.
+    are fewer: the singular values of M.T are M's), deepest first, so every
+    window's columns lead.  Walking from the innermost window outward, each
+    shell of new rows X is added as G += X* X by one `herk`, so every entry
+    is a plain sum of products, never a difference.  A window's squared norm
+    is the top eigenvalue of G on its own nonzero columns, the ones whose
+    diagonal entry is positive.  Entries are scaled by 2**-exp, exactly,
+    first.  G spans all nonzero columns, not only the outermost window's, so
+    two families of one matrix with the same inner windows (c_m and the
+    n = 1 cross term) share every bit of them.
     """
-    if not cuts:
+    if not count:
         return []
     rows, cols = scan.rows, scan.cols
     if np.count_nonzero(rows) < np.count_nonzero(cols):
-        M, cuts, rows, cols = M.T, [(c, r) for r, c in cuts], cols, rows
+        M, rdepth, cdepth, rows, cols = M.T, cdepth, rdepth, cols, rows
     src = M.real if scan.real and np.iscomplexobj(M) else M
     dtype = float if scan.real else complex
-    rdepth, cdepth = _depths([r for r, _ in cuts]), _depths([c for _, c in cuts])
+    rdepth, cdepth = np.minimum(rdepth, count - 1), np.minimum(cdepth, count - 1)
     ri = np.flatnonzero(rows & (rdepth >= 0))
     ri = ri[np.argsort(-rdepth[ri], kind="stable")]
     ci = np.flatnonzero(cols)
     ci = ci[np.argsort(-cdepth[ci], kind="stable")]
-    levels = -np.arange(len(cuts))
+    levels = -np.arange(count)
     nrows = np.searchsorted(-rdepth[ri], levels, side="right")  # rows of window k: ri[:nrows[k]]
     ncols = np.searchsorted(-cdepth[ci], levels, side="right")  # its columns: the first ncols[k] of ci
     herk = blas.dsyrk if scan.real else blas.zherk
     G = np.zeros((ci.size, ci.size), dtype=dtype, order="F")
-    norms, done = [0.0] * len(cuts), 0
-    for k in reversed(range(len(cuts))):
+    norms, done = [0.0] * count, 0
+    for k in reversed(range(count)):
         if nrows[k] > done:
             X = np.asarray(src[np.ix_(ri[done : nrows[k]], ci)], dtype=dtype)
             np.ldexp(X.view(float), -scan.exp, out=X.view(float))
@@ -328,13 +317,15 @@ def _gram_norms(M: np.ndarray, cuts, scan: _Scan) -> list[float]:
     return norms
 
 
-def operator_norm(matrix: np.ndarray, cuts=None, scan: _Scan | None = None):
+def operator_norm(matrix: np.ndarray, family: tuple[np.ndarray, np.ndarray, int] | None = None, scan: _Scan | None = None):
     """Largest singular value of a matrix, or of each of its nested windows.
 
-    Without cuts, the norm of the whole matrix as a float.  With cuts, a list
-    of (row mask, column mask) pairs each containing the next, the list of
-    the norms of those windows, in order.  scan is `_scan(matrix)` when the
-    caller already holds it.
+    Without a family, the norm of the whole matrix as a float.  With a
+    family (row depths, column depths, count), the list of the norms of
+    windows k = 0..count - 1, window k being the rows and the columns of
+    depth at least k: each window contains the next, a depth of count or
+    more puts its row or column in every window, and a negative one in none.
+    scan is `_scan(matrix)` when the caller already holds it.
 
     A window's norm is taken on its nonzero rows x columns and is 0.0 when
     there are none.  Each is the root of the top eigenvalue of one Gram
@@ -346,15 +337,16 @@ def operator_norm(matrix: np.ndarray, cuts=None, scan: _Scan | None = None):
     away.
     """
     M = np.asarray(matrix)
-    whole = cuts is None
+    whole = family is None
     if whole:
-        cuts = [(np.ones(M.shape[0], dtype=bool), np.ones(M.shape[1], dtype=bool))]
+        family = (np.zeros(M.shape[0], dtype=np.int64), np.zeros(M.shape[1], dtype=np.int64), 1)
+    rdepth, cdepth, count = family
     if scan is None:
         scan = _scan(M)
     if scan.exp is None:
-        norms = [_svd_norm(M[np.ix_(r & scan.rows, c & scan.cols)]) for r, c in cuts]
+        norms = [_svd_norm(M[np.ix_((rdepth >= k) & scan.rows, (cdepth >= k) & scan.cols)]) for k in range(count)]
     else:
-        norms = _gram_norms(M, cuts, scan)
+        norms = _gram_norms(M, rdepth, cdepth, count, scan)
     return norms[0] if whole else norms
 
 

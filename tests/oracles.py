@@ -2,8 +2,11 @@
 
 Everything here walks index pairs one at a time through position lookups and
 takes norms with a full dense SVD, deliberately avoiding the vectorized
-gather paths used by the production code.  The `*_windows` functions are
-the exception: they rebuild each window of an m-indexed sequence from the
+gather paths used by the production code.  The box layout is the oracles'
+own too: `enumerate_basis` lists the monomials with `itertools.product` and
+`position` counts a monomial's ordinal digit by digit, so no oracle shares
+index arithmetic with `operators`.  The `*_windows` functions are the
+exception: they rebuild each window of an m-indexed sequence from the
 section, so the production sequences, which take every window of one fixed
 matrix in one pass, can be held to each window's own SVD within
 `gram_bound`.
@@ -15,11 +18,28 @@ import itertools
 
 import numpy as np
 
-from polytoep.lattice import Box, enumerate_basis, position
-from polytoep.operators import TruncatedOperator, _corner, _cut, _window
+from polytoep.lattice import Box
+from polytoep.operators import TruncatedOperator, _cut, _window
 from polytoep.symbols import TorusSymbol
 
 EPS = np.finfo(float).eps
+
+
+def enumerate_basis(box: Box) -> list[tuple[int, ...]]:
+    """All in-box multi-indices in row-major order (last coordinate fastest)."""
+    return list(itertools.product(*(range(c + 1) for c in box.caps)))
+
+
+def position(box: Box, k) -> int:
+    """Ordinal of k in enumerate_basis(box), one mixed-radix digit per variable."""
+    if len(k) != box.n:
+        raise ValueError(f"index {k} has length {len(k)}, box has dimension {box.n}")
+    if not all(0 <= ki <= ci for ki, ci in zip(k, box.caps)):
+        raise ValueError(f"index {k} outside box caps {box.caps}")
+    out = 0
+    for ki, ci in zip(k, box.caps):
+        out = out * (ci + 1) + ki
+    return out
 
 
 def _blk(T: TruncatedOperator, l, k) -> np.ndarray:
@@ -165,7 +185,7 @@ def compactness_windows(T: TruncatedOperator, m_max: int) -> list[np.ndarray]:
     """For m = 0..m_max, the principal submatrix outside the corner, copied whole."""
     out = []
     for m in range(m_max + 1):
-        outside = ~_corner(T.box, m, T.p)
+        outside = np.repeat([max(k) >= m for k in enumerate_basis(T.box)], T.p)
         out.append(T.matrix[np.ix_(outside, outside)])
     return out
 
@@ -216,7 +236,7 @@ def shift_oracle(box: Box, direction: int, p: int) -> np.ndarray:
     out = np.zeros((p * box.dim, p * box.dim), dtype=complex)
     for k in enumerate_basis(box):
         target = tuple(x + (i == direction) for i, x in enumerate(k))
-        if box.contains(target):
+        if target[direction] <= box.caps[direction]:
             r, c = position(box, target) * p, position(box, k) * p
             for a in range(p):
                 out[r + a, c + a] = 1.0

@@ -177,6 +177,20 @@ def test_compactness_csv(tmp_path):
     assert len(lines) == 5
 
 
+def test_modelspace_refusal_names_the_worst_point(tmp_path, capsys):
+    # |(1 + z)/2| = |cos(t/2)| falls to 0 at t = pi, the worst point of the grid
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({
+        "n": 1, "p": 1, "tail_bound": 1e-3,
+        "coefficients": [{"k": [0], "re": [[0.5]], "im": [[0.0]]}, {"k": [1], "re": [[0.5]], "im": [[0.0]]}],
+    }))
+    argv = ["modelspace", "--theta", str(theta), "--caps", "5", "--out", str(tmp_path / "Q.ms")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "at grid point [3.14159]" in err and "tail allowance 1.000e-03" in err
+    assert not (tmp_path / "Q.ms").exists()
+
+
 def test_modelspace_invariance_model_compactness(tmp_path, capsys):
     theta = tmp_path / "theta.json"
     assert main(["symbol", "--monomial", "1,1", "--out", str(theta)]) == 0

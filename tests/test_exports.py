@@ -12,7 +12,6 @@ ENTRY_POINTS = {("cli", "main"), ("cli", "entrypoint")}
 # exported with no caller in the program, each for a stated reader
 UNCALLED = {
     "apply_fast": "acceptance criterion 8 checks the fast matvec",
-    "position": "the loop oracles look up block positions with it",
 }
 
 

@@ -1,8 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from polytoep.lattice import Box, enumerate_basis, interior, position
+from polytoep.lattice import Box, interior
+from polytoep.operators import _exponents
+
+from oracles import enumerate_basis, position
 
 
 def test_enumeration_row_major():
@@ -34,6 +38,16 @@ def test_position_inverts_enumeration():
         box = Box(caps)
         for j, k in enumerate(enumerate_basis(box)):
             assert position(box, k) == j
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("caps", [(0,), (4,), (0, 0), (2, 0), (0, 3), (2, 3), (0, 0, 0), (1, 0, 2), (2, 1, 2)])
+def test_exponents_list_the_monomials_row_major(caps, p):
+    # the program's one exponent grid against the oracles' own enumeration:
+    # row r of the block-major layout holds monomial r // p
+    box = Box(caps)
+    want = np.repeat(np.array(enumerate_basis(box), dtype=np.int64).reshape(box.dim, box.n), p, axis=0)
+    assert np.array_equal(_exponents(box, p).T, want)
 
 
 def test_interior_examples():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polytoep import modelspace
-from polytoep.lattice import Box, enumerate_basis
+from polytoep.lattice import Box
 from polytoep.modelspace import (
     compressed_shift,
     invariance_kernel,
@@ -17,7 +17,7 @@ from polytoep.modelspace import (
 from polytoep.operators import _gather
 from polytoep.symbols import blaschke_factor, from_coefficients, product_inner
 
-from oracles import analytic_columns_oracle, shift_oracle, stacked_invariance_oracle
+from oracles import analytic_columns_oracle, enumerate_basis, shift_oracle, stacked_invariance_oracle
 
 
 def monomial(n, k, p=1):

@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytoep.lattice import Box, enumerate_basis
+from polytoep.lattice import Box
 from polytoep.operators import (
     TruncatedOperator,
-    _corner,
+    _exponents,
     _scan,
     apply_fast,
     compress,
@@ -18,7 +18,13 @@ from polytoep.operators import (
 )
 from polytoep.symbols import from_coefficients, random_symbol
 
-from oracles import _blk, layer_projector_oracle, shift_oracle
+import oracles
+from oracles import _blk, enumerate_basis, layer_projector_oracle, shift_oracle
+
+
+def corner(box: Box, m: int, p: int = 1) -> np.ndarray:
+    """Diagonal 0/1 matrix on the rows whose monomial has every exponent below m, read off `_exponents`."""
+    return np.diag(_exponents(box, p).max(axis=0) < m).astype(float)
 
 
 def test_toeplitz_constant_is_identity():
@@ -69,13 +75,13 @@ def test_shift_equals_toeplitz_of_coordinate():
 @pytest.mark.parametrize("caps", [(0,), (3,), (2, 0), (0, 3), (2, 3), (1, 0, 2)])
 def test_shift_and_layer_projector_match_loop_oracles(caps, p):
     # the shift is the section of the coordinate symbol z_j I_p, the layer
-    # projector the diagonal of the corner mask
+    # projector the complement of c_m's window
     box = Box(caps)
     for j in range(box.n):
         z_j = from_coefficients(box.n, p, [(tuple(int(i == j) for i in range(box.n)), np.eye(p))])
         assert np.array_equal(toeplitz(z_j, box).matrix, shift_oracle(box, j, p))
     for m in range(min(caps) + 2):
-        F = np.diag(_corner(box, m, p))
+        F = corner(box, m, p)
         assert np.array_equal(F, layer_projector_oracle(box, m, p))
         assert int(np.trace(F)) == p * m**box.n
 
@@ -87,7 +93,7 @@ def test_layer_projector_product_formula():
         for i in range(2):
             Sm = np.linalg.matrix_power(shift_oracle(box, i, 1), m)
             prod = prod @ (np.eye(box.dim) - Sm @ Sm.conj().T)
-        assert np.abs(prod - np.diag(_corner(box, m, 1))).max() == 0.0
+        assert np.abs(prod - corner(box, m)).max() == 0.0
 
 
 def test_inclusion_exclusion_small():
@@ -103,7 +109,7 @@ def test_inclusion_exclusion_small():
                         prod = prod @ shift_oracle(box, i, 1)
                     prod_m = np.linalg.matrix_power(prod, m)
                     total += (-1) ** (size + 1) * prod_m @ prod_m.conj().T
-            lhs = np.eye(box.dim) - np.diag(_corner(box, m, 1))
+            lhs = np.eye(box.dim) - corner(box, m)
             assert np.abs(lhs - total).max() <= 1e-13
 
 
@@ -166,7 +172,7 @@ def test_operator_norm_examples():
     e0 = np.zeros((5, 5), dtype=complex)
     e0[0, 0] = 1
     assert operator_norm(e0) == pytest.approx(1.0, abs=1e-12)
-    proj = np.diag(_corner(Box((3, 3)), 2, 1)).astype(complex)
+    proj = corner(Box((3, 3)), 2).astype(complex)
     assert abs(operator_norm(proj) - 1.0) <= 1e-12
 
 
@@ -217,10 +223,9 @@ def test_operator_norm_single_entry_and_single_row():
     assert operator_norm(M) == pytest.approx(np.linalg.norm(M[2]), rel=1e-12)
 
 
-def _nested_masks(d: int) -> list:
-    """Cuts from 0..d-1 down to the last row and column alone."""
-    masks = [np.arange(d) >= m for m in range(d)]
-    return [(r, r) for r in masks]
+def _nested(d: int) -> tuple:
+    """Windows from 0..d-1 down to the last row and column alone."""
+    return np.arange(d), np.arange(d), d
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200, 5e-324])
@@ -228,13 +233,13 @@ def _nested_masks(d: int) -> list:
 def test_operator_norm_exact_cases(scale, dtype):
     rng = np.random.default_rng(11)
     M = np.zeros((6, 6), dtype=dtype)
-    norms = operator_norm(M, _nested_masks(6))
+    norms = operator_norm(M, _nested(6))
     assert norms == [0.0] * 6 and all(math.copysign(1.0, x) == 1.0 for x in norms)
     M[5, 5] = scale * complex(*rng.standard_normal(2)) if dtype is complex else -scale * 0.7
     M[1, 2] = scale * 3.0
     a, b = M[5, 5], M[1, 2]
     # windows from 2 on hold M[5, 5] alone; windows 0 and 1 hold both entries
-    assert operator_norm(M, _nested_masks(6)) == [abs(b), abs(b), abs(a), abs(a), abs(a), abs(a)]
+    assert operator_norm(M, _nested(6)) == [abs(b), abs(b), abs(a), abs(a), abs(a), abs(a)]
     assert operator_norm(M[5:, 5:]) == abs(a)
 
 
@@ -246,8 +251,53 @@ def test_operator_norm_wide_range_keeps_the_svd():
     M[:4] *= 1e200
     M[4:] *= 1e-200
     assert _scan(M).exp is None
-    for (r, c), got in zip(_nested_masks(8), operator_norm(M, _nested_masks(8))):
-        assert got == float(np.linalg.svd(M[np.ix_(r, c)], compute_uv=False)[0])
+    for k, got in enumerate(operator_norm(M, _nested(8))):
+        assert got == float(np.linalg.svd(M[k:, k:], compute_uv=False)[0])
+
+
+@st.composite
+def depth_families(draw):
+    """A real, real-valued complex or complex matrix with zeroed rows and columns, and a depth family on it.
+
+    Depths run from -2 (in no window) to count + 2 (clipped into every
+    window).  A wide matrix spans 1e200 to 1e-200 and takes the SVD fallback.
+    """
+    wide = draw(st.booleans())
+    r, c = draw(st.integers(1 + wide, 12)), draw(st.integers(1, 12))
+    count = draw(st.integers(0, 6))
+    depths = st.integers(-2, count + 2)
+    rdepth = np.array(draw(st.lists(depths, min_size=r, max_size=r)), dtype=np.int64)
+    cdepth = np.array(draw(st.lists(depths, min_size=c, max_size=c)), dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((r, c))
+    kind = draw(st.sampled_from(["real", "real-valued complex", "complex"]))
+    if kind != "real":
+        M = M + 1j * (rng.standard_normal((r, c)) if kind == "complex" else 0.0)
+    M[rng.random(r) < 0.3, :] = 0
+    M[:, rng.random(c) < 0.3] = 0
+    if wide:
+        M *= 1e200
+        M[0, 0], M[-1, 0] = 1e200, 1e-200
+    return M, (rdepth, cdepth, count), wide
+
+
+@settings(max_examples=300)
+@given(depth_families())
+def test_operator_norm_windows_are_the_depth_cuts(case):
+    # window k is the rows and columns of depth >= k: each norm is its SVD's
+    # within the Gram bound, and bit for bit on the SVD fallback
+    M, family, wide = case
+    rdepth, cdepth, count = family
+    assert (_scan(M).exp is None) == wide
+    norms = operator_norm(M, family)
+    assert len(norms) == count
+    for k, got in enumerate(norms):
+        W = M[np.ix_(rdepth >= k, cdepth >= k)]
+        want = oracles._norm(oracles.cropped(W))
+        if wide:
+            assert got == want, k
+        else:
+            assert abs(got - want) <= oracles.gram_bound(W), k
 
 
 def test_operator_norm_keeps_nan_entries():
