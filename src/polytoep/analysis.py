@@ -84,15 +84,6 @@ class DefectReport:
     verdict: bool
     witness: dict | None
 
-    def to_dict(self) -> dict:
-        return {
-            "defects": list(self.defects),
-            "overall": self.overall,
-            "tol": self.tol,
-            "verdict": self.verdict,
-            "witness": self.witness,
-        }
-
 
 def toeplitz_defect(T: TruncatedOperator, tol: float = EXACT_TOL) -> DefectReport:
     """Maximal violation of entry-block constancy under a one-step diagonal shift.
@@ -185,9 +176,14 @@ def _diameters(blocks: np.ndarray, length: np.ndarray, centre: np.ndarray) -> np
     def dist(a, b):
         if p == 1:
             return np.abs(a - b)[:, 0, 0]
-        # b - a is -(a - b) but for the signs of zero entries, which can
-        # still move LAPACK's result by an ulp
-        return np.maximum(np.linalg.norm(a - b, ord=2, axis=(-2, -1)), np.linalg.norm(b - a, ord=2, axis=(-2, -1)))
+        # a difference with an infinite part is more than the largest float:
+        # inf apart.  b - a is -(a - b) but for the signs of zero entries,
+        # which can still move LAPACK's result by an ulp
+        ab, ba = a - b, b - a
+        out = np.full(len(ab), np.inf)
+        near = np.isfinite(ab).all(axis=(-2, -1))
+        out[near] = np.maximum(*(np.linalg.norm(d[near], ord=2, axis=(-2, -1)) for d in (ab, ba)))
+        return out
 
     def first_argmax(v):
         return np.minimum.reduceat(np.where(v == np.maximum.reduceat(v, starts)[seg], at, at.size), starts)
@@ -322,7 +318,6 @@ class AsymptoticSequence:
     """
 
     directions: tuple[int, ...]
-    tol: float
     step_norms: list[float]
     cauchy: bool
 
@@ -347,12 +342,7 @@ def asymptotic_sequence(
         depth = _exponents(interior(T.box, 1, directions), T.p)[list(directions)].min(axis=0)
         step_norms = operator_norm(_step(T, directions), (depth, depth, m_max))
     cauchy = bool(step_norms) and step_norms[-1] <= tol
-    return AsymptoticSequence(
-        directions=directions,
-        tol=tol,
-        step_norms=step_norms,
-        cauchy=cauchy,
-    )
+    return AsymptoticSequence(directions=directions, step_norms=step_norms, cauchy=cauchy)
 
 
 @dataclass
@@ -399,20 +389,11 @@ class CompactnessProfile:
     at (box, tol)", never an absolute claim.
     """
 
-    ms: list[int]
-    values: list[float]
+    m: list[int]
+    c_m: list[float]
     tol: float
     m_max: int
     verdict: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.ms,
-            "c_m": self.values,
-            "tol": self.tol,
-            "m_max": self.m_max,
-            "verdict": self.verdict,
-        }
 
 
 def compactness_profile(
@@ -430,13 +411,13 @@ def compactness_profile(
     if m_max < 0 or m_max > min(box.caps) + 1:
         raise ValueError(f"m_max = {m_max} outside [0, {min(box.caps) + 1}]")
     depth = _exponents(box, p).max(axis=0)
-    values = operator_norm(T.matrix, (depth, depth, m_max + 1), scan)
+    c_m = operator_norm(T.matrix, (depth, depth, m_max + 1), scan)
     return CompactnessProfile(
-        ms=list(range(m_max + 1)),
-        values=values,
+        m=list(range(m_max + 1)),
+        c_m=c_m,
         tol=tol,
         m_max=m_max,
-        verdict=values[-1] <= tol and all(map(math.isfinite, values)),
+        verdict=c_m[-1] <= tol and all(map(math.isfinite, c_m)),
     )
 
 
@@ -462,7 +443,6 @@ class DecompositionResult:
     cross_terms: list[CrossTermProfile]
     m_star: int
     m_max: int
-    tol: float
     verdict: bool
     witness: dict | None
 
@@ -500,12 +480,11 @@ def asymptotic_decompose(
     symbol = recover_symbol(section(T, m_star, diagonal.directions)).symbol
     remainder = T - toeplitz(symbol, box)
     scan = _scan(remainder.matrix)  # one read of the remainder serves all its norm families
-    profile_depth = min(m_max, min(box.caps) + 1)
-    remainder_profile = compactness_profile(remainder, profile_depth, tol, scan)
+    remainder_profile = compactness_profile(remainder, m_max, tol, scan)
     if box.n == 1:
         # the (0, 0) section at m is the remainder on {l >= m} x {k >= m},
         # which is c_m's window
-        cross_terms = [CrossTermProfile(i=0, j=0, norms=remainder_profile.values[1 : m_max + 1])]
+        cross_terms = [CrossTermProfile(i=0, j=0, norms=remainder_profile.c_m[1:])]
     else:
         cross_terms = [
             cross_term_profile(remainder, i, j, m_max, scan)
@@ -527,7 +506,7 @@ def asymptotic_decompose(
     if witness is None and not remainder_profile.verdict:
         witness = {
             "kind": "remainder_not_compact",
-            "c_m": list(remainder_profile.values),
+            "c_m": list(remainder_profile.c_m),
             "tol": tol,
         }
     if witness is None:
@@ -550,7 +529,6 @@ def asymptotic_decompose(
         cross_terms=cross_terms,
         m_star=m_star,
         m_max=m_max,
-        tol=tol,
         verdict=verdict,
         witness=witness,
     )

@@ -4,8 +4,13 @@ Exit codes: 0 = success, 1 = analysis ran and the property failed
 (verdict-false is a result, not an error), 2 = input error, 3 = internal
 error (an unexpected exception, reported on one stderr line).  Reports embed
 the full configuration and are byte-identical across reruns with the same
-inputs and flags.  A report written to stdout is all that goes there, so it
-parses as JSON; `check-toeplitz` writes its witness line to stderr.
+inputs and flags.  A report's fields are `asdict` of the verb's result
+(`_report`).  Only `recover` and `decompose` write some by hand: a symbol
+and recovery's deviations, keyed by frequency, need a format conversion,
+and decompose picks its other fields off a result that also holds the
+dense remainder, so it takes `asdict` of its parts only.  A report written
+to stdout is all that goes there, so it parses as JSON; `check-toeplitz`
+writes its witness line to stderr.
 
 `decompose` serves every dimension n >= 1; `block-decompose` runs the same
 handler and refuses operators with n != 1 (exit 2).
@@ -17,6 +22,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +52,11 @@ def _config(args, keys) -> dict:
     for key in keys:
         out[key] = getattr(args, key)
     return out
+
+
+def _report(args, kind: str, keys, result) -> dict:
+    """A verb's report: its kind, its configuration and every field of its result."""
+    return {"kind": kind, "config": _config(args, keys), **asdict(result)}
 
 
 def _emit(args, report: dict) -> None:
@@ -112,13 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("modelspace", help="build a truncated quotient space")
     sp.add_argument("--theta", required=True)
     sp.add_argument("--caps", required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=symbols.INNER_TOL)
     sp.add_argument("--grid", help="inner-check grid sizes g1,g2,...")
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("invariance", help="rigidity of the compressed-shift invariance map")
     sp.add_argument("--modelspace", required=True)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=modelspace.KERNEL_TOL)
     sp.add_argument("--out")
 
     sp = sub.add_parser("model-compactness", help="iterated compression decay on a model space")
@@ -173,17 +184,12 @@ def _cmd_toeplitz(args) -> int:
 def _cmd_check_toeplitz(args) -> int:
     op = io.load_operator(args.operator)
     report = analysis.toeplitz_defect(op, tol=args.tol)
-    payload = {
-        "kind": "toeplitz_defect",
-        "config": _config(args, ("operator", "tol")),
-        **report.to_dict(),
-    }
     if args.format == "csv":
         io.write_sequence_csv(
             args.out, list(enumerate(report.defects)), ("direction", "defect")
         )
     else:
-        _emit(args, payload)
+        _emit(args, _report(args, "toeplitz_defect", ("operator", "tol"), report))
     if not report.verdict and report.witness is not None:
         w = report.witness
         sys.stderr.write(
@@ -220,19 +226,10 @@ def _decompose_payload(args, result) -> dict:
         "witness": result.witness,
         "m_star": result.m_star,
         "symbol": io.symbol_to_dict(result.symbol),
-        "sequences": [
-            {
-                "directions": list(seq.directions),
-                "step_norms": seq.step_norms,
-                "cauchy": seq.cauchy,
-            }
-            for seq in result.sequences
-        ],
+        "sequences": [asdict(s) for s in result.sequences],
         "diagonal_step_norms": result.diagonal.step_norms,
-        "remainder_profile": result.remainder_profile.to_dict(),
-        "cross_terms": [
-            {"i": ct.i, "j": ct.j, "norms": ct.norms} for ct in result.cross_terms
-        ],
+        "remainder_profile": asdict(result.remainder_profile),
+        "cross_terms": [asdict(ct) for ct in result.cross_terms],
     }
 
 
@@ -246,7 +243,7 @@ def _cmd_decompose(args) -> int:
     if args.csv:
         io.write_sequence_csv(
             f"{args.csv}.remainder.csv",
-            list(zip(result.remainder_profile.ms, result.remainder_profile.values)),
+            list(zip(result.remainder_profile.m, result.remainder_profile.c_m)),
             ("m", "c_m"),
         )
         io.write_sequence_csv(
@@ -263,14 +260,9 @@ def _cmd_compactness(args) -> int:
     m_max = args.m_max if args.m_max is not None else min(op.box.caps) + 1
     profile = analysis.compactness_profile(op, m_max, tol=args.tol)
     if args.format == "csv":
-        io.write_sequence_csv(args.out, list(zip(profile.ms, profile.values)), ("m", "c_m"))
+        io.write_sequence_csv(args.out, list(zip(profile.m, profile.c_m)), ("m", "c_m"))
     else:
-        payload = {
-            "kind": "compactness_profile",
-            "config": _config(args, ("operator", "m_max", "tol")),
-            **profile.to_dict(),
-        }
-        _emit(args, payload)
+        _emit(args, _report(args, "compactness_profile", ("operator", "m_max", "tol"), profile))
     return EXIT_OK if profile.verdict else EXIT_VERDICT_FALSE
 
 
@@ -287,12 +279,7 @@ def _cmd_modelspace(args) -> int:
 def _cmd_invariance(args) -> int:
     ms = io.load_modelspace(args.modelspace)
     report = modelspace.invariance_kernel(ms, tol=args.tol)
-    payload = {
-        "kind": "invariance_kernel",
-        "config": _config(args, ("modelspace", "tol")),
-        **report.to_dict(),
-    }
-    _emit(args, payload)
+    _emit(args, _report(args, "invariance_kernel", ("modelspace", "tol"), report))
     return EXIT_OK if report.kernel_dim == 0 else EXIT_VERDICT_FALSE
 
 
@@ -311,12 +298,7 @@ def _cmd_model_compactness(args) -> int:
         header = ("m",) + tuple(f"norm_dir{i}" for i in range(ms.n))
         io.write_sequence_csv(args.out, zip(range(1, report.m_max + 1), *report.norms), header)
     else:
-        payload = {
-            "kind": "model_compactness",
-            "config": _config(args, ("modelspace", "m_max", "tol", "seed")),
-            **report.to_dict(),
-        }
-        _emit(args, payload)
+        _emit(args, _report(args, "model_compactness", ("modelspace", "m_max", "tol", "seed"), report))
     return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
 
 

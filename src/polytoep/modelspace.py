@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
+from .analysis import LIMIT_TOL
 from .lattice import Box
 from .operators import _check_directions, _cut, _gather, _side, operator_norm
-from .symbols import TorusSymbol, is_inner
+from .symbols import INNER_TOL, TorusSymbol, is_inner
 
 BOUNDARY_NOTE = (
     "truncated quotient: exact against columns that fit the box; "
@@ -34,6 +35,8 @@ DENSE_MAX_Q = 12
 # only to 353 at 64, while each restart costs more; 28 and 32 were fastest
 # (ncv ladder in CHANGES.md).
 NCV = 32
+
+KERNEL_TOL = 1e-8  # singular values of the invariance map at most this count toward its kernel
 
 
 @dataclass(eq=False)
@@ -88,7 +91,7 @@ def _is_selection(cols: np.ndarray) -> bool:
     return bool(np.all(cols[nz_rows, nz_cols] == 1.0))
 
 
-def model_basis(theta: TorusSymbol, box: Box, tol: float = 1e-10, grid_sizes=None) -> ModelSpace:
+def model_basis(theta: TorusSymbol, box: Box, tol: float = INNER_TOL, grid_sizes=None) -> ModelSpace:
     """Construct the truncated quotient for an inner-certified analytic symbol.
 
     Monomial-type symbols keep the canonical monomial complement (so nilpotent
@@ -147,23 +150,6 @@ class InvarianceKernelReport:
     residual: float
     matvecs: int
 
-    def to_dict(self) -> dict:
-        return {
-            "sigma_min": self.sigma_min,
-            "kernel_dim": self.kernel_dim,
-            "tol": self.tol,
-            "q": self.q,
-            "method": self.method,
-            "residual": self.residual,
-            "matvecs": self.matvecs,
-        }
-
-
-def _stacked_map_matrix(shifts: np.ndarray, q: int) -> np.ndarray:
-    eye = np.eye(q * q, dtype=complex)
-    blocks = [eye - np.kron(C.conj().T, C.T) for C in shifts]
-    return np.vstack(blocks)
-
 
 def _hermitian(X: np.ndarray) -> np.ndarray:
     """Hermitian matrices with real coordinates X: (X + X^T)/2 + i (X - X^T)/2.
@@ -178,18 +164,19 @@ def _hermitian(X: np.ndarray) -> np.ndarray:
     return A
 
 
-def invariance_kernel(ms: ModelSpace, tol: float = 1e-8) -> InvarianceKernelReport:
+def invariance_kernel(ms: ModelSpace, tol: float = KERNEL_TOL) -> InvarianceKernelReport:
     """Rigidity probe: sigma_min of the invariance map and how many sigma <= tol.
 
-    Dense SVD of the stacked matrix L for q <= DENSE_MAX_Q.  Above it,
-    Lanczos (`eigsh`, ARPACK's real symmetric `dsaupd`) on the normal map
-    restricted to the Hermitian matrices H, matrix-free and started from a
-    fixed seeded vector so that reruns give identical reports.  That half is
-    exact: L_i(A*) = L_i(A)*, so the normal map keeps H; C^{q x q} = H + iH is
-    orthogonal in Re tr(A* B), and multiplying by i carries L on H onto L on
-    iH, so L on H has the singular values of L, with the same multiplicities.
-    `_hermitian` gives H real coordinates, which makes the normal map a real
-    symmetric operator of size q^2.
+    Both paths take the stacked map L on the Hermitian matrices H only.  For
+    q <= DENSE_MAX_Q, a dense SVD of L on all q^2 coordinates of H.  Above
+    it, Lanczos (`eigsh`, ARPACK's real symmetric `dsaupd`) on the normal map
+    restricted to H, matrix-free and started from a fixed seeded vector so
+    that reruns give identical reports.  That half is exact: L_i(A*) =
+    L_i(A)*, so the normal map keeps H; C^{q x q} = H + iH is orthogonal in
+    Re tr(A* B), and multiplying by i carries L on H onto L on iH, so L on H
+    has the singular values of L, with the same multiplicities.  `_hermitian`
+    gives H real coordinates, which makes L a real map on R^{q^2} and the
+    normal map a real symmetric operator of size q^2.
 
     Each run asks for k eigenpairs, k = 1 first, from a Krylov space of
     dimension max(2k + 1, NCV).  The singular values are those of the
@@ -205,22 +192,26 @@ def invariance_kernel(ms: ModelSpace, tol: float = 1e-8) -> InvarianceKernelRepo
     if q < 1:
         raise ValueError("empty model space has no invariance map")
     S = np.stack([compressed_shift(ms, i) for i in range(ms.n)])
-    if q <= DENSE_MAX_Q:
-        svals = np.linalg.svd(_stacked_map_matrix(S, q), compute_uv=False)
-        kernel_dim = int((svals <= tol).sum())
-        return InvarianceKernelReport(float(svals[-1]), kernel_dim, tol, q, "dense-svd", 0.0, 0)
     SH = np.ascontiguousarray(S.conj().transpose(0, 2, 1))
+    dim = q * q
 
     def stacked(A):  # (..., q, q) -> (..., n, q, q)
         A = A[..., None, :, :]
         return A - SH @ A @ S
 
+    def image(W):  # the stacked map on the columns of W, coordinates in H, as a real [Re; Im] matrix
+        R = stacked(_hermitian(W.T.reshape(-1, q, q))).reshape(W.shape[1], -1)
+        return np.hstack([R.real, R.imag]).T
+
+    if q <= DENSE_MAX_Q:
+        svals = np.linalg.svd(image(np.eye(dim)), compute_uv=False)
+        return InvarianceKernelReport(float(svals[-1]), int((svals <= tol).sum()), tol, q, "dense-svd", 0.0, 0)
+
     def normal(x):  # coordinates of A in H -> coordinates of N(A)
         R = stacked(_hermitian(x.reshape(q, q)))
-        image = (R - S @ R @ SH).sum(axis=0)
-        return (image.real + image.imag).reshape(-1)
+        N = (R - S @ R @ SH).sum(axis=0)
+        return (N.real + N.imag).reshape(-1)
 
-    dim = q * q
     locked = np.zeros((dim, 0))  # orthonormal, each mapped within tol
     lift = 4.0 * ms.n  # >= ||normal map||, since every ||C_i|| <= 1
     matvecs = 0
@@ -242,8 +233,7 @@ def invariance_kernel(ms: ModelSpace, tol: float = 1e-8) -> InvarianceKernelRepo
             j = int(np.argmin(vals))
             resid = float(np.linalg.norm(normal(vecs[:, j]) - vals[j] * vecs[:, j]))
         W = np.linalg.qr(vecs - locked @ (locked.T @ vecs))[0]
-        images = stacked(_hermitian(W.T.reshape(k, q, q))).reshape(k, -1)
-        _, sigma, Yh = np.linalg.svd(np.hstack([images.real, images.imag]).T, full_matrices=False)
+        _, sigma, Yh = np.linalg.svd(image(W), full_matrices=False)
         sigma_min = min(sigma_min, float(sigma[-1]))
         small = sigma <= tol
         locked = np.hstack([locked, W @ Yh[small].T])
@@ -271,20 +261,12 @@ class ModelCompactnessReport:
     tol: float
     verdict: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "norms": self.norms,
-            "m_max": self.m_max,
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
-
 
 def model_compactness_test(
     ms: ModelSpace,
     T: np.ndarray,
     m_max: int,
-    tol: float = 1e-6,
+    tol: float = LIMIT_TOL,
 ) -> ModelCompactnessReport:
     """Norm sequences ||C_i*^m T C_i^m||, m = 1..m_max, verdict: all decay to tol.
 

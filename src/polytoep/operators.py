@@ -18,6 +18,7 @@ through an n-dimensional circulant embedding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,6 +262,11 @@ def _top_eigenvalue(H: np.ndarray) -> float:
     return float(w[0])
 
 
+def _unscale(root: float, exp: int) -> float:
+    """root * 2**exp, exactly, or inf when that is above the largest float."""
+    return math.ldexp(root, exp) if math.frexp(root)[1] + exp <= sys.float_info.max_exp else math.inf
+
+
 def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: int, scan: _Scan) -> list[float]:
     """Each window's norm as the root of the top eigenvalue of one growing Gram matrix.
 
@@ -271,7 +277,8 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
     is a plain sum of products, never a difference.  A window's squared norm
     is the top eigenvalue of G on its own nonzero columns, the ones whose
     diagonal entry is positive.  Entries are scaled by 2**-exp, exactly,
-    first.  G spans all nonzero columns, not only the outermost window's, so
+    first, and each root is scaled back (`_unscale`), to inf past the largest
+    float.  G spans all nonzero columns, not only the outermost window's, so
     two families of one matrix with the same inner windows (c_m and the
     n = 1 cross term) share every bit of them.
     """
@@ -307,13 +314,13 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
             if nz.size == 1:
                 norms[k] = float(abs(col[nz[0]]))
             else:
-                norms[k] = math.ldexp(math.sqrt(G[j, j].real), scan.exp)
+                norms[k] = _unscale(math.sqrt(G[j, j].real), scan.exp)
         elif keep.size:
             if keep.size == G.shape[0] and k == 0:
                 H = G  # the outermost window takes all of G, which is not needed after it
             else:
                 H = G.T[np.ix_(keep, keep)].T  # Fortran-ordered copy of G on keep x keep
-            norms[k] = math.ldexp(math.sqrt(_top_eigenvalue(H)), scan.exp)
+            norms[k] = _unscale(math.sqrt(_top_eigenvalue(H)), scan.exp)
     return norms
 
 

@@ -16,6 +16,8 @@ import numpy as np
 
 from .lattice import MultiIndex
 
+INNER_TOL = 1e-10  # requested deviation of an inner certificate, before its tail allowance
+
 
 def _next_pow2(x: int) -> int:
     return 1 << max(0, int(x) - 1).bit_length() if x > 1 else 1
@@ -216,7 +218,7 @@ class InnerCertificate:
         return self.max_deviation <= self.tolerance
 
 
-def is_inner(sym: TorusSymbol, grid_sizes=None, tol: float = 1e-10) -> InnerCertificate:
+def is_inner(sym: TorusSymbol, grid_sizes=None, tol: float = INNER_TOL) -> InnerCertificate:
     """Certify |theta| = 1 (scalar) or Theta*Theta = I (block) on a torus grid."""
     if not sym.is_analytic():
         raise ValueError("inner symbols are analytic: support must lie in Z_+^n")

@@ -89,17 +89,17 @@ def test_criterion_2_compactness_profiles():
         for _ in range(4):
             K = low_layer_noise(box, m0, 1, rng)
             prof = compactness_profile(TruncatedOperator(box, 1, K), 6, tol=1e-12)
-            for m, c in zip(prof.ms, prof.values):
+            for m, c in zip(prof.m, prof.c_m):
                 if m >= m0:
                     assert c == 0.0
-            assert prof.values[m0 - 1] > 0
+            assert prof.c_m[m0 - 1] > 0
 
     N = 128
     diag = np.diag(1.0 / (np.arange(N) + 1.0)).astype(complex)
     T = TruncatedOperator(Box((127,)), 1, diag)
     prof = compactness_profile(T, 32, tol=1e-12)
     for m in range(33):
-        assert abs(prof.values[m] - 1.0 / (m + 1)) <= 1e-12
+        assert abs(prof.c_m[m] - 1.0 / (m + 1)) <= 1e-12
     report(2, "c_m = 0 exactly past the support layer; diag decay matches 1/(m+1)")
 
 

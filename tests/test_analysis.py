@@ -229,17 +229,22 @@ def test_recover_inf_block_spread_is_quiet():
     assert math.isnan(rec.max_deviation)
 
 
-def test_recover_spread_survives_an_overflowing_mean():
+@pytest.mark.parametrize("p", [1, 2])
+def test_recover_spread_survives_an_overflowing_mean(p):
     # Finite entries near the top of the range: the diagonal's plain sum
     # meets +inf and -inf.  Its mean is still finite, summed at a smaller
-    # power-of-two scale, and quiet; the spread is the pairwise maximum, inf.
+    # power-of-two scale, and quiet; the spread is the pairwise maximum, inf,
+    # also for p > 1, where no difference above the largest float reaches LAPACK.
     v = np.repeat([1.7e308, -1.7e308], 100) + 1j * np.arange(200.0)
+    blocks = v[:, None, None] * np.eye(p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rec = recover_symbol(TruncatedOperator(Box((199,)), 1, np.diag(v)))
+        rec = recover_symbol(TruncatedOperator(Box((199,)), p, np.kron(np.diag(v), np.eye(p))))
     with np.errstate(over="ignore"):
-        want = pairwise_spread(v.reshape(-1, 1, 1))
-    mean = rec.symbol.coeff((0,)).item()
+        want = pairwise_spread(blocks)
+    coef = rec.symbol.coeff((0,))
+    mean = coef[0, 0]
+    assert np.array_equal(coef, mean * np.eye(p))
     assert mean.imag == 99.5 and abs(mean.real) <= v.size * np.finfo(float).eps * 1.7e308
     assert rec.deviations[(0,)] == want == math.inf
 
@@ -292,15 +297,19 @@ def diagonal_operators(draw):
 
 
 def pairwise_spread(blocks: np.ndarray) -> float:
-    """Largest distance over all pairs of blocks, with numpy's array norms.
+    """Largest distance over all pairs of finite blocks, with numpy's array norms.
 
     `oracles.recover_oracle` takes scalar abs (libm hypot), which differs by
     an ulp from the array np.abs on about a third of complex inputs, so the
-    bit-for-bit reference is formed here with the array functions.
+    bit-for-bit reference is formed here with the array functions.  Two
+    blocks whose difference has an infinite part are more than the largest
+    float apart: inf.
     """
     diff = blocks[:, None] - blocks[None, :]
     if blocks.shape[-1] == 1:
         return float(np.abs(diff).max())
+    if not np.isfinite(diff).all():
+        return math.inf
     return float(np.linalg.norm(diff, ord=2, axis=(-2, -1)).max())
 
 
@@ -422,15 +431,15 @@ def test_cross_terms_identity_off_directions():
 
 def test_compactness_rank_one():
     prof = compactness_profile(rank_one_corner(Box((5, 5))), 4, tol=1e-10)
-    assert prof.values[0] == pytest.approx(1.0)
-    assert prof.values[1:] == [0.0, 0.0, 0.0, 0.0]
+    assert prof.c_m[0] == pytest.approx(1.0)
+    assert prof.c_m[1:] == [0.0, 0.0, 0.0, 0.0]
     assert prof.verdict
 
 
 def test_compactness_identity_plateau():
     prof = compactness_profile(identity(Box((3, 3))), 4, tol=1e-10)
-    assert prof.values[:4] == [pytest.approx(1.0)] * 4
-    assert prof.values[4] == 0.0
+    assert prof.c_m[:4] == [pytest.approx(1.0)] * 4
+    assert prof.c_m[4] == 0.0
     assert prof.verdict  # hits zero exactly when the box runs out
 
 
@@ -439,7 +448,7 @@ def test_compactness_decaying_diagonal():
     diag = np.diag(1.0 / (np.arange(N) + 1)).astype(complex)
     T = TruncatedOperator(Box((N - 1,)), 1, diag)
     prof = compactness_profile(T, 6, tol=1e-10)
-    for m, c in zip(prof.ms, prof.values):
+    for m, c in zip(prof.m, prof.c_m):
         assert c == pytest.approx(1.0 / (m + 1), abs=1e-12)
     assert not prof.verdict
 
@@ -451,7 +460,7 @@ def test_compactness_verdict_rests_on_the_last_value():
     # whatever rounding does between its values.
     d = np.ldexp([1.0, 1.0, 1 - 2**-52, 1 - 2**-53, 1 - 3 * 2**-53, 1.0, 1.0, 1.0, 1 - 2**-53], 40)
     prof = compactness_profile(TruncatedOperator(Box((2, 2)), 1, np.diag(d)), 3, tol=1e-6)
-    assert prof.values[-1] == 0.0
+    assert prof.c_m[-1] == 0.0
     assert prof.verdict
 
 
@@ -465,7 +474,7 @@ def test_compactness_monotone_support():
             for b in low:
                 M[a, b] = rng.standard_normal() + 1j * rng.standard_normal()
         prof = compactness_profile(TruncatedOperator(box, 1, M), 6, tol=1e-12)
-        for m, c in zip(prof.ms, prof.values):
+        for m, c in zip(prof.m, prof.c_m):
             if m >= m0:
                 assert c == 0.0
 
@@ -478,7 +487,7 @@ def test_decompose_toeplitz_plus_rank_one():
     assert res.verdict
     assert max_coeff_difference(res.symbol, sym) < 1e-12
     assert np.abs(res.remainder.matrix - rank_one_corner(box).matrix).max() < 1e-12
-    assert res.remainder_profile.values[1] == pytest.approx(0.0, abs=1e-12)
+    assert res.remainder_profile.c_m[1] == pytest.approx(0.0, abs=1e-12)
     for ct in res.cross_terms:
         assert ct.final <= 1e-10
     assert np.abs((toeplitz(res.symbol, box) + res.remainder).matrix - T.matrix).max() == 0.0  # integer data: exact
@@ -501,7 +510,7 @@ def test_decompose_corner_block_is_bit_exact(caps, p, depth):
     for f in itertools.product(*(range(-(c - res.m_star), c - res.m_star + 1) for c in caps)):
         assert np.array_equal(res.symbol.coeff(f), sym.coeff(f)), f
     assert np.count_nonzero(res.remainder.matrix) == np.count_nonzero(K)
-    for m, c in enumerate(res.remainder_profile.values):
+    for m, c in enumerate(res.remainder_profile.c_m):
         if m >= depth:
             assert c == 0.0, m
 

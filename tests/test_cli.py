@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,16 @@ def test_non_finite_entry_exit_codes(tmp_path, capsys, value, verb, code):
     assert main([verb, str(tmp_path / "x.op"), "--out", str(tmp_path / "r.json")]) == code
     if code == 2:
         assert "SVD did not converge" in capsys.readouterr().err
+
+
+def test_norm_above_the_largest_float_exits_one(tmp_path):
+    # the norm 3.4e308 is inf, so the profile is not finite: verdict false, not an internal error
+    io.save_operator(tmp_path / "big.op", TruncatedOperator(Box((1,)), 1, np.full((2, 2), 1.7e308, dtype=complex)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compactness", str(tmp_path / "big.op"), "--out", str(tmp_path / "r.json")]) == 1
+    data = json.loads((tmp_path / "r.json").read_text())
+    assert data["c_m"][0] == math.inf and data["verdict"] is False
 
 
 def test_malformed_input_exit_two(tmp_path, capsys):
@@ -397,3 +408,50 @@ def test_format_csv_needs_out(tmp_path, capsys, verb):
     assert main(argv + ["--format", "csv"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "--format csv needs --out" in out.err
+
+
+REPORT_KEYS = {
+    "check-toeplitz": ["config", "defects", "kind", "overall", "tol", "verdict", "witness"],
+    "recover": ["config", "deviations", "kind", "max_deviation", "sup_norm_estimate", "symbol"],
+    "decompose": [
+        "config", "cross_terms", "diagonal_step_norms", "kind", "m_star",
+        "remainder_profile", "sequences", "symbol", "verdict", "witness",
+    ],
+    "compactness": ["c_m", "config", "kind", "m", "m_max", "tol", "verdict"],
+    "invariance": ["config", "kernel_dim", "kind", "matvecs", "method", "q", "residual", "sigma_min", "tol"],
+    "model-compactness": ["config", "kind", "m_max", "norms", "tol", "verdict"],
+}
+
+
+def test_report_keys_are_pinned(tmp_path):
+    def report(argv):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) in (0, 1)
+        return json.loads(out.read_text())
+
+    def keys(verb, data):
+        assert sorted(data) == REPORT_KEYS[verb], verb
+
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(PHI))
+    T2 = tmp_path / "T2.op"
+    assert main(["toeplitz", "--symbol", str(phi), "--caps", "4,4", "--out", str(T2)]) == 0
+    M = toeplitz(from_coefficients(1, 1, [((1,), 1.0)]), Box((6,))).matrix.copy()
+    M[0, 0] = 1.0
+    io.save_operator(tmp_path / "T1.op", TruncatedOperator(Box((6,)), 1, M))
+    for verb in ("check-toeplitz", "recover", "compactness"):
+        keys(verb, report([verb, str(T2)]))
+    for verb, op in (("decompose", T2), ("block-decompose", tmp_path / "T1.op")):
+        data = report([verb, str(op)])
+        keys("decompose", data)
+        assert all(sorted(s) == ["cauchy", "directions", "step_norms"] for s in data["sequences"])
+        assert all(sorted(ct) == ["i", "j", "norms"] for ct in data["cross_terms"])
+        assert sorted(data["remainder_profile"]) == ["c_m", "m", "m_max", "tol", "verdict"]
+    for exponents, caps, method in (("1,1", "3,3", "dense-svd"), ("2,2", "4,4", "lanczos")):
+        theta, ms = tmp_path / "theta.json", tmp_path / "Q.ms"
+        assert main(["symbol", "--monomial", exponents, "--out", str(theta)]) == 0
+        assert main(["modelspace", "--theta", str(theta), "--caps", caps, "--out", str(ms)]) == 0
+        data = report(["invariance", "--modelspace", str(ms)])
+        keys("invariance", data)
+        assert data["method"] == method
+    keys("model-compactness", report(["model-compactness", "--modelspace", str(ms), "--identity", "--m-max", "2"]))

@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -193,9 +194,9 @@ def test_block_model_space():
 def test_invariance_kernel_lanczos_is_deterministic():
     ms = model_basis(monomial(2, (1, 1)), Box((6, 6)))
     assert ms.q == 13 > modelspace.DENSE_MAX_Q
-    first = invariance_kernel(ms, tol=1e-8).to_dict()
+    first = asdict(invariance_kernel(ms, tol=1e-8))
     assert first["method"] == "lanczos"
-    assert first == invariance_kernel(ms, tol=1e-8).to_dict()
+    assert first == asdict(invariance_kernel(ms, tol=1e-8))
 
 
 def blaschke_pair(degree):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,17 @@ def test_operator_norm_keeps_nan_entries():
     except np.linalg.LinAlgError:
         return
     assert np.isnan(got)
+
+
+def test_operator_norm_above_the_largest_float_is_inf():
+    # the Gram path's scaled root is brought back by 2**exp; past the largest
+    # float that is inf, quietly, on the eigensolver's path and the one-column one
+    big = np.full((2, 2), 1.7e308)
+    column = np.array([[1.7e308, 0.0], [1.7e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert operator_norm(big) == operator_norm(column) == math.inf
+        assert operator_norm(big, _nested(2)) == [math.inf, 1.7e308]
 
 
 def test_compress():

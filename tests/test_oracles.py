@@ -77,7 +77,7 @@ def check_all_ops(T: TruncatedOperator, rng) -> None:
 
     m_max = min(box.caps) + 1
     prof = compactness_profile(T, m_max, tol=1e-6)
-    assert np.allclose(prof.values, oracles.compactness_oracle(T, m_max), atol=TOL)
+    assert np.allclose(prof.c_m, oracles.compactness_oracle(T, m_max), atol=TOL)
 
 
 SAMPLED_BOXES = [
@@ -197,7 +197,7 @@ def check_families(T: TruncatedOperator, with_remainder: bool = True) -> None:
                 norms = cross_term_profile(K, i, j, m_max).norms
                 check_family(norms, K.matrix, oracles.cross_windows(K, i, j, m_max), seen)
             m_max = min(box.caps) + 1
-            norms = compactness_profile(K, m_max).values
+            norms = compactness_profile(K, m_max).c_m
             check_family(norms, K.matrix, oracles.compactness_windows(K, m_max), seen)
 
 
@@ -242,8 +242,8 @@ def test_norm_kernel_matches_svd_oracle(T):
     check_families(T, with_remainder=False)
     box = T.box
     m_max = min(box.caps) + 1
-    first = compactness_profile(T, m_max).values
-    assert compactness_profile(T, m_max).values == first  # reruns are bit-identical
+    first = compactness_profile(T, m_max).c_m
+    assert compactness_profile(T, m_max).c_m == first  # reruns are bit-identical
     for i, j in itertools.product(range(box.n), repeat=2):
         m = min(box.caps[i], box.caps[j])
         assert cross_term_profile(T, i, j, m).norms == cross_term_profile(T, i, j, m).norms
