@@ -9,7 +9,9 @@ is a slice of the tensor (`_window`), and every other row set is read off
 the exponents l of each row (`_exponents`).  The norms of a nested family
 of windows of one matrix, window k holding the rows and columns of depth at
 least k, are taken in one `operator_norm` call, each the root of one top
-eigenvalue of a Gram matrix grown from the innermost window outward.
+eigenvalue of a Gram matrix grown from the innermost window outward: from
+Lanczos on a complex window above a measured column count, from LAPACK on
+every other.
 Multilevel Toeplitz operators are gathered directly from symbol coefficients
 (block (l, k) = coeff(l - k), `_gather`), and their matvec has a fast path
 through an n-dimensional circulant embedding.
@@ -233,6 +235,15 @@ def _scan(M: np.ndarray) -> _Scan:
     return _Scan(rows, cols, exp, real)
 
 
+# Lanczos replaces ?heevr on a complex window of at least this many columns
+# (`_krylov_window`); set by the crossover ladder in CHANGES.md.  Real
+# windows keep ?syevr, about a quarter of ?heevr's cost at the same order.
+_LANCZOS_MIN_COLS = 160
+_LANCZOS_COLS_PER_STEP = 3  # step budget: the window's columns over this
+_LANCZOS_CHECK = 4  # steps between stopping tests
+_LANCZOS_SEED = 19
+
+
 def _svd_norm(window: np.ndarray) -> float:
     """Largest singular value from a dense SVD of the window's nonzero rows x columns; 0.0 without any."""
     rows, cols = window.any(axis=1), window.any(axis=0)
@@ -262,6 +273,96 @@ def _top_eigenvalue(H: np.ndarray) -> float:
     return float(w[0])
 
 
+def _lanczos_top(H: np.ndarray, start: np.ndarray, budget: int) -> tuple[float, np.ndarray] | None:
+    """Top eigenvalue and unit Ritz vector of a positive semidefinite H by Lanczos; None past budget steps.
+
+    H holds both triangles.  Each step is one `?gemv` and classical
+    Gram-Schmidt twice against every earlier Lanczos vector, so the basis
+    stays orthonormal to roundoff.  With c = H's order, tol = c*eps and the
+    tridiagonal T_j's top Ritz pair (theta, s), the residual of the Ritz
+    vector is rho = beta_j*|s_j|, so an eigenvalue of H lies within rho of
+    theta.  The run stops on one of two rules:
+
+    - breakdown, beta_j <= tol*||T_j||: the Krylov space is invariant to
+      roundoff and theta is an eigenvalue of H.  Past that point the next
+      vector would be roundoff divided by beta_j, no longer orthogonal to
+      the basis, and the Ritz values could leave H's spectrum;
+    - a small residual, rho <= tol*theta: an eigenvalue of H lies within
+      tol*theta of theta.  A residual over the Ritz gap (Kato-Temple) is
+      not used: the second Ritz value need not have resolved the second
+      eigenvalue, and on a top pair 1e-8 apart that rule stopped within
+      the pair, far outside tol*theta of the top one.
+
+    What neither rule sees is an eigenvalue above theta whose eigenvector
+    the Krylov space has not reached.  The start carries a Gaussian part
+    for that: for a uniformly random start, Kuczynski & Wozniakowski (SIAM
+    J. Matrix Anal. Appl. 13, 1992) bound the chance that theta after j
+    steps is below (1 - e) times the top eigenvalue by
+    1.648*sqrt(c)*exp(-sqrt(e)*(2j - 1)).  The caller adds interlacing
+    across nested windows and recomputes with `_top_eigenvalue` when the
+    budget runs out.
+    """
+    c = H.shape[0]
+    tol = c * np.finfo(float).eps
+    V = np.empty((budget + 1, c), dtype=H.dtype)  # Lanczos vectors as rows
+    V[0] = start / np.linalg.norm(start)
+    alpha, beta = np.empty(budget), np.empty(budget)
+    top = 0.0  # Gershgorin bound on ||T_j||
+    for j in range(budget):
+        w = H @ V[j]
+        Q = V[: j + 1]
+        alpha[j] = 0.0
+        for _ in range(2):
+            h = np.conj(Q @ np.conj(w))  # <v_i, w>
+            w -= h @ Q
+            alpha[j] += h[j].real
+        beta[j] = np.linalg.norm(w)
+        top = max(top, abs(alpha[j]) + beta[j] + (beta[j - 1] if j else 0.0))
+        broke = beta[j] <= tol * top
+        if not broke and (j + 1) % _LANCZOS_CHECK and j + 1 < budget:
+            V[j + 1] = w / beta[j]
+            continue
+        e = np.append(beta[:j], 0.0)
+        _, theta, s, info = lapack.dstemr(alpha[: j + 1], e, 3, 0.0, 0.0, j + 1, j + 1)  # the top Ritz pair
+        if info:
+            return None
+        t, y = theta[0], s[:, 0]
+        if broke or beta[j] * abs(y[-1]) <= tol * t:
+            return float(t), y @ V[: j + 1]
+        V[j + 1] = w / beta[j]
+    return None
+
+
+def _krylov_window(
+    G: np.ndarray, keep: np.ndarray, warm: tuple[np.ndarray, np.ndarray] | None, inner: float
+) -> tuple[float | None, tuple[np.ndarray, np.ndarray] | None]:
+    """Top eigenvalue of a complex G on keep x keep by `_lanczos_top`, and the Ritz vector to warm the next window.
+
+    warm is the inner window's (Ritz vector, keep) or None.  The start is a
+    Gaussian unit vector, seeded with `_LANCZOS_SEED`, plus that Ritz vector
+    padded with zeros; never the warm vector alone, which has no part in a
+    top eigenvector that lives only in this window's new columns.  The
+    budget is the number of steps that cost about what the window's ?heevr
+    call does, c // 3, but at least 32 and at most c, the step at which the
+    run breaks down in exact arithmetic.  (None, None) when the run does not
+    converge within it, or when its value is below inner, the inner
+    window's top eigenvalue, by more than c*eps of it: a window holds its
+    inner window, so its norm is never smaller.  The caller then takes the
+    window's `_top_eigenvalue`.
+    """
+    c = keep.size
+    H = G[:c, :c] if keep[-1] == c - 1 else G[np.ix_(keep, keep)]  # a view when keep is a prefix
+    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(2 * c).view(complex)
+    start /= np.linalg.norm(start)
+    if warm is not None:
+        y, cols = warm
+        start[np.searchsorted(keep, cols)] += y
+    run = _lanczos_top(H, start, min(c, max(c // _LANCZOS_COLS_PER_STEP, 32)))
+    if run is None or run[0] < inner * (1 - c * np.finfo(float).eps):
+        return None, None
+    return run[0], (run[1], keep)
+
+
 def _unscale(root: float, exp: int) -> float:
     """root * 2**exp, exactly, or inf when that is above the largest float."""
     return math.ldexp(root, exp) if math.frexp(root)[1] + exp <= sys.float_info.max_exp else math.inf
@@ -273,14 +374,18 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
     The Gram matrix G = X* X is over M's nonzero columns (its rows when they
     are fewer: the singular values of M.T are M's), deepest first, so every
     window's columns lead.  Walking from the innermost window outward, each
-    shell of new rows X is added as G += X* X by one `herk`, so every entry
-    is a plain sum of products, never a difference.  A window's squared norm
-    is the top eigenvalue of G on its own nonzero columns, the ones whose
-    diagonal entry is positive.  Entries are scaled by 2**-exp, exactly,
-    first, and each root is scaled back (`_unscale`), to inf past the largest
-    float.  G spans all nonzero columns, not only the outermost window's, so
-    two families of one matrix with the same inner windows (c_m and the
-    n = 1 cross term) share every bit of them.
+    shell of new rows X is added as G += X* X by one `gemm` filling both
+    triangles, so every entry is a plain sum of products, never a
+    difference, and a Lanczos matvec reads G as it stands.  A window's
+    squared norm is the top eigenvalue of G on its own nonzero columns, the
+    ones whose diagonal entry is positive: from `_krylov_window` on a
+    complex window of at least `_LANCZOS_MIN_COLS` columns, each Lanczos run
+    started from the last one's Ritz vector, and from `_top_eigenvalue` on
+    every other window.  Entries are scaled by 2**-exp, exactly, first, and
+    each root is scaled back (`_unscale`), to inf past the largest float.
+    G spans all nonzero columns, not only the outermost window's, so two
+    families of one matrix with the same inner windows (c_m and the n = 1
+    cross term) share every bit of them.
     """
     if not count:
         return []
@@ -297,30 +402,39 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
     levels = -np.arange(count)
     nrows = np.searchsorted(-rdepth[ri], levels, side="right")  # rows of window k: ri[:nrows[k]]
     ncols = np.searchsorted(-cdepth[ci], levels, side="right")  # its columns: the first ncols[k] of ci
-    herk = blas.dsyrk if scan.real else blas.zherk
+    gemm = blas.dgemm if scan.real else blas.zgemm
     G = np.zeros((ci.size, ci.size), dtype=dtype, order="F")
     norms, done = [0.0] * count, 0
+    inner, warm = 0.0, None  # the last window's top eigenvalue; its Ritz vector and columns from Lanczos
     for k in reversed(range(count)):
         if nrows[k] > done:
             X = np.asarray(src[np.ix_(ri[done : nrows[k]], ci)], dtype=dtype)
             np.ldexp(X.view(float), -scan.exp, out=X.view(float))
-            G = herk(1.0, X.T, beta=1.0, c=G, overwrite_c=1)  # adds conj(X* X): the same eigenvalues
+            # adds conj(X* X), in both triangles, with the same eigenvalues
+            G = gemm(1.0, X.T, X.T, beta=1.0, c=G, trans_b=2, overwrite_c=1)
             done = nrows[k]
         keep = np.flatnonzero(G.diagonal()[: ncols[k]].real > 0)
         if keep.size == 1:  # one column: no eigensolver, and |a| exactly for a single entry a
             j = keep[0]
             col = src[ri[:done], ci[j]]
             nz = np.flatnonzero(col)
+            inner = G[j, j].real
             if nz.size == 1:
                 norms[k] = float(abs(col[nz[0]]))
             else:
-                norms[k] = _unscale(math.sqrt(G[j, j].real), scan.exp)
+                norms[k] = _unscale(math.sqrt(inner), scan.exp)
         elif keep.size:
-            if keep.size == G.shape[0] and k == 0:
-                H = G  # the outermost window takes all of G, which is not needed after it
-            else:
-                H = G.T[np.ix_(keep, keep)].T  # Fortran-ordered copy of G on keep x keep
-            norms[k] = _unscale(math.sqrt(_top_eigenvalue(H)), scan.exp)
+            top = None
+            if not scan.real and keep.size >= _LANCZOS_MIN_COLS:
+                top, warm = _krylov_window(G, keep, warm, inner)
+            if top is None:
+                if keep.size == G.shape[0] and k == 0:
+                    H = G  # the outermost window takes all of G, which is not needed after it
+                else:
+                    H = G.T[np.ix_(keep, keep)].T  # Fortran-ordered copy of G on keep x keep
+                top = _top_eigenvalue(H)
+            inner = top
+            norms[k] = _unscale(math.sqrt(top), scan.exp)
     return norms
 
 
@@ -336,12 +450,18 @@ def operator_norm(matrix: np.ndarray, family: tuple[np.ndarray, np.ndarray, int]
 
     A window's norm is taken on its nonzero rows x columns and is 0.0 when
     there are none.  Each is the root of the top eigenvalue of one Gram
-    matrix grown over all windows (`_gram_norms`), from one LAPACK `?syevr`
-    or `?heevr` call, in real arithmetic when the matrix has no imaginary
-    part.  A matrix with a NaN or infinite entry, or one whose nonzero
-    magnitudes span too wide a range to square after scaling, keeps a dense
-    SVD per window, and a NaN reaches LAPACK there rather than being cropped
-    away.
+    matrix grown over all windows (`_gram_norms`), in real arithmetic when
+    the matrix has no imaginary part.  A complex window of at least
+    `_LANCZOS_MIN_COLS` = 160 columns takes that eigenvalue from Lanczos
+    with full reorthogonalization (`_lanczos_top`), which stops on breakdown
+    or on a residual of at most c*eps of the eigenvalue, and falls back to
+    LAPACK when it runs out of steps or reads below the inner window; every
+    other window takes it from one LAPACK `?syevr` or `?heevr` call.  Every
+    value stays within the Gram matrix's own error bound of the window's
+    SVD, and reruns are bit-identical: the Lanczos start is seeded.  A
+    matrix with a NaN or infinite entry, or one whose nonzero magnitudes
+    span too wide a range to square after scaling, keeps a dense SVD per
+    window, and a NaN reaches LAPACK there rather than being cropped away.
     """
     M = np.asarray(matrix)
     whole = family is None

@@ -9,7 +9,8 @@ index arithmetic with `operators`.  The `*_windows` functions are the
 exception: they rebuild each window of an m-indexed sequence from the
 section, so the production sequences, which take every window of one fixed
 matrix in one pass, can be held to each window's own SVD within
-`gram_bound`.
+`gram_bound`; `force_lanczos` puts every complex window of those sequences
+on the norm kernel's Lanczos path, which otherwise starts at 160 columns.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import itertools
 
 import numpy as np
 
+from polytoep import operators
 from polytoep.lattice import Box
 from polytoep.operators import TruncatedOperator, _cut, _window
 from polytoep.symbols import TorusSymbol
@@ -211,6 +213,16 @@ def gram_bound(W: np.ndarray) -> float:
         return 0.0
     top = _norm(np.abs(Wc))
     return 4 * max(Wc.shape) * EPS * top * (top / _norm(Wc))  # in this order, nothing over- or underflows
+
+
+def force_lanczos(mp) -> None:
+    """Put the norm kernel's Lanczos crossover at two columns, through a pytest MonkeyPatch.
+
+    Every complex window that would reach LAPACK's eigensolver then takes
+    Lanczos, so the small cases the oracles afford check that path too; real
+    windows keep LAPACK's ?syevr at every size.
+    """
+    mp.setattr(operators, "_LANCZOS_MIN_COLS", 2)
 
 
 def block_norm_grid_reference(D: np.ndarray, p: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polytoep import modelspace, operators
 from polytoep.lattice import Box
 from polytoep.operators import (
     TruncatedOperator,
@@ -336,3 +337,170 @@ def test_compress():
     assert np.allclose(compress(np.eye(4, dtype=complex), Q), np.eye(2), atol=1e-12)
     with pytest.raises(ValueError, match="orthonormal"):
         compress(T, np.ones((4, 2)))
+
+
+@settings(max_examples=300)
+@given(depth_families())
+def test_forced_lanczos_windows_are_the_depth_cuts(case):
+    # with the crossover at two columns, every complex window the eigensolver
+    # would see takes Lanczos, and real ones keep LAPACK: each norm stays
+    # within the Gram bound of its SVD, and the seeded start makes a rerun
+    # bit-identical
+    M, family, wide = case
+    rdepth, cdepth, count = family
+    with pytest.MonkeyPatch.context() as mp:
+        oracles.force_lanczos(mp)
+        norms = operator_norm(M, family)
+        assert operator_norm(M, family) == norms
+    for k, got in enumerate(norms):
+        W = M[np.ix_(rdepth >= k, cdepth >= k)]
+        want = oracles._norm(oracles.cropped(W))
+        if wide:
+            assert got == want, k
+        else:
+            assert abs(got - want) <= oracles.gram_bound(W), k
+
+
+def _solver_sizes(mp: pytest.MonkeyPatch) -> tuple[list[int], list[int]]:
+    """Spy on both eigenvalue paths of the norm kernel: the orders of the matrices each one sees."""
+    lanczos, lapack = [], []
+    run, top = operators._lanczos_top, operators._top_eigenvalue
+
+    def spy_run(H, start, budget):
+        lanczos.append(H.shape[0])
+        return run(H, start, budget)
+
+    def spy_top(H):
+        lapack.append(H.shape[0])
+        return top(H)
+
+    mp.setattr(operators, "_lanczos_top", spy_run)
+    mp.setattr(operators, "_top_eigenvalue", spy_top)
+    return lanczos, lapack
+
+
+def _blocks_of_ones(sizes) -> np.ndarray:
+    """Block-diagonal matrix of all-ones blocks: its Gram spectrum is the squared sizes and 0."""
+    M = np.zeros((sum(sizes), sum(sizes)))
+    at = 0
+    for s in sizes:
+        M[at : at + s, at : at + s] = 1.0
+        at += s
+    return M
+
+
+def _identity_compression() -> np.ndarray:
+    """C* C for the z1-shift C compressed to the z1^6 z2^6 model space on (24, 24), as the benchmark takes it."""
+    ms = modelspace.model_basis(from_coefficients(2, 1, [((6, 6), 1.0)]), Box((24, 24)))
+    C = modelspace.compressed_shift(ms, 0)
+    return C.conj().T @ C
+
+
+def test_lanczos_breakdown_on_invariant_krylov_spaces():
+    # Gram matrices with a few distinct eigenvalues: the Krylov space is
+    # invariant after as many steps, beta is roundoff, and only the breakdown
+    # rule keeps the next vector from being roundoff over roundoff.  The
+    # first two and C*C break down after one step, the blocks of ones (six
+    # distinct eigenvalues with 0) after six, each between two stopping tests.
+    # The factor 1j keeps each matrix complex, on the Lanczos side.
+    rng = np.random.default_rng(19)
+    perm = rng.permutation(300)
+    partial = np.zeros((300, 300))
+    partial[perm[:270], np.arange(270)] = 1.0  # a 0/1 partial isometry on 270 columns
+    cases = [
+        (0.25j * np.eye(300), 0.25),
+        (1j * partial, 1.0),
+        (1j * _blocks_of_ones([1, 2, 3, 4, 5] * 20), 5.0),
+        (1j * _identity_compression(), 1.0),  # 239 columns
+    ]
+    for M, want in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            lanczos, lapack = _solver_sizes(mp)
+            got = operator_norm(M)
+        assert lanczos and not lapack, (lanczos, lapack)
+        assert abs(got - want) <= oracles.gram_bound(M), (got, want)
+
+
+def test_lanczos_start_reaches_columns_new_to_the_window():
+    # the top singular value sits only in the outer shell's new columns:
+    # the inner window's Ritz vector, padded with zeros, has no part in it
+    rng = np.random.default_rng(20)
+    M = np.zeros((240, 240), dtype=complex)
+    M[:200, :200] = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    M[200:, 200:] = 10 * (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))
+    depth = np.repeat([1, 0], [200, 40])
+    with pytest.MonkeyPatch.context() as mp:
+        lanczos, lapack = _solver_sizes(mp)
+        norms = operator_norm(M, (depth, depth, 2))
+    assert lanczos == [200, 240] and not lapack
+    for k, got in enumerate(norms):
+        W = M[np.ix_(depth >= k, depth >= k)]
+        assert abs(got - oracles._norm(W)) <= oracles.gram_bound(W), k
+
+
+def test_lanczos_value_below_the_inner_window_is_recomputed(monkeypatch):
+    # a window holds its inner window, so a Lanczos value below the inner
+    # one is a missed eigenvalue: the window goes to LAPACK instead
+    rng = np.random.default_rng(21)
+    M = rng.standard_normal((240, 240)) + 1j * rng.standard_normal((240, 240))
+    depth = np.repeat([1, 0], [200, 40])
+    run = operators._lanczos_top
+
+    def low(H, start, budget):
+        out = run(H, start, budget)
+        return (out[0] / 2, out[1]) if H.shape[0] == 240 else out
+
+    monkeypatch.setattr(operators, "_lanczos_top", low)
+    lanczos, lapack = _solver_sizes(monkeypatch)
+    norms = operator_norm(M, (depth, depth, 2))
+    assert lanczos == [200, 240] and lapack == [240]
+    for k, got in enumerate(norms):
+        W = M[np.ix_(depth >= k, depth >= k)]
+        assert abs(got - oracles._norm(W)) <= oracles.gram_bound(W), k
+
+
+def test_lanczos_budget_falls_back_on_clustered_spectra():
+    # a 1-D Toeplitz section's top singular values cluster near the symbol's
+    # maximum, so Lanczos needs more steps than the budget allows (about
+    # 200 at c = 320) and the window's LAPACK call takes over
+    rng = np.random.default_rng(22)
+    tri = toeplitz(from_coefficients(1, 1, [((1,), 1.0), ((-1,), 1.0)]), Box((319,))).matrix
+    M = tri + 1e-3 * (rng.standard_normal((320, 320)) + 1j * rng.standard_normal((320, 320)))
+    with pytest.MonkeyPatch.context() as mp:
+        lanczos, lapack = _solver_sizes(mp)
+        got = operator_norm(M)
+    assert lanczos == [320] and lapack == [320]
+    assert abs(got - oracles._norm(M)) <= oracles.gram_bound(M)
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-8])
+def test_lanczos_resolves_a_near_degenerate_top_pair(gap):
+    # singular values 1 and 1 - gap above a spectrum in [0, 0.5]: the second
+    # Ritz value lags the second eigenvalue, so a residual over the Ritz gap
+    # would stop between the two; the residual rule waits for the top one
+    rng = np.random.default_rng(23)
+
+    def unitary():
+        Q, _ = np.linalg.qr(rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200)))
+        return Q
+
+    s = np.concatenate([[1.0, 1.0 - gap], np.sort(rng.uniform(0, 0.5, 198))[::-1]])
+    M = (unitary() * s) @ unitary().conj().T
+    with pytest.MonkeyPatch.context() as mp:
+        lanczos, lapack = _solver_sizes(mp)
+        got = operator_norm(M)
+    assert lanczos == [200] and not lapack
+    assert abs(got - oracles._norm(M)) <= oracles.gram_bound(M), got
+
+
+def test_real_windows_keep_lapack():
+    # ?syevr costs about a quarter of ?heevr, and real windows take it at
+    # every size; a real-valued complex matrix counts as real
+    rng = np.random.default_rng(24)
+    M = rng.standard_normal((300, 300))
+    for A in (M, M.astype(complex)):
+        with pytest.MonkeyPatch.context() as mp:
+            lanczos, lapack = _solver_sizes(mp)
+            got = operator_norm(A)
+        assert not lanczos and lapack == [300]
+        assert abs(got - oracles._norm(M)) <= oracles.gram_bound(M)

@@ -178,27 +178,40 @@ def check_family(norms, M: np.ndarray, windows, seen: list) -> None:
     seen.clear()
 
 
-def check_families(T: TruncatedOperator, with_remainder: bool = True) -> None:
-    """Every step, cross-term and compactness family of T, and of its remainder, by `check_family`."""
+def norm_families(T: TruncatedOperator, with_remainder: bool = True):
+    """(norms, matrix, reference windows) of every step, cross-term and compactness family of T, and of its remainder.
+
+    A generator: each family's norms are taken when it is drawn, under
+    whatever patches the caller holds at that moment.
+    """
     box = T.box
     matrices = [T]
     if with_remainder:
         matrices.append(T - toeplitz(recover_symbol(T).symbol, box))
+    for dirs in [(j,) for j in range(box.n)] + [tuple(range(box.n))]:
+        m_max = min(box.caps[j] for j in dirs)
+        if m_max:
+            yield asymptotic_sequence(T, dirs, m_max).step_norms, _step(T, dirs), oracles.step_windows(T, dirs, m_max)
+    for K in matrices:
+        for i, j in itertools.product(range(box.n), repeat=2):
+            m_max = min(box.caps[i], box.caps[j])
+            yield cross_term_profile(K, i, j, m_max).norms, K.matrix, oracles.cross_windows(K, i, j, m_max)
+        m_max = min(box.caps) + 1
+        yield compactness_profile(K, m_max).c_m, K.matrix, oracles.compactness_windows(K, m_max)
+
+
+def check_families(T: TruncatedOperator, with_remainder: bool = True) -> None:
+    """Every step, cross-term and compactness family of T, and of its remainder, by `check_family`."""
     with pytest.MonkeyPatch.context() as mp:
         seen = _eigensolver_spectra(mp)
-        for dirs in [(j,) for j in range(box.n)] + [tuple(range(box.n))]:
-            m_max = min(box.caps[j] for j in dirs)
-            if m_max:
-                norms = asymptotic_sequence(T, dirs, m_max).step_norms
-                check_family(norms, _step(T, dirs), oracles.step_windows(T, dirs, m_max), seen)
-        for K in matrices:
-            for i, j in itertools.product(range(box.n), repeat=2):
-                m_max = min(box.caps[i], box.caps[j])
-                norms = cross_term_profile(K, i, j, m_max).norms
-                check_family(norms, K.matrix, oracles.cross_windows(K, i, j, m_max), seen)
-            m_max = min(box.caps) + 1
-            norms = compactness_profile(K, m_max).c_m
-            check_family(norms, K.matrix, oracles.compactness_windows(K, m_max), seen)
+        for norms, M, windows in norm_families(T, with_remainder):
+            check_family(norms, M, windows, seen)
+
+
+def check_values(norms, windows) -> None:
+    """Each value within `oracles.gram_bound` of its reference window's SVD; no claim on the eigensolver's input."""
+    for got, W in zip(norms, windows, strict=True):
+        assert abs(got - oracles._norm(oracles.cropped(W))) <= oracles.gram_bound(W), got
 
 
 @settings(max_examples=200)
@@ -256,3 +269,8 @@ def test_oracle_equivalence_exhaustive():
         T = random_operator(box, 1, rng)
         check_all_ops(T, rng)
         check_families(T)
+        # a second pass with every complex window of two or more columns on Lanczos
+        with pytest.MonkeyPatch.context() as mp:
+            oracles.force_lanczos(mp)
+            for norms, _, windows in norm_families(T):
+                check_values(norms, windows)
