@@ -39,7 +39,7 @@ from .operators import (
     operator_norm,
     toeplitz,
 )
-from .symbols import TorusSymbol
+from .symbols import TorusSymbol, _block_norms
 
 EXACT_TOL = 1e-10   # identities that hold in exact arithmetic on polynomial inputs
 LIMIT_TOL = 1e-6    # finite surrogates for norm-limit statements
@@ -49,19 +49,9 @@ _PRUNE_RTOL = 1e-9  # relative slack of the diameter pruning bounds, far above t
 
 
 def _block_norm_grid(D: np.ndarray, p: int) -> np.ndarray:
-    """Per-block spectral norms of a (R*p, C*p) matrix as an (R, C) grid.
-
-    For p > 1 LAPACK runs only on the blocks with a nonzero (or NaN) entry;
-    an all-zero block has norm 0.0.
-    """
-    if p == 1:
-        return np.abs(D)
+    """Per-block spectral norms (`_block_norms`) of a (R*p, C*p) matrix as an (R, C) grid."""
     R, C = D.shape[0] // p, D.shape[1] // p
-    blocks = D.reshape(R, p, C, p).transpose(0, 2, 1, 3)
-    nonzero = blocks.any(axis=(-2, -1))
-    grid = np.zeros((R, C))
-    grid[nonzero] = np.linalg.norm(blocks[nonzero], ord=2, axis=(-2, -1))
-    return grid
+    return _block_norms(D.reshape(R, p, C, p).transpose(0, 2, 1, 3))
 
 
 def _step(T: TruncatedOperator, directions: tuple[int, ...]) -> np.ndarray:
@@ -171,19 +161,11 @@ def _diameters(blocks: np.ndarray, length: np.ndarray, centre: np.ndarray) -> np
     farthest from C to the block farthest from that one.  Each pair is taken
     in both orders, as the maximum over all ordered pairs does.
     """
-    p = blocks.shape[1]
 
     def dist(a, b):
-        if p == 1:
-            return np.abs(a - b)[:, 0, 0]
-        # a difference with an infinite part is more than the largest float:
-        # inf apart.  b - a is -(a - b) but for the signs of zero entries,
-        # which can still move LAPACK's result by an ulp
-        ab, ba = a - b, b - a
-        out = np.full(len(ab), np.inf)
-        near = np.isfinite(ab).all(axis=(-2, -1))
-        out[near] = np.maximum(*(np.linalg.norm(d[near], ord=2, axis=(-2, -1)) for d in (ab, ba)))
-        return out
+        # b - a is -(a - b) but for the signs of zero entries, which can
+        # still move LAPACK's result by an ulp
+        return np.maximum(_block_norms(a - b), _block_norms(b - a))
 
     def first_argmax(v):
         return np.minimum.reduceat(np.where(v == np.maximum.reduceat(v, starts)[seg], at, at.size), starts)
@@ -429,10 +411,12 @@ class DecompositionResult:
     verdict says.  Adding the Toeplitz part back reproduces T to rounding,
     and bit for bit where every recovered diagonal was constant.  The
     Toeplitz part puts coeff(l - k) on every block, so its defect is 0.0 by
-    construction and is not computed.  The verdict
-    certifies (at this box and tolerance) that the per-direction sequences
-    settled, the remainder profile decayed, and all cross terms ended below
-    tolerance.
+    construction and is not computed.  The verdict certifies (at this box
+    and tolerance) that the per-direction sequences settled and the
+    remainder profile decayed: T is Toeplitz plus compact, theorem (ii).
+    The cross terms are reported diagnostics, not part of the verdict: the
+    (i, j) term at m is the remainder on {x_i >= m + 1} x {x_j >= m + 1},
+    a sub-window of c_(m+1)'s, so it is at most c_(m+1) up to rounding.
     """
 
     symbol: TorusSymbol
@@ -458,11 +442,14 @@ def asymptotic_decompose(
     is read off the diagonals (`recover_symbol`) of the deepest stabilized
     section of the simultaneous all-directions sequence, whose shift by
     (m, ..., m) mirrors the diagonal index used to define the limiting
-    coefficients.  A non-Cauchy direction yields verdict False with a witness,
-    never an exception.  Its worst_m is the first m whose step norm is within
-    a relative TIE_RTOL of the largest, so steps that tie in exact arithmetic
-    resolve to the earliest index rather than to rounding; step_norm is the
-    norm at that m.
+    coefficients.  A false verdict carries one of two witnesses, never an
+    exception: `non_cauchy` for the first direction whose steps have not
+    settled, else `remainder_not_compact` with the profile c_m.  The
+    non-Cauchy worst_m is the first m whose step norm is within a relative
+    TIE_RTOL of the largest, so steps that tie in exact arithmetic resolve
+    to the earliest index rather than to rounding; step_norm is the norm at
+    that m.  Cross terms are computed and reported; each is bounded by
+    c_(m+1) (`DecompositionResult`), so none can decide the verdict.
     """
     box = T.box
     if m_max is None:
@@ -509,16 +496,6 @@ def asymptotic_decompose(
             "c_m": list(remainder_profile.c_m),
             "tol": tol,
         }
-    if witness is None:
-        for ct in cross_terms:
-            if ct.final > tol:
-                witness = {
-                    "kind": "cross_term",
-                    "directions": [ct.i, ct.j],
-                    "final_norm": ct.final,
-                    "norms": list(ct.norms),
-                }
-                break
     verdict = witness is None
     return DecompositionResult(
         symbol=symbol,

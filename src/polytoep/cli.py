@@ -1,16 +1,17 @@
 """Batch front door: build symbols and operators, run analyses, emit reports.
 
 Exit codes: 0 = success, 1 = analysis ran and the property failed
-(verdict-false is a result, not an error), 2 = input error, 3 = internal
-error (an unexpected exception, reported on one stderr line).  Reports embed
-the full configuration and are byte-identical across reruns with the same
-inputs and flags.  A report's fields are `asdict` of the verb's result
-(`_report`).  Only `recover` and `decompose` write some by hand: a symbol
-and recovery's deviations, keyed by frequency, need a format conversion,
-and decompose picks its other fields off a result that also holds the
-dense remainder, so it takes `asdict` of its parts only.  A report written
-to stdout is all that goes there, so it parses as JSON; `check-toeplitz`
-writes its witness line to stderr.
+(verdict-false is a result, not an error), 2 = input error (a box too large
+for memory included), 3 = internal error (an unexpected exception, reported
+on one stderr line).  Reports embed the full configuration and are
+byte-identical across reruns with the same inputs and flags.  A report's
+fields are `asdict` of the verb's result (`_report`).  Only `recover` and
+`decompose` write some by hand: a symbol and recovery's deviations, keyed
+by frequency, need a format conversion, and decompose picks its other
+fields off a result that also holds the dense remainder, so it takes
+`asdict` of its parts only.  A report written to stdout is all that goes
+there, so it parses as JSON; `check-toeplitz` writes its witness line to
+stderr.
 
 `decompose` serves every dimension n >= 1; `block-decompose` runs the same
 handler and refuses operators with n != 1 (exit 2).
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:  # a box too large for memory is an input error
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_INPUT_ERROR
     except Exception as exc:  # any other failure is a defect, never a verdict
         sys.stderr.write(f"internal error: {exc!r}\n")

@@ -23,7 +23,7 @@ import numpy as np
 from .lattice import Box
 from .modelspace import BOUNDARY_NOTE, ModelSpace
 from .operators import TruncatedOperator, toeplitz
-from .symbols import TorusSymbol
+from .symbols import TorusSymbol, from_coefficients
 
 ORTHONORMAL_TOL = 1e-10  # largest |V*V - I| entry a loaded model-space basis may have
 
@@ -58,25 +58,16 @@ def symbol_from_dict(data: dict) -> TorusSymbol:
     """
     try:
         n, p = _integer(data["n"]), _integer(data["p"])
-        entries = {}
+        entries = []
         for item in data["coefficients"]:
-            k = tuple(_integer(x) for x in item["k"])
-            if len(k) != n:
-                raise ValueError(f"frequency {k} has length {len(k)}, expected n = {n}")
             re = np.asarray(item["re"], dtype=float)
             blk = np.empty(re.shape, dtype=complex)
             blk.real, blk.imag = re, item.get("im", 0.0)
-            if p == 1 and blk.ndim == 0:
-                blk = blk.reshape(1, 1)
-            if blk.shape != (p, p):
-                raise ValueError(f"coefficient at {k} has shape {blk.shape}, expected ({p}, {p})")
-            if k in entries:
-                raise ValueError(f"duplicate frequency {k}")
-            entries[k] = blk
+            entries.append((tuple(_integer(x) for x in item["k"]), blk))
         tail = float(data.get("tail_bound", 0.0))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed symbol JSON: {exc}") from exc
-    return TorusSymbol(n=n, p=p, coefficients=entries, tail_bound=tail)
+    return TorusSymbol(n, p, from_coefficients(n, p, entries).coefficients, tail)
 
 
 def save_symbol(path, sym: TorusSymbol) -> None:

@@ -56,10 +56,6 @@ class TruncatedOperator:
             )
 
     @property
-    def n(self) -> int:
-        return self.box.n
-
-    @property
     def dim(self) -> int:
         return self.p * self.box.dim
 
@@ -245,10 +241,16 @@ _LANCZOS_SEED = 19
 
 
 def _svd_norm(window: np.ndarray) -> float:
-    """Largest singular value from a dense SVD of the window's nonzero rows x columns; 0.0 without any."""
+    """Largest singular value from a dense SVD of the window's nonzero rows x columns; 0.0 without any.
+
+    A window with an infinite part and no NaN part is inf with no SVD, as
+    `symbols._block_norms` takes a block; a NaN reaches LAPACK.
+    """
     rows, cols = window.any(axis=1), window.any(axis=0)
     if not rows.any():
         return 0.0
+    if np.isinf(window).any() and not np.isnan(window).any():
+        return math.inf
     if not (rows.all() and cols.all()):
         window = window[np.ix_(rows, cols)]
     return float(np.linalg.svd(window, compute_uv=False)[0])
@@ -383,9 +385,6 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
     started from the last one's Ritz vector, and from `_top_eigenvalue` on
     every other window.  Entries are scaled by 2**-exp, exactly, first, and
     each root is scaled back (`_unscale`), to inf past the largest float.
-    G spans all nonzero columns, not only the outermost window's, so two
-    families of one matrix with the same inner windows (c_m and the n = 1
-    cross term) share every bit of them.
     """
     if not count:
         return []
@@ -461,7 +460,9 @@ def operator_norm(matrix: np.ndarray, family: tuple[np.ndarray, np.ndarray, int]
     SVD, and reruns are bit-identical: the Lanczos start is seeded.  A
     matrix with a NaN or infinite entry, or one whose nonzero magnitudes
     span too wide a range to square after scaling, keeps a dense SVD per
-    window, and a NaN reaches LAPACK there rather than being cropped away.
+    window (`_svd_norm`).  There a window holding an infinite entry and no
+    NaN is inf, with no SVD, and a NaN reaches LAPACK rather than being
+    cropped away.
     """
     M = np.asarray(matrix)
     whole = family is None

@@ -23,19 +23,36 @@ def _next_pow2(x: int) -> int:
     return 1 << max(0, int(x) - 1).bit_length() if x > 1 else 1
 
 
-def _as_block(value, p: int) -> np.ndarray:
-    blk = np.asarray(value, dtype=complex)
-    if blk.ndim == 0:
-        blk = blk.reshape(1, 1)
-    if blk.shape != (p, p):
-        raise ValueError(f"coefficient block has shape {blk.shape}, expected ({p}, {p})")
-    return blk
+def _block_norms(B: np.ndarray) -> np.ndarray:
+    """Spectral norm of each (p, p) block of a (..., p, p) stack.
+
+    |b| for p = 1.  For p > 1 a zero block is 0.0, and a block with an
+    infinite part and no NaN part is inf, its norm being above the largest
+    float, with no LAPACK call.  Every other block goes to LAPACK's SVD; a
+    NaN does too, and LAPACK refuses it.
+    """
+    if B.shape[-1] == 1:
+        return np.abs(B[..., 0, 0])
+    axes = (-2, -1)
+    big = np.isinf(B).any(axis=axes) & ~np.isnan(B).any(axis=axes)
+    norms = np.where(big, np.inf, 0.0)
+    rest = B.any(axis=axes) & ~big
+    norms[rest] = np.linalg.norm(B[rest], ord=2, axis=axes)
+    return norms
 
 
-def _spectral(blk: np.ndarray) -> float:
-    if blk.size == 1:
-        return float(abs(blk.reshape(-1)[0]))
-    return float(np.linalg.norm(blk, 2))
+def _norm_sum(blocks) -> float:
+    """Sum of the blocks' spectral norms, in order, from one `_block_norms` call.
+
+    A 1 x 1 block takes Python's scalar abs, which numpy's array abs can
+    miss by an ulp.
+    """
+    blocks = list(blocks)
+    if not blocks:
+        return 0.0
+    if blocks[0].size == 1:
+        return sum(float(abs(b.reshape(-1)[0])) for b in blocks)
+    return sum(_block_norms(np.stack(blocks)).tolist())
 
 
 @dataclass(eq=False)
@@ -74,7 +91,7 @@ class TorusSymbol:
 
     def sup_norm_estimate(self) -> float:
         """Triangle-inequality bound sum ||coeff(k)|| + tail_bound."""
-        return sum(_spectral(b) for b in self.coefficients.values()) + self.tail_bound
+        return _norm_sum(self.coefficients.values()) + self.tail_bound
 
     def coeff(self, k: MultiIndex) -> np.ndarray:
         """Coefficient block at frequency k (zero block if absent)."""
@@ -90,10 +107,15 @@ def from_coefficients(n: int, p: int, entries) -> TorusSymbol:
     for k, value in entries:
         key = tuple(int(x) for x in k)
         if len(key) != n:
-            raise ValueError(f"frequency {key} has length {len(key)}, expected {n}")
+            raise ValueError(f"frequency {key} has length {len(key)}, expected n = {n}")
         if key in coeffs:
             raise ValueError(f"duplicate frequency {key}")
-        coeffs[key] = _as_block(value, p)
+        blk = np.asarray(value, dtype=complex)
+        if blk.ndim == 0:
+            blk = blk.reshape(1, 1)
+        if blk.shape != (p, p):
+            raise ValueError(f"coefficient at {key} has shape {blk.shape}, expected ({p}, {p})")
+        coeffs[key] = blk
     return TorusSymbol(n=n, p=p, coefficients=coeffs, tail_bound=0.0)
 
 
@@ -140,8 +162,7 @@ def multiply(a: TorusSymbol, b: TorusSymbol) -> TorusSymbol:
             else:
                 coeffs[key] = prod
     # ||ab - a_tr b_tr||_inf <= ||a_tr|| tail_b + tail_a ||b_tr|| + tail_a tail_b
-    sup_a = sum(_spectral(x) for x in a.coefficients.values())
-    sup_b = sum(_spectral(x) for x in b.coefficients.values())
+    sup_a, sup_b = _norm_sum(a.coefficients.values()), _norm_sum(b.coefficients.values())
     tail = sup_a * b.tail_bound + a.tail_bound * sup_b + a.tail_bound * b.tail_bound
     return TorusSymbol(n=a.n, p=a.p, coefficients=coeffs, tail_bound=tail)
 
@@ -229,8 +250,7 @@ def is_inner(sym: TorusSymbol, grid_sizes=None, tol: float = INNER_TOL) -> Inner
         allowance = sym.tail_bound
     else:
         prods = np.einsum("...ba,...bc->...ac", vals.conj(), vals)
-        prods = prods - np.eye(sym.p)
-        dev = np.linalg.norm(prods, ord=2, axis=(-2, -1))
+        dev = _block_norms(prods - np.eye(sym.p))
         allowance = sym.tail_bound * (2.0 + sym.tail_bound)
     flat = int(np.argmax(dev))
     worst = np.unravel_index(flat, dev.shape)

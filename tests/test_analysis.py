@@ -549,8 +549,41 @@ def test_decompose_one_variable_cross_term_is_c_m(T):
     assert ct.norms == cross_term_profile(res.remainder, 0, 0, res.m_max).norms
 
 
+@st.composite
+def decompose_cases(draw):
+    """Toeplitz on an n = 2 or 3 box, p = 1 or 2, plus dense small noise or a few random entries."""
+    n, p = draw(st.integers(2, 3)), draw(st.sampled_from([1, 2]))
+    box = Box(tuple(draw(st.lists(st.integers(2, 5 if n == 2 else 3), min_size=n, max_size=n))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = toeplitz(random_symbol(n, draw(st.integers(0, 2)), p=p, rng=rng), box)
+    d = p * box.dim
+    K = np.zeros((d, d), dtype=complex)
+    if draw(st.booleans()):
+        K += draw(st.sampled_from([1e-3, 1.0])) * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    else:
+        for a, b in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), min_size=1, max_size=6)):
+            K[a, b] += complex(*rng.standard_normal(2))
+    return T + TruncatedOperator(box, p, K)
+
+
+@settings(max_examples=60)
+@given(decompose_cases())
+def test_cross_terms_are_bounded_by_the_next_c_m(T):
+    # Cross term (i, j) at m is the remainder on {x_i >= m + 1} x
+    # {x_j >= m + 1}, a sub-window of c_(m+1)'s, so it can exceed c_(m+1)
+    # by the two norms' rounding only, and it cannot fail a verdict that
+    # c_m passes.
+    res = asymptotic_decompose(T)
+    K, c_m = res.remainder, res.remainder_profile.c_m
+    outer = oracles.compactness_windows(K, res.m_max)
+    for ct in res.cross_terms:
+        for m, (norm, W) in enumerate(zip(ct.norms, oracles.cross_windows(K, ct.i, ct.j, res.m_max))):
+            assert norm <= c_m[m + 1] + oracles.gram_bound(outer[m + 1]) + oracles.gram_bound(W), (ct.i, ct.j, m)
+    assert res.witness is None or res.witness["kind"] in ("non_cauchy", "remainder_not_compact")
+
+
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("fill", ["sparse", "dense", "zero", "nan"])
+@pytest.mark.parametrize("fill", ["sparse", "dense", "zero", "nan", "inf"])
 def test_block_norm_grid_matches_every_block_norm(p, fill):
     rng = np.random.default_rng(p)
     R, C = 5, 4
@@ -572,6 +605,11 @@ def test_block_norm_grid_matches_every_block_norm(p, fill):
         return
     D[-1, -1] = -0.0
     want = oracles.block_norm_grid_reference(D, p)
+    if fill == "inf":
+        # a block with an infinite part and no NaN is inf, with no LAPACK
+        # call; every other block keeps LAPACK's value
+        D[p, 1] = complex(math.inf, 1.0)
+        want[1, 0] = math.inf
     assert np.array_equal(_block_norm_grid(D, p), want)
     assert _block_norm_grid(D[:0], p).shape == (0, C)
 

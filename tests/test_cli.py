@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polytoep import cli, io
+from polytoep import cli, io, operators
 from polytoep.cli import main
 from polytoep.lattice import Box
 from polytoep.modelspace import model_basis
@@ -86,6 +86,41 @@ def test_non_finite_entry_exit_codes(tmp_path, capsys, value, verb, code):
     assert main([verb, str(tmp_path / "x.op"), "--out", str(tmp_path / "r.json")]) == code
     if code == 2:
         assert "SVD did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_infinite_entry_is_an_infinite_norm(tmp_path, p):
+    # eye(7) with one inf entry, and that operator tensored with I_2 (placed
+    # entry by entry: inf * 0 would be NaN).  Every block or window holding
+    # the entry has norm inf at both p, and the verdict is false.
+    M = np.eye(7, dtype=complex)
+    M[2, 3] = math.inf
+    B = np.zeros((7 * p, 7 * p), dtype=complex)
+    for c in range(p):
+        B[c::p, c::p] = M
+    io.save_operator(tmp_path / "x.op", TruncatedOperator(Box((6,)), p, B))
+    out = str(tmp_path / "r.json")
+    assert main(["check-toeplitz", str(tmp_path / "x.op"), "--out", out]) == 1
+    data = json.loads((tmp_path / "r.json").read_text())
+    assert data["defects"] == [math.inf] and data["witness"]["base"] == [[1], [2]]
+    assert main(["compactness", str(tmp_path / "x.op"), "--out", out]) == 1
+    # window m holds row 2 and column 3 for m <= 2
+    assert json.loads((tmp_path / "r.json").read_text())["c_m"] == [math.inf] * 3 + [1.0] * 4 + [0.0]
+
+
+def test_box_too_large_for_memory_exits_two(tmp_path, capsys, monkeypatch):
+    # the section of a (3000, 3000) box is 1.3 PB; the gather is stubbed to
+    # refuse it as numpy does, so nothing is allocated
+    def refuse(sym, rows, cols):
+        raise MemoryError((3001, 3001, 1, 3001, 3001, 1), np.dtype(complex))
+
+    monkeypatch.setattr(operators, "_gather", refuse)
+    io.save_symbol(tmp_path / "s.json", from_coefficients(2, 1, [((1, 0), 1.0)]))
+    argv = ["toeplitz", "--symbol", str(tmp_path / "s.json"), "--caps", "3000,3000", "--out", str(tmp_path / "x.op")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.op").exists()
 
 
 def test_norm_above_the_largest_float_exits_one(tmp_path):

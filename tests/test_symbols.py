@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polytoep.symbols import (
+    _block_norms,
     blaschke_factor,
     default_grid,
     evaluate_grid,
@@ -188,3 +189,18 @@ def test_exact_inner_block_is_unitary_on_grid():
 def test_default_grid_powers_of_two():
     sym = from_coefficients(1, 1, [((-3,), 1), ((5,), 1)])
     assert default_grid(sym) == (32,)  # span 8 -> 17 -> 32
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_block_norms_are_lapack_per_block(p, dtype):
+    # one LAPACK call per nonzero block, whatever the stack around it; |b| for p = 1
+    rng = np.random.default_rng(p)
+    B = rng.standard_normal((6, 5, p, p)) + 1j * rng.standard_normal((6, 5, p, p))
+    if dtype is float:
+        B = B.real.copy()
+    B[rng.random((6, 5)) < 0.3] = 0.0
+    B[0, 0] = -0.0
+    want = np.abs(B[..., 0, 0]) if p == 1 else np.array([[np.linalg.norm(b, ord=2) for b in row] for row in B])
+    assert np.array_equal(_block_norms(B), want)
+    assert all(np.array_equal(_block_norms(b), w) for b, w in zip(B[1], want[1]))
