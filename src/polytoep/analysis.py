@@ -14,14 +14,15 @@ built once (the one-step difference D_e, or the remainder) in one
 `operator_norm` call, each window's norm taken on its own nonzero rows and
 columns; window m is the rows and columns of depth at least m, a depth read
 off the rows' monomial exponents (`_exponents`).  Decompose reads the
-remainder's support once (`_scan`) for c_m and every cross term.
+remainder's support once (`_scan`) for c_m and, when the remainder is not
+compact, for the cross terms of its witness.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -224,10 +225,11 @@ def _recover_diagonals(B4: np.ndarray, f: np.ndarray, length: np.ndarray, side: 
     line = vary & flat.any(axis=1) & (p == 1)
     rest = vary & ~line
     with np.errstate(over="ignore"):  # finite blocks farther apart than the largest float: inf is the pairwise answer
-        spread[line] = (hi - lo)[line].max(axis=1)
+        spread[line] = (hi[line] - lo[line]).max(axis=1)  # only finite diagonals: inf - inf would warn
         if rest.any():
             spread[rest] = _diameters(blocks[rest[seg]], length[rest], coef[rest])
     coef[const] = blocks[starts[const]]
+    coef[bad] = 0.0  # an infinite coefficient would leave inf - inf = NaN in T - toeplitz(symbol)
     return coef, spread
 
 
@@ -244,15 +246,17 @@ def recover_symbol(T: TruncatedOperator) -> SymbolRecovery:
     """Read a candidate symbol off the matrix diagonals.
 
     The coefficient at frequency f is taken from the blocks with row - col = f:
-    a constant diagonal yields its first block (lowest column), any other
-    diagonal its mean, finite when its blocks are.  The two agree in exact
-    arithmetic; taking the representative keeps a constant diagonal bit-exact,
-    so a Toeplitz part rebuilt from the symbol cancels it entry by entry.  The
-    deviation map records each diagonal's spread, the largest distance between
-    two of its blocks in the spectral norm: zero exactly on constant finite
-    diagonals and NaN exactly on diagonals with a non-finite part (the pairwise
-    maximum is NaN there too, since an infinite block minus itself is NaN), so
-    max_deviation is NaN whenever some spread is.
+    a constant finite diagonal yields its first block (lowest column), any
+    other finite diagonal its (finite) mean, and a diagonal with a non-finite
+    part 0, so T minus the rebuilt Toeplitz part keeps an inf entry, not NaN.
+    The first two agree in exact arithmetic; taking the representative keeps
+    a constant diagonal bit-exact, so a Toeplitz part rebuilt from the symbol
+    cancels it entry by entry.  The deviation map records each diagonal's
+    spread, the largest distance between two of its blocks in the spectral
+    norm: zero exactly on constant finite diagonals and NaN exactly on
+    diagonals with a non-finite part (the pairwise maximum is NaN there too,
+    since an infinite block minus itself is NaN), so max_deviation is NaN
+    whenever some spread is.
 
     One pass over the matrix, a bounded chunk of diagonals at a time, so the
     working memory does not grow with the box.  Spreads are exact, equal bit
@@ -335,10 +339,6 @@ class CrossTermProfile:
     j: int
     norms: list[float]
 
-    @property
-    def final(self) -> float:
-        return self.norms[-1] if self.norms else 0.0
-
 
 def cross_term_profile(
     K: TruncatedOperator, i: int, j: int, m_max: int, scan: _Scan | None = None
@@ -414,9 +414,6 @@ class DecompositionResult:
     construction and is not computed.  The verdict certifies (at this box
     and tolerance) that the per-direction sequences settled and the
     remainder profile decayed: T is Toeplitz plus compact, theorem (ii).
-    The cross terms are reported diagnostics, not part of the verdict: the
-    (i, j) term at m is the remainder on {x_i >= m + 1} x {x_j >= m + 1},
-    a sub-window of c_(m+1)'s, so it is at most c_(m+1) up to rounding.
     """
 
     symbol: TorusSymbol
@@ -424,7 +421,6 @@ class DecompositionResult:
     remainder_profile: CompactnessProfile
     sequences: list[AsymptoticSequence]
     diagonal: AsymptoticSequence
-    cross_terms: list[CrossTermProfile]
     m_star: int
     m_max: int
     verdict: bool
@@ -448,8 +444,13 @@ def asymptotic_decompose(
     non-Cauchy worst_m is the first m whose step norm is within a relative
     TIE_RTOL of the largest, so steps that tie in exact arithmetic resolve
     to the earliest index rather than to rounding; step_norm is the norm at
-    that m.  Cross terms are computed and reported; each is bounded by
-    c_(m+1) (`DecompositionResult`), so none can decide the verdict.
+    that m.  Only `remainder_not_compact` computes cross terms, all n^2: term
+    (i, j) at m is the remainder on {x_i >= m + 1} x {x_j >= m + 1}, inside
+    c_(m+1)'s window, so it cannot decide the verdict, but it locates the
+    failure.  Its pair is the first (i, j), row-major, with the largest final
+    term: cutting c_(m_max)'s window by the first variable at depth m_max of
+    each row and column puts each piece in one final term, so the pair's is
+    at least c_(m_max) / n^2.
     """
     box = T.box
     if m_max is None:
@@ -468,15 +469,6 @@ def asymptotic_decompose(
     remainder = T - toeplitz(symbol, box)
     scan = _scan(remainder.matrix)  # one read of the remainder serves all its norm families
     remainder_profile = compactness_profile(remainder, m_max, tol, scan)
-    if box.n == 1:
-        # the (0, 0) section at m is the remainder on {l >= m} x {k >= m},
-        # which is c_m's window
-        cross_terms = [CrossTermProfile(i=0, j=0, norms=remainder_profile.c_m[1:])]
-    else:
-        cross_terms = [
-            cross_term_profile(remainder, i, j, m_max, scan)
-            for i, j in itertools.product(range(box.n), repeat=2)
-        ]
     witness: dict | None = None
     for seq in sequences:
         if not seq.cauchy:
@@ -491,10 +483,17 @@ def asymptotic_decompose(
             }
             break
     if witness is None and not remainder_profile.verdict:
+        cross_terms = [
+            cross_term_profile(remainder, i, j, m_max, scan)
+            for i, j in itertools.product(range(box.n), repeat=2)
+        ]
+        top = cross_terms[int(np.argmax([ct.norms[-1] for ct in cross_terms]))]
         witness = {
             "kind": "remainder_not_compact",
             "c_m": list(remainder_profile.c_m),
             "tol": tol,
+            "pair": [top.i, top.j],
+            "cross_terms": [asdict(ct) for ct in cross_terms],
         }
     verdict = witness is None
     return DecompositionResult(
@@ -503,7 +502,6 @@ def asymptotic_decompose(
         remainder_profile=remainder_profile,
         sequences=sequences,
         diagonal=diagonal,
-        cross_terms=cross_terms,
         m_star=m_star,
         m_max=m_max,
         verdict=verdict,

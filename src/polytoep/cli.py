@@ -230,7 +230,6 @@ def _decompose_payload(args, result) -> dict:
         "sequences": [asdict(s) for s in result.sequences],
         "diagonal_step_norms": result.diagonal.step_norms,
         "remainder_profile": asdict(result.remainder_profile),
-        "cross_terms": [asdict(ct) for ct in result.cross_terms],
     }
 
 

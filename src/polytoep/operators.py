@@ -176,10 +176,11 @@ def apply_fast(op: TruncatedOperator, v: np.ndarray) -> np.ndarray:
     if op._spectrum is None:
         # idempotent cache write; concurrent recomputation is safe
         op._spectrum = _fast_spectrum(op)
+    import scipy.fft  # transforms several lines per pass, where numpy's takes one; no CLI verb loads it
     spec, embed = op._spectrum
     side, axes = _side(op.box, op.p), tuple(range(op.box.n))
-    vf = np.fft.fftn(v.reshape(side), s=embed, axes=axes)  # zero-padded to the embedding
-    w = np.fft.ifftn(spec @ vf[..., None], axes=axes)
+    vf = scipy.fft.fftn(v.reshape(side), s=embed, axes=axes)  # zero-padded to the embedding
+    w = scipy.fft.ifftn(np.einsum("...ij,...j->...i", spec, vf), axes=axes, overwrite_x=True)
     return w[tuple(slice(s) for s in side[:-1])].reshape(-1)
 
 

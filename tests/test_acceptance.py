@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from polytoep.analysis import (
     asymptotic_decompose,
@@ -156,6 +157,33 @@ def test_criterion_3_flip_witness_value_as_specified():
         "witness 2cos(pi/(d+1)) to 1e-12 on caps (8,)..(64,), "
         f"rising to the limit 2 (gap {2 - previous:.2e} at d = 64)",
     )
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_criterion_3_remainder_witness_names_the_failing_pair(p):
+    # Two operators on (15, 15), each shift-invariant in every direction
+    # separately in the limit yet not Toeplitz + compact: T_(z + 1/z) in z1
+    # on the face {x_2 = 0}, and the axis swap e_(0, k) -> e_(k, 0).  Every
+    # final step is 0.0 and c_m plateaus, so the verdict fails on the
+    # remainder; the witness names the cross term that carries the plateau,
+    # (0, 0) for the face and (0, 1) for the swap, where every other final
+    # term is 0.0.  At p = 2 each operator is tensored with I_2.
+    box = Box((15, 15))
+    face, swap = np.zeros((256, 256), dtype=complex), np.zeros((256, 256), dtype=complex)
+    l1 = np.arange(15)
+    face[16 * l1, 16 * (l1 + 1)] = face[16 * (l1 + 1), 16 * l1] = 1.0
+    swap[16 * np.arange(16), np.arange(16)] = 1.0
+    for K, pair, plateau in ((face, [0, 0], 2 * math.cos(math.pi / 10)), (swap, [0, 1], 1.0)):
+        res = asymptotic_decompose(TruncatedOperator(box, p, np.kron(K, np.eye(p))))
+        assert not res.verdict
+        assert all(s.step_norms[-1] == 0.0 for s in res.sequences)
+        w = res.witness
+        assert w["kind"] == "remainder_not_compact" and w["pair"] == pair
+        finals = {(ct["i"], ct["j"]): ct["norms"][-1] for ct in w["cross_terms"]}
+        assert finals.pop(tuple(pair)) == pytest.approx(plateau, abs=1e-12)
+        assert set(finals.values()) == {0.0}
+        assert w["c_m"][-1] == pytest.approx(plateau, abs=1e-12)
+    report(f"3 (remainder witness, p = {p})", "face and axis-swap operators name cross terms (0, 0) and (0, 1)")
 
 
 def test_criterion_4_inclusion_exclusion_identity():

@@ -1,13 +1,14 @@
 import itertools
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytoep import operators
+from polytoep import analysis, operators
 from polytoep.analysis import (
     _block_norm_grid,
     asymptotic_decompose,
@@ -488,8 +489,7 @@ def test_decompose_toeplitz_plus_rank_one():
     assert max_coeff_difference(res.symbol, sym) < 1e-12
     assert np.abs(res.remainder.matrix - rank_one_corner(box).matrix).max() < 1e-12
     assert res.remainder_profile.c_m[1] == pytest.approx(0.0, abs=1e-12)
-    for ct in res.cross_terms:
-        assert ct.final <= 1e-10
+    assert cross_term_profile(res.remainder, 0, 0, res.m_max).norms[-1] <= 1e-10
     assert np.abs((toeplitz(res.symbol, box) + res.remainder).matrix - T.matrix).max() == 0.0  # integer data: exact
     assert toeplitz_defect(toeplitz(res.symbol, box)).overall == 0.0
 
@@ -534,32 +534,55 @@ def test_decompose_norms_stay_on_the_corner_block(monkeypatch, caps, p, depth):
     assert shapes and max(max(s) for s in shapes) <= p * depth ** len(caps)
 
 
-@pytest.mark.parametrize(
-    "T",
-    [toeplitz_plus_corner((31,), 1, 3), toeplitz_plus_corner((15,), 2, 2), flip_operator(12)],
-    ids=["corner", "corner-p2", "flip"],
-)
-def test_decompose_one_variable_cross_term_is_c_m(T):
-    # For n = 1 the (0, 0) cross section at m is the remainder on
-    # {l >= m} x {k >= m}, the window of c_m, so decompose reads it off the
-    # remainder profile.
-    res = asymptotic_decompose(T)
-    (ct,) = res.cross_terms
-    assert (ct.i, ct.j) == (0, 0)
-    assert ct.norms == cross_term_profile(res.remainder, 0, 0, res.m_max).norms
+def test_decompose_computes_cross_terms_only_for_a_remainder_witness(monkeypatch):
+    # A true verdict and a non-Cauchy witness read no cross term, so
+    # decompose computes none for them.
+    calls = []
+    profile = analysis.cross_term_profile
+
+    def spy(*args):
+        calls.append(args[1:3])
+        return profile(*args)
+
+    monkeypatch.setattr(analysis, "cross_term_profile", spy)
+    rng = np.random.default_rng(21)
+    noisy = toeplitz(random_symbol(2, 2, rng=rng), Box((7, 7))) + TruncatedOperator(
+        Box((7, 7)), 1, 1e-3 * rng.standard_normal((64, 64)).astype(complex)
+    )
+    for T, kind in ((toeplitz_plus_corner((11, 11), 1, 3), None), (noisy, "non_cauchy")):
+        res = asymptotic_decompose(T)
+        assert (res.witness or {}).get("kind") == kind
+    assert calls == []
+    swap = np.zeros((36, 36), dtype=complex)
+    swap[6 * np.arange(6), np.arange(6)] = 1.0  # e_(0, k) -> e_(k, 0) on (5, 5)
+    res = asymptotic_decompose(TruncatedOperator(Box((5, 5)), 1, swap))
+    assert res.witness["kind"] == "remainder_not_compact" and res.witness["pair"] == [0, 1]
+    assert calls == list(itertools.product(range(2), repeat=2))
 
 
 @st.composite
 def decompose_cases(draw):
-    """Toeplitz on an n = 2 or 3 box, p = 1 or 2, plus dense small noise or a few random entries."""
+    """Toeplitz on an n = 2 or 3 box, p = 1 or 2, plus dense noise, a few random entries or a face.
+
+    A face perturbation is a Toeplitz section on the face {x_j = 0}: every
+    final step, taken at depth 1 or more, misses it, yet it is not compact,
+    so decompose gives a `remainder_not_compact` witness.
+    """
     n, p = draw(st.integers(2, 3)), draw(st.sampled_from([1, 2]))
-    box = Box(tuple(draw(st.lists(st.integers(2, 5 if n == 2 else 3), min_size=n, max_size=n))))
+    kind = draw(st.sampled_from(["dense", "sparse", "face"]))
+    low = 4 if kind == "face" else 2  # the default m_max is then 2, and the final steps sit at depth 1
+    box = Box(tuple(draw(st.lists(st.integers(low, 5 if n == 2 else max(low, 3)), min_size=n, max_size=n))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     T = toeplitz(random_symbol(n, draw(st.integers(0, 2)), p=p, rng=rng), box)
     d = p * box.dim
     K = np.zeros((d, d), dtype=complex)
-    if draw(st.booleans()):
+    if kind == "dense":
         K += draw(st.sampled_from([1e-3, 1.0])) * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    elif kind == "face":
+        j = draw(st.integers(0, n - 1))
+        face = Box(box.caps[:j] + box.caps[j + 1 :])
+        rows = block_rows([i for i, k in enumerate(enumerate_basis(box)) if k[j] == 0], p)
+        K[np.ix_(rows, rows)] = toeplitz(random_symbol(n - 1, 1, p=p, rng=rng), face).matrix
     else:
         for a, b in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), min_size=1, max_size=6)):
             K[a, b] += complex(*rng.standard_normal(2))
@@ -572,14 +595,27 @@ def test_cross_terms_are_bounded_by_the_next_c_m(T):
     # Cross term (i, j) at m is the remainder on {x_i >= m + 1} x
     # {x_j >= m + 1}, a sub-window of c_(m+1)'s, so it can exceed c_(m+1)
     # by the two norms' rounding only, and it cannot fail a verdict that
-    # c_m passes.
+    # c_m passes.  Cutting c_(m_max)'s window by the first variable at depth
+    # m_max of its rows and of its columns puts each of the n^2 pieces
+    # inside one final term, so the witness's pair, the largest final term,
+    # is at least c_(m_max) / n^2, again up to rounding.
     res = asymptotic_decompose(T)
-    K, c_m = res.remainder, res.remainder_profile.c_m
+    K, c_m, n = res.remainder, res.remainder_profile.c_m, T.box.n
     outer = oracles.compactness_windows(K, res.m_max)
-    for ct in res.cross_terms:
-        for m, (norm, W) in enumerate(zip(ct.norms, oracles.cross_windows(K, ct.i, ct.j, res.m_max))):
-            assert norm <= c_m[m + 1] + oracles.gram_bound(outer[m + 1]) + oracles.gram_bound(W), (ct.i, ct.j, m)
+    terms, slack = {}, oracles.gram_bound(outer[-1])
+    for i, j in itertools.product(range(n), repeat=2):
+        ct = cross_term_profile(K, i, j, res.m_max)
+        windows = oracles.cross_windows(K, i, j, res.m_max)
+        for m, (norm, W) in enumerate(zip(ct.norms, windows)):
+            assert norm <= c_m[m + 1] + oracles.gram_bound(outer[m + 1]) + oracles.gram_bound(W), (i, j, m)
+        terms[i, j] = asdict(ct)
+        slack += oracles.gram_bound(windows[-1])
     assert res.witness is None or res.witness["kind"] in ("non_cauchy", "remainder_not_compact")
+    if res.witness and res.witness["kind"] == "remainder_not_compact":
+        assert res.witness["cross_terms"] == list(terms.values())
+        finals = [t["norms"][-1] for t in terms.values()]
+        assert res.witness["pair"] == list(list(terms)[finals.index(max(finals))])
+        assert n * n * max(finals) >= c_m[-1] - slack
 
 
 @pytest.mark.parametrize("p", [2, 3])

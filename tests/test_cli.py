@@ -108,6 +108,28 @@ def test_infinite_entry_is_an_infinite_norm(tmp_path, p):
     assert json.loads((tmp_path / "r.json").read_text())["c_m"] == [math.inf] * 3 + [1.0] * 4 + [0.0]
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_decompose_infinite_entry_anywhere_exits_one(tmp_path, capsys, p):
+    # eye(16) on (3, 3) with one inf entry, at each of the 256 positions, and
+    # that operator tensored with I_2 (placed entry by entry: inf * 0 would be
+    # NaN).  Recovery gives the entry's diagonal coefficient 0, so the
+    # remainder keeps the inf (inf - inf would be NaN, which LAPACK refuses
+    # with exit 2) and c_0 is inf: a false verdict, with nothing printed.
+    op, out = str(tmp_path / "x.op"), str(tmp_path / "r.json")
+    for pos in range(256):
+        M = np.eye(16, dtype=complex)
+        M[divmod(pos, 16)] = math.inf
+        B = np.zeros((16 * p, 16 * p), dtype=complex)
+        for c in range(p):
+            B[c::p, c::p] = M
+        io.save_operator(op, TruncatedOperator(Box((3, 3)), p, B))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["decompose", op, "--out", out]) == 1, divmod(pos, 16)
+        assert json.loads((tmp_path / "r.json").read_text())["remainder_profile"]["c_m"][0] == math.inf
+    assert capsys.readouterr() == ("", "")
+
+
 def test_box_too_large_for_memory_exits_two(tmp_path, capsys, monkeypatch):
     # the section of a (3000, 3000) box is 1.3 PB; the gather is stubbed to
     # refuse it as numpy does, so nothing is allocated
@@ -449,12 +471,16 @@ REPORT_KEYS = {
     "check-toeplitz": ["config", "defects", "kind", "overall", "tol", "verdict", "witness"],
     "recover": ["config", "deviations", "kind", "max_deviation", "sup_norm_estimate", "symbol"],
     "decompose": [
-        "config", "cross_terms", "diagonal_step_norms", "kind", "m_star",
+        "config", "diagonal_step_norms", "kind", "m_star",
         "remainder_profile", "sequences", "symbol", "verdict", "witness",
     ],
     "compactness": ["c_m", "config", "kind", "m", "m_max", "tol", "verdict"],
     "invariance": ["config", "kernel_dim", "kind", "matvecs", "method", "q", "residual", "sigma_min", "tol"],
     "model-compactness": ["config", "kind", "m_max", "norms", "tol", "verdict"],
+}
+WITNESS_KEYS = {
+    "non_cauchy": ["direction", "kind", "step_norm", "step_norms", "worst_m"],
+    "remainder_not_compact": ["c_m", "cross_terms", "kind", "pair", "tol"],
 }
 
 
@@ -476,12 +502,23 @@ def test_report_keys_are_pinned(tmp_path):
     io.save_operator(tmp_path / "T1.op", TruncatedOperator(Box((6,)), 1, M))
     for verb in ("check-toeplitz", "recover", "compactness"):
         keys(verb, report([verb, str(T2)]))
-    for verb, op in (("decompose", T2), ("block-decompose", tmp_path / "T1.op")):
-        data = report([verb, str(op)])
+    # the flip is not Cauchy; the axis swap e_(0, k) -> e_(k, 0) is, but its remainder is not compact
+    io.save_operator(tmp_path / "flip.op", TruncatedOperator(Box((6,)), 1, np.eye(7, dtype=complex)[::-1]))
+    swap = np.zeros((36, 36), dtype=complex)
+    swap[6 * np.arange(6), np.arange(6)] = 1.0
+    io.save_operator(tmp_path / "swap.op", TruncatedOperator(Box((5, 5)), 1, swap))
+    witnesses = set()
+    for verb, op in (("decompose", T2), ("block-decompose", "T1.op"), ("decompose", "flip.op"), ("decompose", "swap.op")):
+        data = report([verb, str(tmp_path / op)])
         keys("decompose", data)
         assert all(sorted(s) == ["cauchy", "directions", "step_norms"] for s in data["sequences"])
-        assert all(sorted(ct) == ["i", "j", "norms"] for ct in data["cross_terms"])
         assert sorted(data["remainder_profile"]) == ["c_m", "m", "m_max", "tol", "verdict"]
+        if data["witness"] is not None:
+            kind = data["witness"]["kind"]
+            witnesses.add(kind)
+            assert sorted(data["witness"]) == WITNESS_KEYS[kind], kind
+            assert all(sorted(ct) == ["i", "j", "norms"] for ct in data["witness"].get("cross_terms", []))
+    assert witnesses == set(WITNESS_KEYS)
     for exponents, caps, method in (("1,1", "3,3", "dense-svd"), ("2,2", "4,4", "lanczos")):
         theta, ms = tmp_path / "theta.json", tmp_path / "Q.ms"
         assert main(["symbol", "--monomial", exponents, "--out", str(theta)]) == 0
