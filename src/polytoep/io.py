@@ -153,7 +153,11 @@ def _integer(value) -> int:
 
 
 def load_operator(path) -> TruncatedOperator:
-    """Read an operator file; keys other than those save_operator writes are ignored."""
+    """Read an operator file; keys other than those save_operator writes are ignored.
+
+    A payload with a NaN entry is refused, naming the first one's (row,
+    column): no verdict can rest on it.
+    """
     header, payload = _read_header(path)
     if header.get("kind") != "operator":
         raise ValueError(f"{path}: not an operator file (kind={header.get('kind')!r})")
@@ -170,6 +174,10 @@ def load_operator(path) -> TruncatedOperator:
         matrix = _matrix_from_csv(payload.decode(), dim, dim)
     else:
         raise ValueError(f"{path}: unknown payload format {fmt!r}")
+    parts = matrix.view(float)
+    if np.isnan(parts.min()):  # one pass: a NaN anywhere makes the minimum NaN
+        row, col = np.argwhere(np.isnan(parts))[0]
+        raise ValueError(f"{path}: entry ({row}, {col // 2}) is NaN")
     symbol = None
     if "symbol" in header:
         symbol = symbol_from_dict(header["symbol"])
@@ -178,7 +186,7 @@ def load_operator(path) -> TruncatedOperator:
                 f"{path}: header symbol has n = {symbol.n}, p = {symbol.p}; "
                 f"the operator has n = {box.n}, p = {p}"
             )
-        if not np.array_equal(matrix, toeplitz(symbol, box).matrix, equal_nan=True):
+        if not np.array_equal(matrix, toeplitz(symbol, box).matrix):
             raise ValueError(f"{path}: payload is not the Toeplitz section of the header symbol")
     return TruncatedOperator(box=box, p=p, matrix=matrix, symbol=symbol)
 

@@ -10,8 +10,9 @@ the exponents l of each row (`_exponents`).  The norms of a nested family
 of windows of one matrix, window k holding the rows and columns of depth at
 least k, are taken in one `operator_norm` call, each the root of one top
 eigenvalue of a Gram matrix grown from the innermost window outward: from
-Lanczos on a complex window above a measured column count, from LAPACK on
-every other.
+LAPACK's band solver where a sparse support orders that matrix into a
+narrow band, from Lanczos on a complex window above a measured column
+count, from LAPACK's dense solver on every other.
 Multilevel Toeplitz operators are gathered directly from symbol coefficients
 (block (l, k) = coeff(l - k), `_gather`), and their matvec has a fast path
 through an n-dimensional circulant embedding.
@@ -198,16 +199,20 @@ class _Scan:
     each square and product in a Gram matrix is a normal number; it is None
     when no such power exists or an entry is NaN or infinite, and the kernel
     then takes an SVD per window.  real means no entry has an imaginary part.
+    sparse means at most one in `_BAND_COLS_PER_WIDTH` of the real and
+    imaginary parts on the support is nonzero: only such a support is read
+    again for a band ordering of its Gram matrix (`_band_order`).
     """
 
     rows: np.ndarray
     cols: np.ndarray
     exp: int | None
     real: bool
+    sparse: bool
 
 
 def _scan(M: np.ndarray) -> _Scan:
-    """Support, finiteness, range and realness of M in one read.
+    """Support, finiteness, range, realness and sparsity of M in one read.
 
     Two `any` reductions find the nonzero rows and columns; the entries on
     them are then read a bounded chunk of rows at a time.
@@ -215,7 +220,7 @@ def _scan(M: np.ndarray) -> _Scan:
     rows, cols = M.any(axis=1), M.any(axis=0)
     ri, ci = np.flatnonzero(rows), np.flatnonzero(cols)
     complex_ = np.iscomplexobj(M)
-    real, hi, lo = True, 0.0, math.inf
+    real, hi, lo, nonzero = True, 0.0, math.inf, 0
     step = max(1, _SCAN_CHUNK // max(ci.size, 1))
     for a in range(0, ri.size, step):
         X = np.asarray(M[np.ix_(ri[a : a + step], ci)], dtype=complex if complex_ else float)
@@ -223,13 +228,16 @@ def _scan(M: np.ndarray) -> _Scan:
         parts = np.abs(X.view(float))
         top = parts.max()
         if not top < math.inf:  # NaN or inf
-            return _Scan(rows, cols, None, real)
+            return _Scan(rows, cols, None, real, False)
         hi = max(hi, float(top))
-        lo = min(lo, float(parts.min(initial=math.inf, where=parts > 0)))
+        nz = parts > 0
+        nonzero += np.count_nonzero(nz)
+        lo = min(lo, float(parts.min(initial=math.inf, where=nz)))
     exp = math.frexp(hi)[1]
     if hi and math.ldexp(lo, -exp) < _TINY:
         exp = None
-    return _Scan(rows, cols, exp, real)
+    sparse = bool(nonzero * _BAND_COLS_PER_WIDTH <= ri.size * ci.size * (2 if complex_ else 1))
+    return _Scan(rows, cols, exp, real, sparse)
 
 
 # Lanczos replaces ?heevr on a complex window of at least this many columns
@@ -239,6 +247,21 @@ _LANCZOS_MIN_COLS = 160
 _LANCZOS_COLS_PER_STEP = 3  # step budget: the window's columns over this
 _LANCZOS_CHECK = 4  # steps between stopping tests
 _LANCZOS_SEED = 19
+
+# A window whose Gram matrix, in its family's reverse Cuthill-McKee order,
+# is a band of half-width b takes ?sbevx/?hbevx on that band (`_band_top`)
+# when `_band_fits`; set by the crossover ladder in CHANGES.md.
+_BAND_MIN_COLS = 32
+_BAND_COLS_PER_WIDTH = 16
+
+
+def _band_fits(b: int, c: int) -> bool:
+    """Whether a Gram band of half-width b pays on c columns: b <= c / 16, and b <= 2 below 32 columns.
+
+    Below `_BAND_MIN_COLS` columns either eigensolver call costs about the
+    same 20 us, so a width that pays at that size is taken at any size.
+    """
+    return b * _BAND_COLS_PER_WIDTH <= max(c, _BAND_MIN_COLS)
 
 
 def _svd_norm(window: np.ndarray) -> float:
@@ -274,6 +297,27 @@ def _top_eigenvalue(H: np.ndarray) -> float:
     if info:
         raise np.linalg.LinAlgError(f"eigenvalue solver failed (info = {info})")
     return float(w[0])
+
+
+def _band_top(G: np.ndarray, perm: np.ndarray, b: int) -> float | None:
+    """Largest eigenvalue of a Hermitian G on perm x perm, whose entries more than b apart in perm's order are 0.
+
+    For b = 0 that is the largest diagonal entry, exactly.  Otherwise the
+    band goes to LAPACK's ?sbevx/?hbevx in upper band storage: for c =
+    perm.size, O(c^2 * b) for the band's reduction to tridiagonal form,
+    where a dense solver pays O(c^3).  None when that call fails, and the
+    caller takes another path.
+    """
+    c = perm.size
+    b = min(b, c - 1)  # no two of c columns are further apart
+    if not b:
+        return float(G.diagonal()[perm].real.max())
+    ab = np.zeros((b + 1, c), dtype=G.dtype, order="F")  # ab[b + i - j, j] = H[i, j] for j - b <= i <= j
+    for s in range(b + 1):
+        ab[b - s, s:] = G[perm[: c - s], perm[s:]]
+    evx = lapack.zhbevx if np.iscomplexobj(G) else lapack.dsbevx
+    w, _, _, _, info = evx(ab, 0.0, 0.0, c, c, compute_v=0, range=2)  # range 2: eigenvalues il..iu by index
+    return None if info else float(w[0])
 
 
 def _lanczos_top(H: np.ndarray, start: np.ndarray, budget: int) -> tuple[float, np.ndarray] | None:
@@ -371,6 +415,43 @@ def _unscale(root: float, exp: int) -> float:
     return math.ldexp(root, exp) if math.frexp(root)[1] + exp <= sys.float_info.max_exp else math.inf
 
 
+def _band_order(M: np.ndarray, ri: np.ndarray, ci: np.ndarray) -> tuple[np.ndarray | None, int] | None:
+    """Rank of each column in a band ordering of the Gram matrix of M on ri x ci, and its half-width b.
+
+    G[a, b] = sum over rows r of conj(M[r, a]) * M[r, b] is 0 unless columns
+    a and b share a nonzero row, so b is read off the support, never off
+    G's values, which can cancel.  A window's support is part of the
+    family's, so ordered by the same rank its Gram matrix is a band of
+    half-width at most b too.  (None, 0) when no row holds two nonzeros: G
+    is diagonal, and nothing is ordered or imported.  Otherwise the columns
+    are ordered by reverse Cuthill-McKee (`scipy.sparse.csgraph`), which is
+    deterministic.  None when b does not fit (`_band_fits`) even the
+    family's widest window, all its columns.  A row with k nonzeros makes b
+    at least k - 1, which can rule that out before ordering.
+    """
+    r = c = np.empty(0, dtype=np.intp)
+    step = max(1, _SCAN_CHUNK // max(ci.size, 1))
+    for a in range(0, ri.size, step):  # a bounded chunk of rows at a time, as `_scan` reads them
+        i, j = np.nonzero(M[np.ix_(ri[a : a + step], ci)])
+        r, c = np.concatenate([r, i + a]), np.concatenate([c, j])
+    widest = np.bincount(r, minlength=1).max()
+    if widest <= 1:
+        return None, 0
+    if not _band_fits(widest - 1, ci.size):
+        return None
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    S = csr_array((np.ones(r.size), (r, c)), shape=(ri.size, ci.size))
+    P = (S.T @ S).tocsr()
+    order = reverse_cuthill_mckee(P, symmetric_mode=True)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size, dtype=order.dtype)
+    i, j = P.nonzero()
+    width = int(np.abs(rank[i] - rank[j]).max())
+    return (rank, width) if _band_fits(width, ci.size) else None
+
+
 def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: int, scan: _Scan) -> list[float]:
     """Each window's norm as the root of the top eigenvalue of one growing Gram matrix.
 
@@ -381,11 +462,15 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
     triangles, so every entry is a plain sum of products, never a
     difference, and a Lanczos matvec reads G as it stands.  A window's
     squared norm is the top eigenvalue of G on its own nonzero columns, the
-    ones whose diagonal entry is positive: from `_krylov_window` on a
-    complex window of at least `_LANCZOS_MIN_COLS` columns, each Lanczos run
-    started from the last one's Ritz vector, and from `_top_eigenvalue` on
-    every other window.  Entries are scaled by 2**-exp, exactly, first, and
-    each root is scaled back (`_unscale`), to inf past the largest float.
+    ones whose diagonal entry is positive.  On a sparse support (`_Scan`)
+    the family's columns are ranked once (`_band_order`), and a window
+    whose Gram block, in rank order, is a band that `_band_fits` takes it
+    from `_band_top`.  Otherwise, or when that call fails, a complex window
+    of at least `_LANCZOS_MIN_COLS` columns takes it from `_krylov_window`,
+    each Lanczos run started from the last one's Ritz vector, and every
+    other window from `_top_eigenvalue`.  Entries are scaled by 2**-exp,
+    exactly, first, and each root is scaled back (`_unscale`), to inf past
+    the largest float.
     """
     if not count:
         return []
@@ -402,6 +487,7 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
     levels = -np.arange(count)
     nrows = np.searchsorted(-rdepth[ri], levels, side="right")  # rows of window k: ri[:nrows[k]]
     ncols = np.searchsorted(-cdepth[ci], levels, side="right")  # its columns: the first ncols[k] of ci
+    band = _band_order(src, ri, ci) if scan.sparse else None
     gemm = blas.dgemm if scan.real else blas.zgemm
     G = np.zeros((ci.size, ci.size), dtype=dtype, order="F")
     norms, done = [0.0] * count, 0
@@ -425,7 +511,10 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
                 norms[k] = _unscale(math.sqrt(inner), scan.exp)
         elif keep.size:
             top = None
-            if not scan.real and keep.size >= _LANCZOS_MIN_COLS:
+            if band is not None and _band_fits(band[1], keep.size):
+                rank, b = band
+                top = _band_top(G, keep if rank is None else keep[np.argsort(rank[keep])], b)
+            if top is None and not scan.real and keep.size >= _LANCZOS_MIN_COLS:
                 top, warm = _krylov_window(G, keep, warm, inner)
             if top is None:
                 if keep.size == G.shape[0] and k == 0:
@@ -451,14 +540,20 @@ def operator_norm(matrix: np.ndarray, family: tuple[np.ndarray, np.ndarray, int]
     A window's norm is taken on its nonzero rows x columns and is 0.0 when
     there are none.  Each is the root of the top eigenvalue of one Gram
     matrix grown over all windows (`_gram_norms`), in real arithmetic when
-    the matrix has no imaginary part.  A complex window of at least
-    `_LANCZOS_MIN_COLS` = 160 columns takes that eigenvalue from Lanczos
-    with full reorthogonalization (`_lanczos_top`), which stops on breakdown
-    or on a residual of at most c*eps of the eigenvalue, and falls back to
-    LAPACK when it runs out of steps or reads below the inner window; every
-    other window takes it from one LAPACK `?syevr` or `?heevr` call.  Every
-    value stays within the Gram matrix's own error bound of the window's
-    SVD, and reruns are bit-identical: the Lanczos start is seeded.  A
+    the matrix has no imaginary part.  Where at most one in 16 of the
+    support's parts is nonzero, the columns are ordered by reverse
+    Cuthill-McKee, and a window whose Gram block is then a band of
+    half-width b <= max(c, 32) / 16 on its c columns takes that eigenvalue
+    from one LAPACK `?sbevx` or `?hbevx` call on the band, and a diagonal
+    one (no row with two nonzeros) its largest diagonal entry.  Otherwise
+    a complex window of at least `_LANCZOS_MIN_COLS` = 160 columns takes
+    it from Lanczos with full reorthogonalization (`_lanczos_top`), which
+    stops on breakdown or on a residual of at most c*eps of the
+    eigenvalue, and falls back to LAPACK when it runs out of steps or reads
+    below the inner window; every other window takes it from one LAPACK
+    `?syevr` or `?heevr` call.  Every value stays within the Gram matrix's
+    own error bound of the window's SVD, and reruns are bit-identical: the
+    ordering is deterministic and the Lanczos start is seeded.  A
     matrix with a NaN or infinite entry, or one whose nonzero magnitudes
     span too wide a range to square after scaling, keeps a dense SVD per
     window (`_svd_norm`).  There a window holding an infinite entry and no

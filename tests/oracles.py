@@ -10,7 +10,8 @@ exception: they rebuild each window of an m-indexed sequence from the
 section, so the production sequences, which take every window of one fixed
 matrix in one pass, can be held to each window's own SVD within
 `gram_bound`; `force_lanczos` puts every complex window of those sequences
-on the norm kernel's Lanczos path, which otherwise starts at 160 columns.
+on the norm kernel's Lanczos path, which otherwise starts at 160 columns,
+and `force_band` every window on its band path.
 """
 
 from __future__ import annotations
@@ -223,6 +224,16 @@ def force_lanczos(mp) -> None:
     windows keep LAPACK's ?syevr at every size.
     """
     mp.setattr(operators, "_LANCZOS_MIN_COLS", 2)
+
+
+def force_band(mp) -> None:
+    """Let the norm kernel's band path take every finite family and window, through a pytest MonkeyPatch.
+
+    With no columns asked per unit of half-width, every support counts as
+    sparse, every band ordering fits, and every window of two or more
+    columns goes to `_band_top`.
+    """
+    mp.setattr(operators, "_BAND_COLS_PER_WIDTH", 0)
 
 
 def block_norm_grid_reference(D: np.ndarray, p: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from polytoep import operators
 from polytoep.analysis import (
     asymptotic_decompose,
     compactness_profile,
@@ -157,6 +158,49 @@ def test_criterion_3_flip_witness_value_as_specified():
         "witness 2cos(pi/(d+1)) to 1e-12 on caps (8,)..(64,), "
         f"rising to the limit 2 (gap {2 - previous:.2e} at d = 64)",
     )
+
+
+def _eigensolver_calls(mp: pytest.MonkeyPatch) -> tuple[list[int], list[tuple[int, int]]]:
+    """Spy on the norm kernel's dense and band eigensolvers: each dense order, and each band's order and half-width."""
+    dense, band = [], []
+    top, band_top = operators._top_eigenvalue, operators._band_top
+    mp.setattr(operators, "_top_eigenvalue", lambda H: dense.append(H.shape[0]) or top(H))
+    mp.setattr(operators, "_band_top", lambda G, perm, b: band.append((perm.size, b)) or band_top(G, perm, b))
+    return dense, band
+
+
+@pytest.mark.parametrize("d", [64, 128, 256])
+def test_criterion_3_flip_families_take_the_band_path(d):
+    # D_e of the flip has +1 and -1 on two anti-diagonals, so its Gram matrix
+    # couples columns two apart: two paths, one per parity.  The remainder
+    # is the flip less a multiple of I, whose Gram matrix couples column k
+    # with column d - k only.  Both order into bands of half-width 1, so no
+    # window of either family reaches the dense eigensolver.
+    with pytest.MonkeyPatch.context() as mp:
+        dense, band = _eigensolver_calls(mp)
+        res = asymptotic_decompose(flip(d), tol=1e-6)
+    assert abs(res.witness["step_norm"] - 2 * math.cos(math.pi / (d + 1))) <= 1e-12
+    assert not dense and band and {b for _, b in band} == {1}, (dense, band)
+    report("3 (flip on the band path)", f"d = {d}: {len(band)} band windows, no dense one")
+
+
+def test_criterion_2_toeplitz_section_compactness_on_the_band_path():
+    # The section of a span-2 symbol on (511,) is pentadiagonal, so its Gram
+    # family is a band of half-width 4, and every window of 64 columns or
+    # more (449 of them) takes the band solver, where a dense one would pay
+    # c^3 on each
+    T = toeplitz(random_symbol(1, 2, rng=np.random.default_rng(110)), Box((511,)))
+    with pytest.MonkeyPatch.context() as mp:
+        dense, band = _eigensolver_calls(mp)
+        start = time.perf_counter()
+        prof = compactness_profile(T, 512)
+        elapsed = time.perf_counter() - start
+    assert max(dense) < 64 and len(band) == 449 and {b for _, b in band} == {4}, (dense, band)
+    assert elapsed < 6.0, elapsed
+    for m in (0, 200, 460):  # c_0 is ||T||
+        W = T.matrix[m:, m:]
+        assert abs(prof.c_m[m] - oracles._norm(W)) <= oracles.gram_bound(W), m
+    report(2, f"(511,) Toeplitz section: 513 c_m in {elapsed:.2f} s, 449 windows on the band path")
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -58,14 +58,34 @@ def test_check_toeplitz_stdout_stays_json(tmp_path, capsys):
     assert captured.err.startswith("not Toeplitz: direction 0")
 
 
-def test_check_toeplitz_nan_entry_exit_one(tmp_path):
-    M = np.eye(4, dtype=complex)
-    M[1, 1] = math.nan
-    io.save_operator(tmp_path / "nan.op", TruncatedOperator(Box((3,)), 1, M))
-    assert main(["check-toeplitz", str(tmp_path / "nan.op"), "--out", str(tmp_path / "r.json")]) == 1
-    data = json.loads((tmp_path / "r.json").read_text())
-    assert data["verdict"] is False and math.isnan(data["overall"])
-    assert data["witness"]["shifted"] == [[1], [1]]
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-toeplitz"],
+        ["recover"],
+        ["compactness"],
+        ["decompose"],
+        ["block-decompose"],
+        ["model-compactness", "--modelspace", "{ms}", "--m-max", "1", "--operator"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_nan_entry_is_refused_by_every_verb(tmp_path, capsys, argv, p):
+    # A NaN entry is refused on load with exit 2, naming the first NaN in row
+    # order, and nothing reaches stdout: no verdict, and no exit 0 from
+    # recover, rests on it.
+    ms = tmp_path / "z3.ms"
+    io.save_modelspace(ms, model_basis(io.symbol_from_dict(Z3), Box((6,))))
+    M = np.eye(7 * p, dtype=complex)
+    M[5, 1] = complex(1.0, math.nan)
+    M[2, 3] = math.nan
+    io.save_operator(tmp_path / "x.op", TruncatedOperator(Box((6,)), p, M))
+    capsys.readouterr()
+    args = [a.format(ms=ms) for a in argv] + [str(tmp_path / "x.op")]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("entry (2, 3) is NaN\n"), err
 
 
 @pytest.mark.parametrize(
@@ -78,14 +98,14 @@ def test_check_toeplitz_nan_entry_exit_one(tmp_path):
     ],
 )
 def test_non_finite_entry_exit_codes(tmp_path, capsys, value, verb, code):
-    # A NaN reaches the SVD, which refuses it (exit 2); an inf leaves finite
-    # or NaN norms and a false verdict (exit 1).
+    # A NaN is refused on load (exit 2); an inf leaves finite or inf norms
+    # and a false verdict (exit 1).
     M = np.eye(7, dtype=complex)
     M[2, 3] = value
     io.save_operator(tmp_path / "x.op", TruncatedOperator(Box((6,)), 1, M))
     assert main([verb, str(tmp_path / "x.op"), "--out", str(tmp_path / "r.json")]) == code
     if code == 2:
-        assert "SVD did not converge" in capsys.readouterr().err
+        assert "entry (2, 3) is NaN" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -302,6 +302,78 @@ def test_operator_norm_windows_are_the_depth_cuts(case):
             assert abs(got - want) <= oracles.gram_bound(W), k
 
 
+@st.composite
+def band_families(draw):
+    """A matrix with a narrow-band or block-diagonal support under random row and column permutations, and a depth family.
+
+    The support is a grid of p x p blocks, p = 1 or 2, on up to 48 block
+    rows and columns: a band of half-width 0..3, or diagonal blocks of 1..4
+    grid cells.  Entries are real or complex; depths run as in
+    `depth_families`.
+    """
+    p, r, c = draw(st.integers(1, 2)), draw(st.integers(2, 48)), draw(st.integers(2, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = np.indices((r, c))
+    if draw(st.booleans()):
+        grid = np.abs(i - j) <= draw(st.integers(0, 3))
+    else:
+        sizes = rng.integers(1, 5, size=max(r, c))
+        label = np.repeat(np.arange(sizes.size), sizes)
+        grid = label[i] == label[j]
+    support = np.kron(grid, np.ones((p, p), dtype=bool))
+    M = rng.standard_normal(support.shape)
+    if draw(st.booleans()):
+        M = M + 1j * rng.standard_normal(support.shape)
+    M = np.where(support, M, 0)[rng.permutation(p * r)][:, rng.permutation(p * c)]
+    count = draw(st.integers(1, 6))
+    rdepth, cdepth = (rng.integers(-2, count + 3, size=n) for n in M.shape)
+    return M, (rdepth, cdepth, count)
+
+
+@settings(max_examples=150)
+@given(band_families(), st.booleans())
+def test_band_windows_are_the_depth_cuts(case, forced):
+    # banded and block-diagonal supports under permutations, on the band path
+    # wherever it fits (forced: on every window of two or more columns, and
+    # then on no other eigensolver): each norm is within the Gram bound of
+    # its SVD, and the deterministic ordering makes a rerun bit-identical
+    M, family = case
+    rdepth, cdepth, count = family
+    with pytest.MonkeyPatch.context() as mp:
+        if forced:
+            oracles.force_band(mp)
+        lanczos, lapack = _solver_sizes(mp)
+        norms = operator_norm(M, family)
+        assert operator_norm(M, family) == norms
+    if forced:
+        assert not lanczos and not lapack, (lanczos, lapack)
+    for k, got in enumerate(norms):
+        W = M[np.ix_(rdepth >= k, cdepth >= k)]
+        assert abs(got - oracles._norm(oracles.cropped(W))) <= oracles.gram_bound(W), k
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_band_matrix_keeps_the_svd(value):
+    # a NaN or inf entry leaves no Gram scaling, so even a forced band path
+    # is never reached: every window takes `_svd_norm`
+    M = np.diag(np.arange(1.0, 65.0)) + np.diag(np.ones(63), 1)
+    M[40, 41] = value
+    depth = np.arange(64)
+    svd, band = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        oracles.force_band(mp)
+        norm, order = operators._svd_norm, operators._band_order
+        mp.setattr(operators, "_svd_norm", lambda W: svd.append(W.shape) or norm(W))
+        mp.setattr(operators, "_band_order", lambda *args: band.append(args) or order(*args))
+        try:
+            norms = operator_norm(M, (depth, depth, 64))
+        except np.linalg.LinAlgError:
+            norms = None
+    assert svd and not band
+    if value == math.inf:  # windows past the entry are the SVD's, bit for bit
+        assert norms == [math.inf] * 41 + [oracles._norm(M[k:, k:]) for k in range(41, 64)]
+
+
 def test_operator_norm_keeps_nan_entries():
     # cropping a NaN away would read 0.0; LAPACK either fails or returns NaN
     M = np.zeros((4, 4))
@@ -415,6 +487,7 @@ def test_lanczos_breakdown_on_invariant_krylov_spaces():
     ]
     for M, want in cases:
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_band_order", lambda *args: None)  # each support is sparse: keep it off the band path
             lanczos, lapack = _solver_sizes(mp)
             got = operator_norm(M)
         assert lanczos and not lapack, (lanczos, lapack)

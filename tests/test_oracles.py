@@ -129,15 +129,26 @@ def test_oracle_equivalence_property(T):
 
 
 def _eigensolver_spectra(mp: pytest.MonkeyPatch) -> list[np.ndarray]:
-    """Spy on the norm kernel's eigensolver: each input's full spectrum, taken before LAPACK overwrites it."""
+    """Spy on the norm kernel's eigensolvers: each input's full spectrum, taken before LAPACK overwrites it.
+
+    A band solve's input is G on perm x perm, which must vanish more than b
+    places off the diagonal.
+    """
     seen = []
-    top = operators._top_eigenvalue
+    top, band = operators._top_eigenvalue, operators._band_top
 
     def spy(H):
         seen.append(np.linalg.eigvalsh(H, UPLO="U"))
         return top(H)
 
+    def spy_band(G, perm, b):
+        H = G[np.ix_(perm, perm)]
+        assert not np.triu(H, b + 1).any(), b
+        seen.append(np.linalg.eigvalsh(H, UPLO="U"))
+        return band(G, perm, b)
+
     mp.setattr(operators, "_top_eigenvalue", spy)
+    mp.setattr(operators, "_band_top", spy_band)
     return seen
 
 
