@@ -62,7 +62,8 @@ def _step(T: TruncatedOperator, directions: tuple[int, ...]) -> np.ndarray:
     directions of e (`asymptotic_sequence`).
     """
     hi, lo = _cut(T.box, directions, 1, 0), _cut(T.box, directions, 0, 1)
-    return _flat(_view(T, hi, hi) - _view(T, lo, lo))  # one pass: the difference is contiguous
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow and inf - inf: norm inf (`_block_norms`)
+        return _flat(_view(T, hi, hi) - _view(T, lo, lo))  # one pass: the difference is contiguous
 
 
 @dataclass
@@ -91,7 +92,7 @@ def toeplitz_defect(T: TruncatedOperator, tol: float = EXACT_TOL) -> DefectRepor
         grid = _block_norm_grid(_step(T, (j,)), p)  # empty in a flat direction
         dj = float(grid.max()) if grid.size else 0.0
         defects.append(dj)
-        if not (dj <= overall or math.isnan(overall)):  # a NaN defect is the worst one
+        if dj > overall:
             overall = dj
             x = _exponents(interior(box, 1, (j,)), 1)
             r, c = np.unravel_index(int(np.argmax(grid)), grid.shape)
@@ -205,11 +206,11 @@ def _recover_diagonals(B4: np.ndarray, f: np.ndarray, length: np.ndarray, side: 
     blocks = np.asarray(B4[np.ravel_multi_index(k + f.T[:, seg], side), :, col, :], dtype=complex)
     parts = blocks.reshape(seg.size, -1).view(float)  # real and imaginary parts of every entry
     lo, hi = np.minimum.reduceat(parts, starts), np.maximum.reduceat(parts, starts)
-    bad = ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=1)  # an inf block minus itself is NaN
+    bad = ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=1)
     p = blocks.shape[1]
     flat = lo == hi
     const = flat.all(axis=1)
-    spread = np.where(bad, np.nan, 0.0)
+    spread = np.where(bad, np.inf, 0.0)
     vary = ~(const | bad)
     with np.errstate(over="ignore", invalid="ignore"):  # a finite diagonal whose sum overflows is redone below
         coef = np.add.reduceat(blocks, starts)
@@ -229,7 +230,7 @@ def _recover_diagonals(B4: np.ndarray, f: np.ndarray, length: np.ndarray, side: 
         if rest.any():
             spread[rest] = _diameters(blocks[rest[seg]], length[rest], coef[rest])
     coef[const] = blocks[starts[const]]
-    coef[bad] = 0.0  # an infinite coefficient would leave inf - inf = NaN in T - toeplitz(symbol)
+    coef[bad] = 0.0  # a bounded symbol has no non-finite coefficient, and the mean of inf and -inf is NaN
     return coef, spread
 
 
@@ -248,15 +249,14 @@ def recover_symbol(T: TruncatedOperator) -> SymbolRecovery:
     The coefficient at frequency f is taken from the blocks with row - col = f:
     a constant finite diagonal yields its first block (lowest column), any
     other finite diagonal its (finite) mean, and a diagonal with a non-finite
-    part 0, so T minus the rebuilt Toeplitz part keeps an inf entry, not NaN.
+    part 0, so T minus the rebuilt Toeplitz part keeps that part non-finite.
     The first two agree in exact arithmetic; taking the representative keeps
     a constant diagonal bit-exact, so a Toeplitz part rebuilt from the symbol
     cancels it entry by entry.  The deviation map records each diagonal's
     spread, the largest distance between two of its blocks in the spectral
-    norm: zero exactly on constant finite diagonals and NaN exactly on
-    diagonals with a non-finite part (the pairwise maximum is NaN there too,
-    since an infinite block minus itself is NaN), so max_deviation is NaN
-    whenever some spread is.
+    norm (`symbols._block_norms`): zero exactly on constant finite diagonals,
+    and inf on a diagonal with a non-finite part, whose block minus itself
+    is not finite.
 
     One pass over the matrix, a bounded chunk of diagonals at a time, so the
     working memory does not grow with the box.  Spreads are exact, equal bit
@@ -385,8 +385,8 @@ def compactness_profile(
 
     Each window contains the next, so c_m cannot rise in exact arithmetic,
     and a check that the values fall could fail only through rounding.  The
-    verdict is the last value within tol, with every value finite: a NaN or
-    infinite entry leaves its windows without a finite norm.  scan is
+    verdict is the last value within tol, with every value finite: a window
+    holding a non-finite entry has norm inf.  scan is
     `operators._scan(T.matrix)` when the caller already holds it.
     """
     box, p = T.box, T.p
@@ -466,7 +466,8 @@ def asymptotic_decompose(
     stabilized = [m for m, s in enumerate(diagonal.step_norms) if s <= tol]
     m_star = stabilized[-1] if stabilized else m_max
     symbol = recover_symbol(section(T, m_star, diagonal.directions)).symbol
-    remainder = T - toeplitz(symbol, box)
+    with np.errstate(over="ignore"):  # an entry past the largest float is inf, and so is its norm
+        remainder = T - toeplitz(symbol, box)
     scan = _scan(remainder.matrix)  # one read of the remainder serves all its norm families
     remainder_profile = compactness_profile(remainder, m_max, tol, scan)
     witness: dict | None = None

@@ -225,7 +225,7 @@ def load_modelspace(path) -> ModelSpace:
         raise ValueError(
             f"{path}: header has n = {n}, p = {p} and {box.n} caps; theta has n = {theta.n}, p = {theta.p}"
         )
-    if not np.array_equal(tail, theta.tail_bound, equal_nan=True):
+    if tail != theta.tail_bound:
         raise ValueError(f"{path}: column_tail_bound {tail!r} is not theta's tail bound {theta.tail_bound!r}")
     basis = _matrix_from_bytes(payload, p * box.dim, q)
     ms = ModelSpace(theta=theta, box=box, basis=basis)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .lattice import Box
-from .symbols import TorusSymbol, _next_pow2
+from .symbols import TorusSymbol, _block_norms, _next_pow2
 
 
 @dataclass(eq=False)
@@ -193,12 +193,12 @@ _TINY = 2.0 ** -511     # smallest scaled magnitude whose square is still a norm
 class _Scan:
     """What one read of a matrix tells the norm kernel.
 
-    rows and cols mark the rows and columns with a nonzero (or NaN) entry.
-    exp is the power of two that brings every real and imaginary part below
-    1 in magnitude while keeping every nonzero one at least 2**-511, so that
-    each square and product in a Gram matrix is a normal number; it is None
-    when no such power exists or an entry is NaN or infinite, and the kernel
-    then takes an SVD per window.  real means no entry has an imaginary part.
+    rows and cols mark the rows and columns with a nonzero entry.  exp is
+    the power of two that brings every real and imaginary part below 1 in
+    magnitude while keeping every nonzero one at least 2**-511, so that each
+    square and product in a Gram matrix is a normal number; it is None when
+    no such power exists or an entry is not finite, and each window then
+    takes `_svd_norm`.  real means no entry has an imaginary part.
     sparse means at most one in `_BAND_COLS_PER_WIDTH` of the real and
     imaginary parts on the support is nonzero: only such a support is read
     again for a band ordering of its Gram matrix (`_band_order`).
@@ -227,7 +227,7 @@ def _scan(M: np.ndarray) -> _Scan:
         real = real and not (complex_ and X.imag.any())
         parts = np.abs(X.view(float))
         top = parts.max()
-        if not top < math.inf:  # NaN or inf
+        if not top < math.inf:  # not finite
             return _Scan(rows, cols, None, real, False)
         hi = max(hi, float(top))
         nz = parts > 0
@@ -265,19 +265,11 @@ def _band_fits(b: int, c: int) -> bool:
 
 
 def _svd_norm(window: np.ndarray) -> float:
-    """Largest singular value from a dense SVD of the window's nonzero rows x columns; 0.0 without any.
-
-    A window with an infinite part and no NaN part is inf with no SVD, as
-    `symbols._block_norms` takes a block; a NaN reaches LAPACK.
-    """
+    """`symbols._block_norms` of the window on its nonzero rows x columns; 0.0 without any."""
     rows, cols = window.any(axis=1), window.any(axis=0)
-    if not rows.any():
-        return 0.0
-    if np.isinf(window).any() and not np.isnan(window).any():
-        return math.inf
     if not (rows.all() and cols.all()):
         window = window[np.ix_(rows, cols)]
-    return float(np.linalg.svd(window, compute_uv=False)[0])
+    return float(_block_norms(window)) if window.size else 0.0
 
 
 def _top_eigenvalue(H: np.ndarray) -> float:
@@ -553,12 +545,11 @@ def operator_norm(matrix: np.ndarray, family: tuple[np.ndarray, np.ndarray, int]
     below the inner window; every other window takes it from one LAPACK
     `?syevr` or `?heevr` call.  Every value stays within the Gram matrix's
     own error bound of the window's SVD, and reruns are bit-identical: the
-    ordering is deterministic and the Lanczos start is seeded.  A
-    matrix with a NaN or infinite entry, or one whose nonzero magnitudes
-    span too wide a range to square after scaling, keeps a dense SVD per
-    window (`_svd_norm`).  There a window holding an infinite entry and no
-    NaN is inf, with no SVD, and a NaN reaches LAPACK rather than being
-    cropped away.
+    ordering is deterministic and the Lanczos start is seeded.  A matrix
+    with a non-finite entry, or one whose nonzero magnitudes span too wide
+    a range to square after scaling, takes each window from
+    `symbols._block_norms` instead (`_svd_norm`): inf where the window
+    holds a non-finite entry, a dense SVD elsewhere.
     """
     M = np.asarray(matrix)
     whole = family is None

@@ -24,20 +24,23 @@ def _next_pow2(x: int) -> int:
 
 
 def _block_norms(B: np.ndarray) -> np.ndarray:
-    """Spectral norm of each (p, p) block of a (..., p, p) stack.
+    """Spectral norm of each (r, c) block of a (..., r, c) stack.
 
-    |b| for p = 1.  For p > 1 a zero block is 0.0, and a block with an
-    infinite part and no NaN part is inf, its norm being above the largest
-    float, with no LAPACK call.  Every other block goes to LAPACK's SVD; a
-    NaN does too, and LAPACK refuses it.
+    The one non-finite rule: the operators here are bounded, so a block
+    with a NaN or infinite entry can only be unbounded, and its norm is
+    inf, with no LAPACK call.  Otherwise a 1 x 1 block is |b|, a zero block
+    0.0 and every other block LAPACK's SVD.  A complex entry whose modulus
+    is above the largest float makes that NaN, and its block's norm is inf.
     """
-    if B.shape[-1] == 1:
-        return np.abs(B[..., 0, 0])
-    axes = (-2, -1)
-    big = np.isinf(B).any(axis=axes) & ~np.isnan(B).any(axis=axes)
-    norms = np.where(big, np.inf, 0.0)
-    rest = B.any(axis=axes) & ~big
-    norms[rest] = np.linalg.norm(B[rest], ord=2, axis=axes)
+    if B.shape[-2:] == (1, 1):
+        norms = np.abs(B[..., 0, 0], out=np.empty(B.shape[:-2]))  # an array, even for one block
+    else:
+        axes = (-2, -1)
+        finite = np.isfinite(B).all(axis=axes)
+        norms = np.where(finite, 0.0, np.inf)
+        rest = finite & B.any(axis=axes)
+        norms[rest] = np.linalg.norm(B[rest], ord=2, axis=axes)
+    norms[np.isnan(norms)] = np.inf
     return norms
 
 
@@ -72,8 +75,8 @@ class TorusSymbol:
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
             raise ValueError("need n >= 1 and p >= 1")
-        if self.tail_bound < 0:
-            raise ValueError("tail_bound must be nonnegative")
+        if not self.tail_bound >= 0:  # NaN fails too
+            raise ValueError(f"tail_bound must be nonnegative, got {self.tail_bound!r}")
         # sections and grids index frequencies as int64, negations included
         if max(map(abs, itertools.chain.from_iterable(self.coefficients)), default=0) >= 2**63:
             raise ValueError("a symbol frequency lies outside int64 (|k_i| < 2^63)")

@@ -198,6 +198,12 @@ def cropped(W: np.ndarray) -> np.ndarray:
     return W[np.ix_(W.any(axis=1), W.any(axis=0))]
 
 
+def svd_fallback(W: np.ndarray) -> float:
+    """The norm kernel's value on a window without Gram scaling: W cropped, a single entry |a| by numpy's array abs, else its SVD."""
+    Wc = cropped(W)
+    return float(np.abs(Wc).item()) if Wc.size == 1 else _norm(Wc)
+
+
 def gram_bound(W: np.ndarray) -> float:
     """Bound on |operator_norm - _norm| for a window W, from the error of its Gram matrix.
 

@@ -89,11 +89,12 @@ def test_defect_detects_single_entry_perturbation():
     assert rep.overall >= 5e-4
 
 
-# (caps, NaN block (l, k), finite unit corner at (0, 0)?, defects, witness direction, base)
+# (caps, NaN block (l, k), finite unit corner at (0, 0)?, defects, witness direction, base);
+# a block with a NaN part has norm inf, so its defect is the worst one
 NAN_CASES = [
-    ((3,), ((1,), (1,)), False, (math.nan,), 0, [[0], [0]]),
-    ((2, 2), ((0, 0), (2, 0)), True, (1.0, math.nan), 1, [[0, 0], [2, 0]]),  # step 0 in direction 0 skips the block
-    ((2, 2), ((0, 0), (0, 2)), True, (math.nan, 1.0), 0, [[0, 0], [0, 2]]),  # a later finite defect keeps the NaN
+    ((3,), ((1,), (1,)), False, (math.inf,), 0, [[0], [0]]),
+    ((2, 2), ((0, 0), (2, 0)), True, (1.0, math.inf), 1, [[0, 0], [2, 0]]),  # step 0 in direction 0 skips the block
+    ((2, 2), ((0, 0), (0, 2)), True, (math.inf, 1.0), 0, [[0, 0], [0, 2]]),  # a later finite defect keeps the inf
 ]
 
 
@@ -105,10 +106,10 @@ def test_defect_nan_entry_is_the_witness(caps, nan_at, corner, defects, directio
     if corner:
         M[0, 0] += 1.0
     rep = toeplitz_defect(TruncatedOperator(box, 1, M))
-    assert np.array_equal(rep.defects, defects, equal_nan=True)
-    assert math.isnan(rep.overall) and rep.verdict is False
+    assert rep.defects == defects
+    assert rep.overall == math.inf and rep.verdict is False
     assert rep.witness["direction"] == direction and rep.witness["base"] == base
-    assert math.isnan(rep.witness["defect"])
+    assert rep.witness["defect"] == math.inf
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -189,30 +190,31 @@ def test_recover_nan_spread_propagates():
     M[3, 0] = M[4, 1] = np.nan      # every entry of diagonal 3 is NaN
     M[1, 0] = complex(2.0, np.nan)  # a NaN imaginary part on diagonal 1
     rec = recover_symbol(TruncatedOperator(T.box, 1, M))
-    nan = {(0,), (1,), (3,)}
-    assert all(math.isnan(rec.deviations[f]) for f in nan)
+    nan = {(0,), (1,), (3,)}  # spread inf, as a block with a NaN part has norm inf; coefficient 0
+    assert all(rec.deviations[f] == math.inf and f not in rec.symbol.coefficients for f in nan)
     assert all(s == 0.0 for f, s in rec.deviations.items() if f not in nan)
-    assert math.isnan(rec.max_deviation)
+    assert rec.max_deviation == math.inf
 
 
 def test_recover_inf_spread_is_quiet():
-    # An infinite point on a diagonal of complex points makes its spread NaN
-    # through inf - inf, by design: recovery raises no warning for it, and
-    # every other spread is still its diagonal's pairwise maximum.
+    # An infinite point on a diagonal of complex points spreads inf: the
+    # point minus itself is not finite, so the pair's norm is inf.  Recovery
+    # raises no warning for it, and every other spread is still its
+    # diagonal's pairwise maximum.
     rng = np.random.default_rng(14)
     M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     M[3, 1] = complex(math.inf, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rec = recover_symbol(TruncatedOperator(Box((5,)), 1, M))
-    assert math.isnan(rec.deviations[(2,)])
+    assert rec.deviations[(2,)] == math.inf
     for (f,), spread in rec.deviations.items():
         if f != 2:
             assert spread == pairwise_spread(np.diagonal(M, -f).reshape(-1, 1, 1)), f
 
 
 def test_recover_inf_block_spread_is_quiet():
-    # The p = 2 twin: a diagonal with an infinite entry spreads NaN without a
+    # The p = 2 twin: a diagonal with an infinite entry spreads inf without a
     # warning, and every finite diagonal keeps its pairwise maximum.
     rng = np.random.default_rng(14)
     M = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
@@ -224,10 +226,10 @@ def test_recover_inf_block_spread_is_quiet():
     blocks = M.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3)
     for (f,), spread in rec.deviations.items():
         if f == 2:
-            assert math.isnan(spread)
+            assert spread == math.inf
         else:
             assert spread == pairwise_spread(np.diagonal(blocks, -f).transpose(2, 0, 1)), f
-    assert math.isnan(rec.max_deviation)
+    assert rec.max_deviation == math.inf
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -629,21 +631,16 @@ def test_block_norm_grid_matches_every_block_norm(p, fill):
         D[~keep] = 0.0
     if fill == "zero":
         D[:] = 0.0
-    if fill == "nan":
-        # a NaN block counts as nonzero: it reaches LAPACK, which refuses it
-        # in both, rather than reading 0.0
-        D[:p, :p] = 0.0
-        D[p - 1, 0] = math.nan  # the only nonzero entry of its block
-        with pytest.raises(np.linalg.LinAlgError):
-            oracles.block_norm_grid_reference(D, p)
-        with pytest.raises(np.linalg.LinAlgError):
-            _block_norm_grid(D, p)
-        return
     D[-1, -1] = -0.0
+    if fill == "nan":
+        D[:p, :p] = 0.0
     want = oracles.block_norm_grid_reference(D, p)
+    # a block with a non-finite part is inf, with no LAPACK call, a NaN that
+    # is its only nonzero entry included; every other block keeps LAPACK's value
+    if fill == "nan":
+        D[p - 1, 0] = math.nan
+        want[0, 0] = math.inf
     if fill == "inf":
-        # a block with an infinite part and no NaN is inf, with no LAPACK
-        # call; every other block keeps LAPACK's value
         D[p, 1] = complex(math.inf, 1.0)
         want[1, 0] = math.inf
     assert np.array_equal(_block_norm_grid(D, p), want)

@@ -1,11 +1,17 @@
 """End-to-end exercise of the command line verbs and the exit-code contract."""
 
+import contextlib
+import io as io_
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polytoep import cli, io, operators
 from polytoep.cli import main
@@ -108,17 +114,22 @@ def test_non_finite_entry_exit_codes(tmp_path, capsys, value, verb, code):
         assert "entry (2, 3) is NaN" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("p", [1, 2])
-def test_infinite_entry_is_an_infinite_norm(tmp_path, p):
-    # eye(7) with one inf entry, and that operator tensored with I_2 (placed
-    # entry by entry: inf * 0 would be NaN).  Every block or window holding
-    # the entry has norm inf at both p, and the verdict is false.
-    M = np.eye(7, dtype=complex)
-    M[2, 3] = math.inf
-    B = np.zeros((7 * p, 7 * p), dtype=complex)
+def _tensor_eye(M: np.ndarray, p: int) -> np.ndarray:
+    """M tensored with I_p, placed entry by entry: inf * 0 would be NaN."""
+    B = np.zeros((M.shape[0] * p,) * 2, dtype=complex)
     for c in range(p):
         B[c::p, c::p] = M
-    io.save_operator(tmp_path / "x.op", TruncatedOperator(Box((6,)), p, B))
+    return B
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_infinite_entry_is_an_infinite_norm(tmp_path, p):
+    # eye(7) with one inf entry, and that operator tensored with I_2.  Every
+    # block or window holding the entry has norm inf at both p, and the
+    # verdict is false.
+    M = np.eye(7, dtype=complex)
+    M[2, 3] = math.inf
+    io.save_operator(tmp_path / "x.op", TruncatedOperator(Box((6,)), p, _tensor_eye(M, p)))
     out = str(tmp_path / "r.json")
     assert main(["check-toeplitz", str(tmp_path / "x.op"), "--out", out]) == 1
     data = json.loads((tmp_path / "r.json").read_text())
@@ -128,21 +139,144 @@ def test_infinite_entry_is_an_infinite_norm(tmp_path, p):
     assert json.loads((tmp_path / "r.json").read_text())["c_m"] == [math.inf] * 3 + [1.0] * 4 + [0.0]
 
 
+def _run_verbs(tmp_path, op: TruncatedOperator) -> list[tuple[str, int, str, str]]:
+    """Every operator verb on op's file: (verb, exit code, written report or "", stderr).
+
+    model-compactness reads the matrix as a q x q operator on the model space
+    of z^q on caps (q,), whose basis is the q monomials below z^q.
+    """
+    path, out, ms = tmp_path / "x.op", tmp_path / "r.json", tmp_path / f"z{op.dim}.ms"
+    io.save_operator(path, op)
+    if not ms.exists():
+        io.save_modelspace(ms, model_basis(from_coefficients(1, 1, [((op.dim,), 1.0)]), Box((op.dim,))))
+    runs = []
+    for argv in (
+        ["check-toeplitz"], ["recover"], ["compactness"], ["decompose"], ["block-decompose"],
+        ["model-compactness", "--modelspace", str(ms), "--m-max", "1", "--operator"],
+    ):
+        out.unlink(missing_ok=True)
+        err = io_.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + [str(path), "--out", str(out)])
+        runs.append((argv[0], code, out.read_text() if out.exists() else "", err.getvalue()))
+    return runs
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_infinite_pair_on_one_diagonal_exits_one(tmp_path, p):
+    # eye(8) with inf at (0, 0) and (1, 1), at p = 1 and tensored with I_2:
+    # the step difference inf - inf is NaN, and a block or window holding it
+    # has norm inf like one holding an inf.  So every verdict is false and
+    # recover spreads inf; no report holds a NaN, and stderr holds only the
+    # witness line.  model-compactness's compression meets inf * 0, also
+    # with one inf entry alone.
+    M = np.eye(8, dtype=complex)
+    M[0, 0] = M[1, 1] = math.inf
+    runs = _run_verbs(tmp_path, TruncatedOperator(Box((7,)), p, _tensor_eye(M, p)))
+    want = {"check-toeplitz": 1, "recover": 0, "compactness": 1, "decompose": 1, "block-decompose": 1,
+            "model-compactness": 1}
+    for verb, code, report, err in runs:
+        assert code == want[verb] and "NaN" not in report, (verb, code, err)
+        assert err == ("" if verb != "check-toeplitz" else
+                       "not Toeplitz: direction 0, entry [[0], [0]] vs [[1], [1]], defect inf\n"), verb
+        data = json.loads(report)
+        if verb == "recover":
+            assert data["max_deviation"] == math.inf and data["deviations"][7]["spread"] == math.inf
+        elif verb == "check-toeplitz":
+            assert data["defects"] == [math.inf]
+        elif verb == "compactness":
+            assert data["c_m"][:2] == [math.inf] * 2
+        elif verb == "model-compactness":
+            assert data["norms"] == [[math.inf]]
+        else:
+            # steps 0 and 1 hold inf - inf and 1 - inf; the diagonal's coefficient is 0
+            assert data["sequences"][0]["step_norms"] == [math.inf, math.inf, 0.0]
+            assert data["witness"]["kind"] == "remainder_not_compact" and data["witness"]["c_m"][0] == math.inf
+    E = np.eye(3, dtype=complex)
+    E[1, 1] = math.inf
+    verb, code, report, err = _run_verbs(tmp_path, TruncatedOperator(Box((2,)), 1, E))[-1]
+    assert (verb, code, err) == ("model-compactness", 1, "")
+    assert "NaN" not in report and json.loads(report)["norms"] == [[math.inf]]
+
+
+# payload floats at the edges of the float range, among ordinary ones; a
+# NaN is placed by `edge_operators`, since most payloads would hold one
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, 5e-324, -5e-324, 2.0**-1060, sys.float_info.max,
+                     -sys.float_info.max, 0.0, -0.0]),
+    st.floats(-2.0, 2.0),
+)
+# finite parts near the top of the range, and zeros
+HUGE_FLOATS = st.one_of(st.just(0.0), st.floats(2.0**1020, sys.float_info.max).flatmap(lambda x: st.sampled_from([x, -x])))
+
+
+@st.composite
+def small_operators(draw, floats, min_cap=0):
+    """A section over n <= 2, p <= 2 of at most 16 rows whose real and imaginary parts are drawn from floats."""
+    p = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 2 if p * (min_cap + 1) ** 2 <= 16 else 1))
+    box = Box(tuple(draw(st.lists(st.integers(min_cap, {1: 16 // p, 2: 4 // p}[n] - 1), min_size=n, max_size=n))))
+    parts = draw(hnp.arrays(np.float64, (p * box.dim, p * box.dim, 2), elements=floats))
+    return TruncatedOperator(box, p, parts.view(complex)[..., 0])
+
+
+@st.composite
+def edge_operators(draw):
+    """`small_operators` on EDGE_FLOATS, with one NaN part in about one draw of four."""
+    op = draw(small_operators(EDGE_FLOATS))
+    if draw(st.integers(0, 3)) == 0:
+        op.matrix.view(float).flat[draw(st.integers(0, 2 * op.matrix.size - 1))] = math.nan
+    return op
+
+
+def _check_op_payload(tmp_path, op):
+    for verb, code, report, err in _run_verbs(tmp_path, op):
+        assert code in (0, 1, 2), (verb, code, err)
+        assert "NaN" not in report, verb
+
+
+@settings(max_examples=25)
+@given(edge_operators())
+def test_op_payload_edges_never_exit_three(tmp_path_factory, op):
+    # every operator verb exits 0, 1 or 2 (a NaN entry is refused on load),
+    # never 3, and no written report holds a NaN
+    _check_op_payload(tmp_path_factory.getbasetemp(), op)
+
+
+@pytest.mark.nightly
+@settings(max_examples=2000)
+@given(edge_operators())
+def test_op_payload_edges_never_exit_three_sweep(tmp_path_factory, op):
+    _check_op_payload(tmp_path_factory.getbasetemp(), op)
+
+
+@settings(max_examples=25)
+@given(small_operators(HUGE_FLOATS, min_cap=2))
+def test_finite_entries_near_the_largest_float_make_no_nan(tmp_path_factory, op):
+    # a difference or product of finite entries overflows to inf at worst,
+    # and inf - inf or inf * 0 after that is read as inf: every verb gives a
+    # verdict (exit 0 or 1; block-decompose refuses n = 2), no report holds a
+    # NaN, and nothing but a witness line reaches stderr
+    for verb, code, report, err in _run_verbs(tmp_path_factory.getbasetemp(), op):
+        if verb == "block-decompose" and op.box.n != 1:
+            assert code == 2, err
+            continue
+        assert code in (0, 1), (verb, code, err)
+        assert "NaN" not in report, verb
+        assert err == "" or (verb == "check-toeplitz" and err.startswith("not Toeplitz") and err.count("\n") == 1), err
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_decompose_infinite_entry_anywhere_exits_one(tmp_path, capsys, p):
     # eye(16) on (3, 3) with one inf entry, at each of the 256 positions, and
-    # that operator tensored with I_2 (placed entry by entry: inf * 0 would be
-    # NaN).  Recovery gives the entry's diagonal coefficient 0, so the
-    # remainder keeps the inf (inf - inf would be NaN, which LAPACK refuses
-    # with exit 2) and c_0 is inf: a false verdict, with nothing printed.
+    # that operator tensored with I_2.  Recovery gives the entry's diagonal
+    # coefficient 0, so the remainder keeps the inf and c_0 is inf: a false
+    # verdict, with nothing printed.
     op, out = str(tmp_path / "x.op"), str(tmp_path / "r.json")
     for pos in range(256):
         M = np.eye(16, dtype=complex)
         M[divmod(pos, 16)] = math.inf
-        B = np.zeros((16 * p, 16 * p), dtype=complex)
-        for c in range(p):
-            B[c::p, c::p] = M
-        io.save_operator(op, TruncatedOperator(Box((3, 3)), p, B))
+        io.save_operator(op, TruncatedOperator(Box((3, 3)), p, _tensor_eye(M, p)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["decompose", op, "--out", out]) == 1, divmod(pos, 16)
@@ -354,6 +488,16 @@ def test_symbol_bad_bare_entry_exit_two(tmp_path, capsys):
     assert not out.exists()
     assert main(["symbol", "--coeffs", '[{"k": [1], "re": 2}]', "--n", "1", "--out", str(out)]) == 0
     assert io.load_symbol(out).coeff((1,)).item() == 2.0
+
+
+def test_symbol_nan_tail_bound_exit_two(tmp_path, capsys):
+    # a NaN tail bound is no bound: refused, so no symbol file carries one
+    # and a model-space header's tail compares with a plain !=
+    out = tmp_path / "x.json"
+    coeffs = '{"n": 1, "p": 1, "coefficients": [{"k": [2], "re": 1.0}], "tail_bound": NaN}'
+    assert main(["symbol", "--coeffs", coeffs, "--out", str(out)]) == 2
+    assert "tail_bound must be nonnegative, got nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_symbol_bare_entries_read_like_symbol_json(tmp_path, capsys):
