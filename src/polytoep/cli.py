@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -42,6 +43,14 @@ def _parse_caps(text: str) -> Box:
         return Box(tuple(int(x) for x in text.split(",")))
     except ValueError as exc:
         raise ValueError(f"bad --caps {text!r}: {exc}") from exc
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number >= 0, else argparse's usage error (exit 2)."""
+    value = float(text)
+    if not 0 <= value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -93,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-toeplitz", help="shift-invariance defect of an operator")
     sp.add_argument("operator")
-    sp.add_argument("--tol", type=float, default=analysis.EXACT_TOL)
+    sp.add_argument("--tol", type=_tolerance, default=analysis.EXACT_TOL)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out")
 
@@ -108,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(verb, help=text)
         sp.add_argument("operator")
-        sp.add_argument("--tol", type=float, default=analysis.LIMIT_TOL)
+        sp.add_argument("--tol", type=_tolerance, default=analysis.LIMIT_TOL)
         sp.add_argument("--m-max", type=int, default=None)
         sp.add_argument("--symbol-out")
         sp.add_argument("--csv", help="prefix for (m, value) CSV sequences")
@@ -117,20 +126,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compactness", help="corner-compression norm profile")
     sp.add_argument("operator")
     sp.add_argument("--m-max", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=analysis.LIMIT_TOL)
+    sp.add_argument("--tol", type=_tolerance, default=analysis.LIMIT_TOL)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out")
 
     sp = sub.add_parser("modelspace", help="build a truncated quotient space")
     sp.add_argument("--theta", required=True)
     sp.add_argument("--caps", required=True)
-    sp.add_argument("--tol", type=float, default=symbols.INNER_TOL)
+    sp.add_argument("--tol", type=_tolerance, default=symbols.INNER_TOL)
     sp.add_argument("--grid", help="inner-check grid sizes g1,g2,...")
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("invariance", help="rigidity of the compressed-shift invariance map")
     sp.add_argument("--modelspace", required=True)
-    sp.add_argument("--tol", type=float, default=modelspace.KERNEL_TOL)
+    sp.add_argument("--tol", type=_tolerance, default=modelspace.KERNEL_TOL)
     sp.add_argument("--out")
 
     sp = sub.add_parser("model-compactness", help="iterated compression decay on a model space")
@@ -141,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--random", action="store_true", help="test a seeded random operator")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--m-max", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=analysis.LIMIT_TOL)
+    sp.add_argument("--tol", type=_tolerance, default=analysis.LIMIT_TOL)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out")
 

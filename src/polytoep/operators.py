@@ -454,7 +454,10 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
     triangles, so every entry is a plain sum of products, never a
     difference, and a Lanczos matvec reads G as it stands.  A window's
     squared norm is the top eigenvalue of G on its own nonzero columns, the
-    ones whose diagonal entry is positive.  On a sparse support (`_Scan`)
+    ones whose diagonal entry is positive.  A window with one such column
+    takes `_svd_norm` of that column instead, the fallback's per-window
+    kernel, so a single entry reads the same on either path.  On a sparse
+    support (`_Scan`)
     the family's columns are ranked once (`_band_order`), and a window
     whose Gram block, in rank order, is a band that `_band_fits` takes it
     from `_band_top`.  Otherwise, or when that call fails, a complex window
@@ -492,15 +495,9 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
             G = gemm(1.0, X.T, X.T, beta=1.0, c=G, trans_b=2, overwrite_c=1)
             done = nrows[k]
         keep = np.flatnonzero(G.diagonal()[: ncols[k]].real > 0)
-        if keep.size == 1:  # one column: no eigensolver, and |a| exactly for a single entry a
-            j = keep[0]
-            col = src[ri[:done], ci[j]]
-            nz = np.flatnonzero(col)
-            inner = G[j, j].real
-            if nz.size == 1:
-                norms[k] = float(abs(col[nz[0]]))
-            else:
-                norms[k] = _unscale(math.sqrt(inner), scan.exp)
+        if keep.size == 1:
+            inner = G[keep[0], keep[0]].real
+            norms[k] = _svd_norm(src[np.ix_(ri[:done], ci[keep])])
         elif keep.size:
             top = None
             if band is not None and _band_fits(band[1], keep.size):
@@ -532,7 +529,10 @@ def operator_norm(matrix: np.ndarray, family: tuple[np.ndarray, np.ndarray, int]
     A window's norm is taken on its nonzero rows x columns and is 0.0 when
     there are none.  Each is the root of the top eigenvalue of one Gram
     matrix grown over all windows (`_gram_norms`), in real arithmetic when
-    the matrix has no imaginary part.  Where at most one in 16 of the
+    the matrix has no imaginary part.  A window with one nonzero column (or
+    row, where the Gram matrix is over rows) takes `symbols._block_norms`
+    of that column instead, as the fallback below does, so a single entry
+    a reads |a| on either path.  Where at most one in 16 of the
     support's parts is nonzero, the columns are ordered by reverse
     Cuthill-McKee, and a window whose Gram block is then a band of
     half-width b <= max(c, 32) / 16 on its c columns takes that eigenvalue

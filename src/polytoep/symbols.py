@@ -10,6 +10,7 @@ truncation is exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,11 @@ def _next_pow2(x: int) -> int:
 def _block_norms(B: np.ndarray) -> np.ndarray:
     """Spectral norm of each (r, c) block of a (..., r, c) stack.
 
-    The one non-finite rule: the operators here are bounded, so a block
-    with a NaN or infinite entry can only be unbounded, and its norm is
-    inf, with no LAPACK call.  Otherwise a 1 x 1 block is |b|, a zero block
-    0.0 and every other block LAPACK's SVD.  A complex entry whose modulus
-    is above the largest float makes that NaN, and its block's norm is inf.
+    The one norm of a block: the norm of a 1 x 1 block is numpy's array
+    abs |b| (to inf past the largest float), a zero block's 0.0 and every
+    other block's LAPACK's SVD.  The one non-finite rule: the operators
+    here are bounded, so a block with a NaN or infinite entry can only be
+    unbounded, and its norm is inf, with no LAPACK call.
     """
     if B.shape[-2:] == (1, 1):
         norms = np.abs(B[..., 0, 0], out=np.empty(B.shape[:-2]))  # an array, even for one block
@@ -45,17 +46,9 @@ def _block_norms(B: np.ndarray) -> np.ndarray:
 
 
 def _norm_sum(blocks) -> float:
-    """Sum of the blocks' spectral norms, in order, from one `_block_norms` call.
-
-    A 1 x 1 block takes Python's scalar abs, which numpy's array abs can
-    miss by an ulp.
-    """
+    """Sum of the blocks' spectral norms, in order, from one `_block_norms` call."""
     blocks = list(blocks)
-    if not blocks:
-        return 0.0
-    if blocks[0].size == 1:
-        return sum(float(abs(b.reshape(-1)[0])) for b in blocks)
-    return sum(_block_norms(np.stack(blocks)).tolist())
+    return sum(_block_norms(np.stack(blocks)).tolist()) if blocks else 0.0
 
 
 @dataclass(eq=False)
@@ -75,8 +68,8 @@ class TorusSymbol:
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
             raise ValueError("need n >= 1 and p >= 1")
-        if not self.tail_bound >= 0:  # NaN fails too
-            raise ValueError(f"tail_bound must be nonnegative, got {self.tail_bound!r}")
+        if not 0 <= self.tail_bound < math.inf:  # NaN fails too
+            raise ValueError(f"tail_bound must be finite and nonnegative, got {self.tail_bound!r}")
         # sections and grids index frequencies as int64, negations included
         if max(map(abs, itertools.chain.from_iterable(self.coefficients)), default=0) >= 2**63:
             raise ValueError("a symbol frequency lies outside int64 (|k_i| < 2^63)")
@@ -105,7 +98,7 @@ class TorusSymbol:
 
 
 def from_coefficients(n: int, p: int, entries) -> TorusSymbol:
-    """Build a symbol from (frequency, block) pairs; duplicates are rejected."""
+    """Build a symbol from (frequency, block) pairs; duplicates and non-finite entries are rejected."""
     coeffs: dict[MultiIndex, np.ndarray] = {}
     for k, value in entries:
         key = tuple(int(x) for x in k)
@@ -118,6 +111,8 @@ def from_coefficients(n: int, p: int, entries) -> TorusSymbol:
             blk = blk.reshape(1, 1)
         if blk.shape != (p, p):
             raise ValueError(f"coefficient at {key} has shape {blk.shape}, expected ({p}, {p})")
+        if not np.isfinite(blk).all():
+            raise ValueError(f"coefficient at {key} has a non-finite entry")
         coeffs[key] = blk
     return TorusSymbol(n=n, p=p, coefficients=coeffs, tail_bound=0.0)
 
@@ -149,25 +144,29 @@ def multiply(a: TorusSymbol, b: TorusSymbol) -> TorusSymbol:
     """Coefficient convolution; realizes the pointwise product of symbols.
 
     Supports add (Minkowski sum), blocks compose left-to-right, and the tail
-    bound is propagated through the triangle inequality.
+    bound is propagated through the triangle inequality.  A product whose
+    coefficient or tail bound overflows is refused, as `from_coefficients`
+    and `TorusSymbol` refuse one.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     if a.p != b.p:
         raise ValueError(f"block size mismatch: {a.p} vs {b.p}")
     coeffs: dict[MultiIndex, np.ndarray] = {}
-    for ka, blka in a.coefficients.items():
-        for kb, blkb in b.coefficients.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            prod = blka @ blkb
-            if key in coeffs:
-                coeffs[key] = coeffs[key] + prod
-            else:
-                coeffs[key] = prod
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for ka, blka in a.coefficients.items():
+            for kb, blkb in b.coefficients.items():
+                key = tuple(x + y for x, y in zip(ka, kb))
+                prod = blka @ blkb
+                if key in coeffs:
+                    coeffs[key] = coeffs[key] + prod
+                else:
+                    coeffs[key] = prod
+    product = from_coefficients(a.n, a.p, coeffs.items())
     # ||ab - a_tr b_tr||_inf <= ||a_tr|| tail_b + tail_a ||b_tr|| + tail_a tail_b
     sup_a, sup_b = _norm_sum(a.coefficients.values()), _norm_sum(b.coefficients.values())
     tail = sup_a * b.tail_bound + a.tail_bound * sup_b + a.tail_bound * b.tail_bound
-    return TorusSymbol(n=a.n, p=a.p, coefficients=coeffs, tail_bound=tail)
+    return TorusSymbol(n=a.n, p=a.p, coefficients=product.coefficients, tail_bound=tail)
 
 
 def blaschke_factor(a: complex, degree: int) -> TorusSymbol:

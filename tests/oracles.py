@@ -58,7 +58,8 @@ def _norm(M: np.ndarray) -> float:
 
 
 def _bnorm(M: np.ndarray) -> float:
-    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size > 1 else float(abs(M.reshape(-1)[0]))
+    """Spectral norm of a block: |b| by numpy's array abs for a 1 x 1 block, as `symbols._block_norms` takes it."""
+    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size > 1 else float(np.abs(M).item())
 
 
 def defect_oracle(T: TruncatedOperator) -> tuple[list[float], float]:

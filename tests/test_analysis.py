@@ -302,11 +302,8 @@ def diagonal_operators(draw):
 def pairwise_spread(blocks: np.ndarray) -> float:
     """Largest distance over all pairs of finite blocks, with numpy's array norms.
 
-    `oracles.recover_oracle` takes scalar abs (libm hypot), which differs by
-    an ulp from the array np.abs on about a third of complex inputs, so the
-    bit-for-bit reference is formed here with the array functions.  Two
-    blocks whose difference has an infinite part are more than the largest
-    float apart: inf.
+    Two blocks whose difference has an infinite part are more than the
+    largest float apart: inf.
     """
     diff = blocks[:, None] - blocks[None, :]
     if blocks.shape[-1] == 1:

@@ -491,24 +491,78 @@ def test_symbol_bad_bare_entry_exit_two(tmp_path, capsys):
 
 
 def test_symbol_nan_tail_bound_exit_two(tmp_path, capsys):
-    # a NaN tail bound is no bound: refused, so no symbol file carries one
-    # and a model-space header's tail compares with a plain !=
+    # a NaN or infinite tail bound is no bound: refused, so no symbol file
+    # carries one and a model-space header's tail compares with a plain !=
     out = tmp_path / "x.json"
-    coeffs = '{"n": 1, "p": 1, "coefficients": [{"k": [2], "re": 1.0}], "tail_bound": NaN}'
-    assert main(["symbol", "--coeffs", coeffs, "--out", str(out)]) == 2
-    assert "tail_bound must be nonnegative, got nan" in capsys.readouterr().err
+    for tail in ("NaN", "Infinity"):
+        coeffs = f'{{"n": 1, "p": 1, "coefficients": [{{"k": [2], "re": 1.0}}], "tail_bound": {tail}}}'
+        assert main(["symbol", "--coeffs", coeffs, "--out", str(out)]) == 2
+        assert f"tail_bound must be finite and nonnegative, got {float(tail)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_finite_symbols_exit_two(tmp_path, capsys):
+    # a symbol is a bounded function: a non-finite coefficient or tail bound
+    # is refused, whether read from a file or made by a product that overflows
+    a, theta = tmp_path / "a.json", tmp_path / "theta.json"
+    assert main(["symbol", "--coeffs", '[{"k": [1], "re": 1e200}]', "--n", "1", "--out", str(a)]) == 0
+    theta.write_text('{"n": 1, "p": 1, "coefficients": [{"k": [1], "re": 5.0}], "tail_bound": Infinity}')
+    capsys.readouterr()
+    probes = {
+        "coefficient at (1, 1) has a non-finite entry": ["symbol", "--product", f"{a},{a}"],
+        "coefficient at (1,) has a non-finite entry": ["symbol", "--coeffs", '[{"k": [1], "re": Infinity}]', "--n", "1"],
+        "tail_bound must be finite and nonnegative, got inf": ["modelspace", "--theta", str(theta), "--caps", "4"],
+    }
+    for message, argv in probes.items():
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2, argv  # a RuntimeWarning would be exit 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-toeplitz", "{op}"],
+        ["decompose", "{op}"],
+        ["block-decompose", "{op}"],
+        ["compactness", "{op}"],
+        ["modelspace", "--theta", "{theta}", "--caps", "7", "--out", "{out}"],
+        ["invariance", "--modelspace", "{ms}"],
+        ["model-compactness", "--modelspace", "{ms}", "--identity", "--m-max", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bad_tol_exit_two(tmp_path, capsys, argv, tol):
+    # a tolerance is a finite number >= 0: NaN fails every comparison, a
+    # negative one fails an exact section and inf passes any
+    box = Box((7,))
+    theta = from_coefficients(1, 1, [((1,), 1.0)])
+    io.save_symbol(tmp_path / "theta.json", theta)
+    io.save_operator(tmp_path / "T.op", toeplitz(theta, box))
+    io.save_modelspace(tmp_path / "Q.ms", model_basis(theta, box))
+    paths = {"op": tmp_path / "T.op", "theta": tmp_path / "theta.json", "ms": tmp_path / "Q.ms", "out": tmp_path / "out"}
+    assert main([a.format(**paths) for a in argv] + ["--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --tol: tolerance must be a finite number >= 0, got '{tol}'" in captured.err
+    assert not paths["out"].exists()
 
 
 def test_symbol_bare_entries_read_like_symbol_json(tmp_path, capsys):
     out = tmp_path / "x.json"
-    entries = '[{"k": [1], "re": 1.0, "im": NaN}, {"k": [2], "re": -0.0, "im": 1.0}]'
+    entries = '[{"k": [1], "re": 1.0, "im": -0.0}, {"k": [2], "re": -0.0, "im": 1.0}]'
     assert main(["symbol", "--coeffs", entries, "--n", "1", "--out", str(out)]) == 0
     sym = io.load_symbol(out)
     one, two = sym.coeff((1,)).item(), sym.coeff((2,)).item()
-    assert one.real == 1.0 and math.isnan(one.imag)
+    assert one.real == 1.0 and math.copysign(1.0, one.imag) == -1.0
     assert math.copysign(1.0, two.real) == -1.0 and two.imag == 1.0
     out.unlink()
+    entries = '[{"k": [1], "re": 1.0, "im": NaN}]'
+    assert main(["symbol", "--coeffs", entries, "--n", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: coefficient at (1,) has a non-finite entry\n"
     for k in ("1.5", "true"):
         assert main(["symbol", "--coeffs", f'[{{"k": [{k}], "re": 1.0}}]', "--n", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("is not an integer") == 2

@@ -148,7 +148,7 @@ def test_operator_legacy_header_loads(tmp_path):
 
 def test_operator_nan_symbol_section_is_refused(tmp_path):
     # the section of a NaN coefficient holds NaN entries, refused on load
-    op = toeplitz(from_coefficients(1, 1, [((1,), np.nan)]), Box((3,)))
+    op = toeplitz(TorusSymbol(1, 1, {(1,): np.array([[np.nan]])}), Box((3,)))
     path = tmp_path / "N.op"
     io.save_operator(path, op)
     with pytest.raises(ValueError, match=r"entry \(1, 0\) is NaN"):
@@ -157,8 +157,13 @@ def test_operator_nan_symbol_section_is_refused(tmp_path):
 
 # CSV payloads and JSON symbols spell every NaN "nan", so draws use the one
 # canonical NaN; every other float, signed zeros and infinities included,
-# must come back bit for bit.
+# must come back bit for bit, or, in a symbol, be refused as non-finite.
 FLOATS = st.floats(allow_nan=True, allow_infinity=True).map(lambda x: math.nan if math.isnan(x) else x)
+TAILS = st.floats(min_value=0.0, allow_infinity=False)
+
+
+def _finite(sym: TorusSymbol) -> bool:
+    return all(np.isfinite(blk).all() for blk in sym.coefficients.values())
 
 
 def complex_arrays(shape):
@@ -172,13 +177,17 @@ def symbols(draw):
     n, p = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     freqs = st.tuples(*[st.integers(-(2**63) + 1, 2**63 - 1)] * n)
     coeffs = draw(st.dictionaries(freqs, complex_arrays((p, p)), max_size=4))
-    return TorusSymbol(n, p, coeffs, draw(st.floats(min_value=0.0)))
+    return TorusSymbol(n, p, coeffs, draw(TAILS))
 
 
 @given(symbols())
 def test_symbol_save_load_is_bit_exact(tmp_path_factory, sym):
     path = tmp_path_factory.getbasetemp() / "round-trip.json"
     io.save_symbol(path, sym)
+    if not _finite(sym):  # a non-finite coefficient is refused instead
+        with pytest.raises(ValueError, match="has a non-finite entry"):
+            io.load_symbol(path)
+        return
     back = io.load_symbol(path)
     assert (back.n, back.p, back.tail_bound) == (sym.n, sym.p, sym.tail_bound)
     assert list(back.coefficients) == sorted(sym.coefficients)
@@ -203,6 +212,10 @@ def test_operator_save_load_is_bit_exact(tmp_path_factory, op, fmt):
     io.save_operator(path, op, fmt=fmt)
     if np.isnan(op.matrix.view(float)).any():  # a NaN entry is refused instead
         with pytest.raises(ValueError, match="is NaN"):
+            io.load_operator(path)
+        return
+    if op.symbol is not None and not _finite(op.symbol):  # and so is a non-finite symbol
+        with pytest.raises(ValueError, match="has a non-finite entry"):
             io.load_operator(path)
         return
     back = io.load_operator(path)
@@ -249,7 +262,7 @@ def modelspaces(draw):
     box = Box(tuple(draw(st.lists(st.integers(0, 1 if n == 3 else 2), min_size=n, max_size=n))))
     freqs = st.tuples(*(st.integers(0, c) for c in box.caps))
     coeffs = draw(st.dictionaries(freqs, complex_arrays((p, p)), max_size=4))
-    theta = TorusSymbol(n, p, coeffs, draw(st.floats(min_value=0.0)))
+    theta = TorusSymbol(n, p, coeffs, draw(TAILS))
     q = draw(st.integers(0, min(3, p * box.dim)))
     return ModelSpace(theta=theta, box=box, basis=draw(orthonormal_bases(p * box.dim, q)))
 
@@ -258,6 +271,10 @@ def modelspaces(draw):
 def test_modelspace_save_load_is_bit_exact(tmp_path_factory, ms):
     path = tmp_path_factory.getbasetemp() / "round-trip.ms"
     io.save_modelspace(path, ms)
+    if not _finite(ms.theta):  # a non-finite theta is refused instead
+        with pytest.raises(ValueError, match="has a non-finite entry"):
+            io.load_modelspace(path)
+        return
     back = io.load_modelspace(path)
     assert (back.box, back.safe_box, back.p, back.q) == (ms.box, ms.safe_box, ms.p, ms.q)
     assert np.float64(back.column_tail_bound).tobytes() == np.float64(ms.column_tail_bound).tobytes()

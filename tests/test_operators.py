@@ -18,7 +18,7 @@ from polytoep.operators import (
     operator_norm,
     toeplitz,
 )
-from polytoep.symbols import from_coefficients, random_symbol
+from polytoep.symbols import _block_norms, from_coefficients, random_symbol
 
 import oracles
 from oracles import _blk, enumerate_basis, layer_projector_oracle, shift_oracle
@@ -239,10 +239,27 @@ def test_operator_norm_exact_cases(scale, dtype):
     assert norms == [0.0] * 6 and all(math.copysign(1.0, x) == 1.0 for x in norms)
     M[5, 5] = scale * complex(*rng.standard_normal(2)) if dtype is complex else -scale * 0.7
     M[1, 2] = scale * 3.0
-    a, b = M[5, 5], M[1, 2]
+    a, b = float(np.abs(M[5:, 5:]).item()), abs(M[1, 2])  # |a| by numpy's array abs, as the block kernel
     # windows from 2 on hold M[5, 5] alone; windows 0 and 1 hold both entries
-    assert operator_norm(M, _nested(6)) == [abs(b), abs(b), abs(a), abs(a), abs(a), abs(a)]
-    assert operator_norm(M[5:, 5:]) == abs(a)
+    assert operator_norm(M, _nested(6)) == [b, b, a, a, a, a]
+    assert operator_norm(M[5:, 5:]) == a
+
+
+@settings(max_examples=200)
+@given(
+    st.complex_numbers(max_magnitude=4.0, allow_subnormal=False),
+    st.booleans(),
+    st.sampled_from([1.0, 1e200, 1e-200]),
+)
+def test_single_entry_reads_the_block_kernel_on_every_path(a, real, scale):
+    # the depth-1 window holds a alone: the Gram path (first entry finite,
+    # the same scale as a) and the fallback (first entry inf, or 1 next to
+    # a tiny or huge a) read the same bits, `_block_norms` of a
+    a = scale * (a.real if real else a)
+    want = float(_block_norms(np.array([[a]])))
+    for first in (1.0, scale, math.inf):
+        M = np.diag([first, a]).astype(float if real else complex)
+        assert operator_norm(M, _nested(2))[1] == want, first
 
 
 def test_operator_norm_wide_range_keeps_the_svd():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polytoep.symbols import (
+    TorusSymbol,
     _block_norms,
     blaschke_factor,
     default_grid,
@@ -41,6 +42,26 @@ def test_from_coefficients_rejects_duplicates_and_mismatches():
         from_coefficients(2, 1, [((0,), 1)])
     with pytest.raises(ValueError, match="shape"):
         from_coefficients(1, 2, [((0,), np.eye(3))])
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match=r"coefficient at \(0,\) has a non-finite entry"):
+            from_coefficients(1, 2, [((0,), np.diag([1.0, bad]))])
+
+
+def test_multiply_refuses_an_overflowing_product():
+    # 1e200 z times itself is 1e400 z^2, above the largest float: refused,
+    # with no overflow warning on the way (tier-1 makes one an error)
+    a = from_coefficients(1, 1, [((1,), 1e200)])
+    with pytest.raises(ValueError, match=r"coefficient at \(2,\) has a non-finite entry"):
+        multiply(a, a)
+    with pytest.raises(ValueError, match="tail_bound must be finite"):
+        multiply(a, TorusSymbol(1, 1, {}, 1e200))
+
+
+def test_sup_norm_estimate_takes_the_block_kernel():
+    # |3 + 3j| by numpy's array abs, as every other 1 x 1 norm; Python's
+    # scalar abs (libm hypot) reads one ulp less
+    sym = from_coefficients(1, 1, [((0,), 3 + 3j)])
+    assert sym.sup_norm_estimate() == 4.242640687119286 == _block_norms(np.array([[3 + 3j]]))
 
 
 def _grid_error(sym, grid) -> float:
