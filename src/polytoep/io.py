@@ -231,7 +231,8 @@ def load_modelspace(path) -> ModelSpace:
     ms = ModelSpace(theta=theta, box=box, basis=basis)
     if safe != list(ms.safe_box.caps):
         raise ValueError(f"{path}: safe_caps {safe} are not the caps minus theta's top frequency, {list(ms.safe_box.caps)}")
-    deviation = np.abs(basis.conj().T @ basis - np.eye(q)).max() if q else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge or non-finite entry: inf or NaN, refused below
+        deviation = np.abs(basis.conj().T @ basis - np.eye(q)).max() if q else 0.0
     if not deviation <= ORTHONORMAL_TOL:  # NaN fails too
         raise ValueError(
             f"{path}: basis columns are not orthonormal (Gram deviation {deviation:.3e} "

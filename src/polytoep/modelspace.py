@@ -10,6 +10,7 @@ model-space file carries a note to that effect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,14 +82,20 @@ def _safe_box(theta: TorusSymbol, box: Box) -> Box:
     return Box(caps)
 
 
-def _is_selection(cols: np.ndarray) -> bool:
-    """True when every column is exactly a distinct standard basis vector."""
-    nz_rows, nz_cols = np.nonzero(cols)
-    if nz_rows.size != cols.shape[1] or np.unique(nz_cols).size != cols.shape[1]:
-        return False
-    if np.unique(nz_rows).size != cols.shape[1]:
-        return False
-    return bool(np.all(cols[nz_rows, nz_cols] == 1.0))
+def _partial_map(M: np.ndarray) -> np.ndarray | None:
+    """pi with M[pi[b], b] = 1 and pi[b] = -1 on a zero column, when M is a partial permutation; else None.
+
+    A partial permutation has every nonzero entry exactly 1, at most one in
+    each row and at most one in each column.
+    """
+    rows, cols = np.nonzero(M)
+    if not np.all(M[rows, cols] == 1.0):
+        return None
+    if np.unique(rows).size != rows.size or np.unique(cols).size != cols.size:
+        return None
+    pi = np.full(M.shape[1], -1)
+    pi[cols] = rows
+    return pi
 
 
 def model_basis(theta: TorusSymbol, box: Box, tol: float = INNER_TOL, grid_sizes=None) -> ModelSpace:
@@ -107,7 +114,8 @@ def model_basis(theta: TorusSymbol, box: Box, tol: float = INNER_TOL, grid_sizes
             f"(requested {cert.requested_tol:.3e} + tail allowance {cert.tail_allowance:.3e})"
         )
     cols = _gather(theta, box, _safe_box(theta, box))
-    if _is_selection(cols):
+    pi = _partial_map(cols)
+    if pi is not None and np.all(pi >= 0):  # every column a distinct standard basis vector
         free = np.flatnonzero(~cols.any(axis=1))
         basis = np.zeros((cols.shape[0], free.size), dtype=complex)
         basis[free, np.arange(free.size)] = 1.0
@@ -262,6 +270,36 @@ class ModelCompactnessReport:
     verdict: bool
 
 
+def _compression_norms(C: np.ndarray, T: np.ndarray, m_max: int) -> list[float]:
+    """||C*^m T C^m|| for m = 1..m_max, of a finite T.
+
+    Where C is a partial permutation, C[pi(b), b] = 1 (`_partial_map`),
+    C*^m T C^m is T on I_m x I_m, I_m = pi^m(dom pi^m), with rows and
+    columns relabelled by the one bijection pi^m, so the two have the same
+    norm.  The I_m nest, so the sequence is one `operator_norm` family of T:
+    depth(a) is the largest m <= m_max with a in I_m, 0 outside I_1, and
+    window m - 1 holds the rows and columns of depth at least m.  Any other
+    C takes the dense products one m at a time and the norm of each.
+    """
+    pi = _partial_map(C)
+    if pi is None:
+        Cs, X, norms = C.conj().T, T, []
+        for _ in range(m_max):
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow, and inf * 0 after it: norm inf
+                X = Cs @ X @ C
+            norms.append(operator_norm(X))
+        return norms
+    depth = np.zeros(pi.size, dtype=np.int64)
+    at = pi[pi >= 0]  # I_1
+    for m in range(1, m_max + 1):
+        if not at.size:
+            break
+        depth[at] = m
+        at = pi[at]
+        at = at[at >= 0]  # I_(m+1) = pi(I_m and dom pi)
+    return operator_norm(T, (depth - 1, depth - 1, m_max))
+
+
 def model_compactness_test(
     ms: ModelSpace,
     T: np.ndarray,
@@ -273,22 +311,26 @@ def model_compactness_test(
     The only possible norm limit of the iterated compressions is zero, so
     convergence is tested as decay; a plateau above tol is the finite-scale
     witness of non-compactness.
+
+    A T with a NaN or infinite entry has norm inf at every m in every
+    direction: the paper's operators are bounded, so such an entry can only
+    mean unbounded, as `symbols._block_norms` reads it in a block.  A finite
+    T takes each direction by `_compression_norms`: a compressed shift that
+    is a partial permutation, as on every selection basis from
+    `model_basis` (monomial theta), gives one nested norm family of T
+    itself, and any other (an SVD basis, as for a Blaschke product) the
+    dense products.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    if ms.q < 1:
+        raise ValueError("empty model space has no compressions")
     T = np.asarray(T, dtype=complex)
     if T.shape != (ms.q, ms.q):
         raise ValueError(f"operator shape {T.shape} does not match model dimension {ms.q}")
-    norms: list[list[float]] = []
-    for i in range(ms.n):
-        C = compressed_shift(ms, i)
-        Cs = C.conj().T
-        X = T
-        seq = []
-        for _ in range(m_max):
-            with np.errstate(over="ignore", invalid="ignore"):  # overflow and inf * 0: norm inf (`_block_norms`)
-                X = Cs @ X @ C
-            seq.append(operator_norm(X))
-        norms.append(seq)
+    if np.isfinite(T).all():
+        norms = [_compression_norms(compressed_shift(ms, i), T, m_max) for i in range(ms.n)]
+    else:
+        norms = [[math.inf] * m_max for _ in range(ms.n)]
     verdict = all(seq[-1] <= tol for seq in norms)
     return ModelCompactnessReport(norms=norms, m_max=m_max, tol=tol, verdict=verdict)

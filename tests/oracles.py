@@ -273,6 +273,25 @@ def shift_oracle(box: Box, direction: int, p: int) -> np.ndarray:
     return out
 
 
+def model_compactness_windows(ms, T: np.ndarray, m_max: int) -> list[list[np.ndarray]]:
+    """For each direction i, the dense products Cs^m . T . C^m for m = 1..m_max.
+
+    C = V* S_i V with S_i from `shift_oracle`, and C^m a matrix power, so
+    no production path forms either.
+    """
+    out = []
+    for i in range(ms.n):
+        C = ms.basis.conj().T @ shift_oracle(ms.box, i, ms.p) @ ms.basis
+        powers = [np.linalg.matrix_power(C, m) for m in range(1, m_max + 1)]
+        out.append([Cm.conj().T @ T @ Cm for Cm in powers])
+    return out
+
+
+def model_compactness_oracle(ms, T: np.ndarray, m_max: int) -> list[list[float]]:
+    """||C_i*^m T C_i^m|| for each direction i and m = 1..m_max, each a full SVD of the dense product."""
+    return [[_norm(W) for W in seq] for seq in model_compactness_windows(ms, T, m_max)]
+
+
 def layer_projector_oracle(box: Box, m: int, p: int) -> np.ndarray:
     """Diagonal 0/1 matrix with a one on each row whose monomial has every exponent below m."""
     out = np.zeros((p * box.dim, p * box.dim), dtype=complex)

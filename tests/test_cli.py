@@ -1,9 +1,11 @@
 """End-to-end exercise of the command line verbs and the exit-code contract."""
 
 import contextlib
+import functools
 import io as io_
 import json
 import math
+import struct
 import sys
 import warnings
 
@@ -18,7 +20,7 @@ from polytoep.cli import main
 from polytoep.lattice import Box
 from polytoep.modelspace import model_basis
 from polytoep.operators import TruncatedOperator, toeplitz
-from polytoep.symbols import from_coefficients
+from polytoep.symbols import blaschke_factor, from_coefficients
 
 PHI = {
     "n": 2,
@@ -248,6 +250,91 @@ def test_op_payload_edges_never_exit_three(tmp_path_factory, op):
 @given(edge_operators())
 def test_op_payload_edges_never_exit_three_sweep(tmp_path_factory, op):
     _check_op_payload(tmp_path_factory.getbasetemp(), op)
+
+
+# (theta, caps) of the model spaces the .ms property corrupts: selection
+# bases, whose compressed shifts are partial permutations, at n = 1, 2 and
+# p = 2, and an SVD basis with dense ones; q = 3, 5, 4 and 6
+FUZZ_SPACES = [
+    (from_coefficients(1, 1, [((3,), 1.0)]), (5,)),
+    (from_coefficients(2, 1, [((1, 1), 1.0)]), (2, 2)),
+    (from_coefficients(1, 2, [((2,), np.eye(2))]), (3,)),
+    (blaschke_factor(0.5, 6), (9,)),
+]
+# payload parts: NaN, infinite, huge, subnormal
+ODD_PARTS = [math.nan, math.inf, -math.inf, sys.float_info.max, -1e300, 1e300, 5e-324, 2.0**-1060]
+MS_VERBS = (
+    ["invariance"],
+    ["model-compactness", "--identity", "--m-max", "3"],
+    ["model-compactness", "--random", "--m-max", "3"],
+)
+
+
+@functools.cache
+def _ms_bytes(tmp, index: int) -> bytes:
+    """The .ms file of FUZZ_SPACES[index], written once under tmp."""
+    theta, caps = FUZZ_SPACES[index]
+    path = tmp / f"fuzz{index}.ms"
+    io.save_modelspace(path, model_basis(theta, Box(caps)))
+    return path.read_bytes()
+
+
+@st.composite
+def ms_corruptions(draw):
+    """(space index, kind, how): 1-3 bit flips in the header line or in the payload, a truncation, or one odd payload part."""
+    index = draw(st.integers(0, len(FUZZ_SPACES) - 1))
+    kind = draw(st.sampled_from(["header", "payload", "truncate", "part"]))
+    if kind in ("header", "payload"):
+        spot = st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 7))
+        return index, kind, draw(st.lists(spot, min_size=1, max_size=3))
+    if kind == "truncate":
+        return index, kind, draw(st.floats(0.0, 1.0, exclude_max=True))
+    return index, kind, (draw(st.floats(0.0, 1.0, exclude_max=True)), draw(st.sampled_from(ODD_PARTS)))
+
+
+def _corrupt(raw: bytes, kind: str, how) -> bytes:
+    """raw with the corruption applied; positions are fractions of the header line (its newline included) or payload."""
+    start = raw.index(b"\n") + 1
+    lo, size = (0, start) if kind == "header" else (start, len(raw) - start)
+    data = bytearray(raw)
+    if kind in ("header", "payload"):
+        for where, bit in how:
+            data[lo + int(where * size)] ^= 1 << bit
+    elif kind == "truncate":
+        del data[lo + int(how * size) :]
+    else:
+        where, value = how
+        at = lo + 8 * int(where * (size // 8))
+        data[at : at + 8] = struct.pack("<d", value)
+    return bytes(data)
+
+
+def _check_ms_corruption(tmp_path, case):
+    index, kind, how = case
+    path, out = tmp_path / "bad.ms", tmp_path / "r.json"
+    path.write_bytes(_corrupt(_ms_bytes(tmp_path, index), kind, how))
+    for verb in MS_VERBS:
+        out.unlink(missing_ok=True)
+        err = io_.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([verb[0], "--modelspace", str(path), *verb[1:], "--out", str(out)])
+        assert code in (0, 1, 2), (verb, code, err.getvalue())
+        assert not out.exists() or "NaN" not in out.read_text(), verb
+
+
+@settings(max_examples=25)
+@given(ms_corruptions())
+def test_corrupt_modelspace_never_exits_three(tmp_path_factory, case):
+    # invariance and model-compactness on a corrupted .ms exit 0, 1 or 2
+    # (most corruptions are refused on load), never 3, and write no NaN
+    _check_ms_corruption(tmp_path_factory.getbasetemp(), case)
+
+
+@pytest.mark.nightly
+@settings(max_examples=2000)
+@given(ms_corruptions())
+def test_corrupt_modelspace_never_exits_three_sweep(tmp_path_factory, case):
+    _check_ms_corruption(tmp_path_factory.getbasetemp(), case)
 
 
 @settings(max_examples=25)
@@ -641,6 +728,17 @@ def test_non_orthonormal_modelspace_exit_two(tmp_path, capsys, verb):
         argv += ["--identity", "--m-max", "1"]
     assert main(argv) == 2
     assert "not orthonormal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top", [1e300, math.inf, -math.inf])
+def test_huge_modelspace_entry_is_refused_quietly(tmp_path, capsys, top):
+    # the orthonormality check overflows at 1e300 and meets inf * 0 at inf:
+    # both are refused (exit 2) with one error line and no RuntimeWarning
+    column = np.array([top, 0.0, 0.0, 0.0]).tobytes()
+    (tmp_path / "Q.ms").write_bytes(json.dumps(MS).encode() + b"\n" + column)
+    assert main(["invariance", "--modelspace", str(tmp_path / "Q.ms")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not orthonormal" in err and err.count("\n") == 1
 
 
 Z3 = {"n": 1, "p": 1, "coefficients": [{"k": [3], "re": [[1.0]], "im": [[0.0]]}], "tail_bound": 0.0}

@@ -1,10 +1,12 @@
+import itertools
+import math
 from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytoep import modelspace
@@ -18,6 +20,7 @@ from polytoep.modelspace import (
 from polytoep.operators import _gather
 from polytoep.symbols import blaschke_factor, from_coefficients, product_inner
 
+import oracles
 from oracles import analytic_columns_oracle, enumerate_basis, shift_oracle, stacked_invariance_oracle
 
 
@@ -166,6 +169,105 @@ def test_model_compactness_identity_plateau():
         for v in seq:
             assert v == pytest.approx(1.0, abs=1e-10)
     assert not rep.verdict
+
+
+@pytest.mark.parametrize("theta, caps, permutes", [
+    (monomial(1, (3,)), (3,), True),  # a partial permutation: one nested family of T
+    (blaschke_factor(0.5, 6), (9,), False),  # a dense compressed shift: the products
+    (monomial(2, (1, 1)), (2, 2), True),
+])
+def test_model_compactness_non_finite_entry_is_inf_everywhere(theta, caps, permutes):
+    # a NaN or infinite entry of T is an unbounded operator: inf at every m in
+    # every direction, on either path, even where no I_m holds the entry
+    ms = model_basis(theta, Box(caps))
+    for i in range(ms.n):
+        C = compressed_shift(ms, i)
+        ones = np.isin(C, (0.0, 1.0)).all()
+        assert permutes == (ones and np.count_nonzero(C, axis=0).max() <= 1 and np.count_nonzero(C, axis=1).max() <= 1)
+    for bad in (math.inf, complex(0.0, -math.inf), math.nan):
+        T = np.eye(ms.q, dtype=complex)
+        T[0, 0] = bad
+        for m_max in (1, 2):
+            rep = model_compactness_test(ms, T, m_max)
+            assert rep.norms == [[math.inf] * m_max] * ms.n and not rep.verdict
+
+
+def monomial_theta(n, p, k, k2):
+    """z^k I_p, or diag(z^k, z^k2) at p = 2."""
+    if p == 1 or k == k2:
+        return monomial(n, k, p)
+    return from_coefficients(n, 2, [(tuple(k), np.diag([1.0, 0.0])), (tuple(k2), np.diag([0.0, 1.0]))])
+
+
+OPERATOR_KINDS = ("complex", "real", "identity", "zero", "zero-rows")
+
+
+def compactness_operator(kind, q, rng):
+    if kind == "identity":
+        return np.eye(q, dtype=complex)
+    if kind == "zero":
+        return np.zeros((q, q), dtype=complex)
+    T = rng.standard_normal((q, q)) + (0.0 if kind == "real" else 1j * rng.standard_normal((q, q)))
+    if kind == "zero-rows":
+        T[rng.random(q) < 0.5] = 0
+    return T
+
+
+def check_model_compactness(ms, T, m_max):
+    """Every norm within `oracles.gram_bound` of the dense product's SVD, and 0.0 exactly on a zero product.
+
+    An empty space (theta constant) is refused, as `invariance_kernel` refuses it.
+    """
+    if ms.q == 0:
+        with pytest.raises(ValueError, match="empty model space"):
+            model_compactness_test(ms, T, m_max)
+        return
+    assert all(modelspace._partial_map(compressed_shift(ms, i)) is not None for i in range(ms.n))
+    rep = model_compactness_test(ms, T, m_max)
+    oracle = oracles.model_compactness_oracle(ms, T, m_max)
+    for seq, wants, windows in zip(rep.norms, oracle, oracles.model_compactness_windows(ms, T, m_max), strict=True):
+        for got, want, W in zip(seq, wants, windows, strict=True):
+            assert abs(got - want) <= oracles.gram_bound(W), (got, want)
+            if not W.any():  # an empty I_m, or T zero on it
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+@st.composite
+def monomial_compactness_cases(draw):
+    """A monomial space over n, p <= 2 with m_max below and past nilpotency, and a T of each kind."""
+    n, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    caps = tuple(draw(st.lists(st.integers(0, 7 if n == 1 else 3), min_size=n, max_size=n)))
+    k, k2 = (tuple(draw(st.integers(0, c)) for c in caps) for _ in range(2))
+    ms = model_basis(monomial_theta(n, p, k, k2), Box(caps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = compactness_operator(draw(st.sampled_from(OPERATOR_KINDS)), ms.q, rng)
+    return ms, T, draw(st.integers(1, max(caps) + 2))
+
+
+@settings(max_examples=100)
+@given(monomial_compactness_cases())
+def test_model_compactness_matches_dense_products(case):
+    check_model_compactness(*case)
+
+
+@pytest.mark.nightly
+def test_model_compactness_matches_dense_products_exhaustive():
+    # every monomial space on caps up to 9 (n = 1) and (4, 4) (n = 2), at p = 1
+    # and 2 (diag(z^k, z^k2) at n = 1), every kind of T, every m_max up to
+    # two past the largest cap
+    rng = np.random.default_rng(25)
+    for n, top in ((1, 9), (2, 4)):
+        for caps in itertools.product(range(top + 1), repeat=n):
+            exps = list(itertools.product(*(range(c + 1) for c in caps)))
+            thetas = [monomial_theta(n, p, k, k) for p in (1, 2) for k in exps]
+            if n == 1:
+                thetas += [monomial_theta(1, 2, k, k2) for k, k2 in itertools.combinations(exps, 2)]
+            for theta in thetas:
+                ms = model_basis(theta, Box(caps))
+                for kind in OPERATOR_KINDS:
+                    T = compactness_operator(kind, ms.q, rng)
+                    for m_max in range(1, max(caps) + 3):
+                        check_model_compactness(ms, T, m_max)
 
 
 def test_dimension_law_monomial_inner():
