@@ -312,8 +312,8 @@ def _band_top(G: np.ndarray, perm: np.ndarray, b: int) -> float | None:
     return None if info else float(w[0])
 
 
-def _lanczos_top(H: np.ndarray, start: np.ndarray, budget: int) -> tuple[float, np.ndarray] | None:
-    """Top eigenvalue and unit Ritz vector of a positive semidefinite H by Lanczos; None past budget steps.
+def _lanczos_top(H: np.ndarray, start: np.ndarray, budget: int) -> float | None:
+    """Top eigenvalue of a positive semidefinite H by Lanczos from start; None past budget steps.
 
     H holds both triangles.  Each step is one `?gemv` and classical
     Gram-Schmidt twice against every earlier Lanczos vector, so the basis
@@ -333,8 +333,8 @@ def _lanczos_top(H: np.ndarray, start: np.ndarray, budget: int) -> tuple[float, 
       the pair, far outside tol*theta of the top one.
 
     What neither rule sees is an eigenvalue above theta whose eigenvector
-    the Krylov space has not reached.  The start carries a Gaussian part
-    for that: for a uniformly random start, Kuczynski & Wozniakowski (SIAM
+    the Krylov space has not reached.  The caller's start is Gaussian for
+    that: for a uniformly random start, Kuczynski & Wozniakowski (SIAM
     J. Matrix Anal. Appl. 13, 1992) bound the chance that theta after j
     steps is below (1 - e) times the top eigenvalue by
     1.648*sqrt(c)*exp(-sqrt(e)*(2j - 1)).  The caller adds interlacing
@@ -365,41 +365,32 @@ def _lanczos_top(H: np.ndarray, start: np.ndarray, budget: int) -> tuple[float, 
         _, theta, s, info = lapack.dstemr(alpha[: j + 1], e, 3, 0.0, 0.0, j + 1, j + 1)  # the top Ritz pair
         if info:
             return None
-        t, y = theta[0], s[:, 0]
-        if broke or beta[j] * abs(y[-1]) <= tol * t:
-            return float(t), y @ V[: j + 1]
+        if broke or beta[j] * abs(s[-1, 0]) <= tol * theta[0]:
+            return float(theta[0])
         V[j + 1] = w / beta[j]
     return None
 
 
-def _krylov_window(
-    G: np.ndarray, keep: np.ndarray, warm: tuple[np.ndarray, np.ndarray] | None, inner: float
-) -> tuple[float | None, tuple[np.ndarray, np.ndarray] | None]:
-    """Top eigenvalue of a complex G on keep x keep by `_lanczos_top`, and the Ritz vector to warm the next window.
+def _krylov_window(G: np.ndarray, keep: np.ndarray, inner: float) -> float | None:
+    """Top eigenvalue of a complex G on keep x keep by `_lanczos_top`, or None.
 
-    warm is the inner window's (Ritz vector, keep) or None.  The start is a
-    Gaussian unit vector, seeded with `_LANCZOS_SEED`, plus that Ritz vector
-    padded with zeros; never the warm vector alone, which has no part in a
-    top eigenvector that lives only in this window's new columns.  The
-    budget is the number of steps that cost about what the window's ?heevr
-    call does, c // 3, but at least 32 and at most c, the step at which the
-    run breaks down in exact arithmetic.  (None, None) when the run does not
-    converge within it, or when its value is below inner, the inner
-    window's top eigenvalue, by more than c*eps of it: a window holds its
-    inner window, so its norm is never smaller.  The caller then takes the
-    window's `_top_eigenvalue`.
+    The start is a Gaussian vector seeded with `_LANCZOS_SEED`, so the
+    value depends on this window's Gram block alone.  The budget is the
+    number of steps that cost about what the window's ?heevr call does,
+    c // 3, but at least 32 and at most c, the step at which the run breaks
+    down in exact arithmetic.  None when the run does not converge within
+    it, or when its value is below inner, the inner window's top
+    eigenvalue, by more than c*eps of it: a window holds its inner window,
+    so its norm is never smaller.  The caller then takes the window's
+    `_top_eigenvalue`.
     """
     c = keep.size
     H = G[:c, :c] if keep[-1] == c - 1 else G[np.ix_(keep, keep)]  # a view when keep is a prefix
     start = np.random.default_rng(_LANCZOS_SEED).standard_normal(2 * c).view(complex)
-    start /= np.linalg.norm(start)
-    if warm is not None:
-        y, cols = warm
-        start[np.searchsorted(keep, cols)] += y
-    run = _lanczos_top(H, start, min(c, max(c // _LANCZOS_COLS_PER_STEP, 32)))
-    if run is None or run[0] < inner * (1 - c * np.finfo(float).eps):
-        return None, None
-    return run[0], (run[1], keep)
+    top = _lanczos_top(H, start, min(c, max(c // _LANCZOS_COLS_PER_STEP, 32)))
+    if top is None or top < inner * (1 - c * np.finfo(float).eps):
+        return None
+    return top
 
 
 def _unscale(root: float, exp: int) -> float:
@@ -455,17 +446,19 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
     difference, and a Lanczos matvec reads G as it stands.  A window's
     squared norm is the top eigenvalue of G on its own nonzero columns, the
     ones whose diagonal entry is positive.  A window with one such column
-    takes `_svd_norm` of that column instead, the fallback's per-window
-    kernel, so a single entry reads the same on either path.  On a sparse
-    support (`_Scan`)
+    takes `_svd_norm` of that column instead, its rows in natural order:
+    the fallback's per-window kernel on the same entries in the same order,
+    so the two paths read the same bits.  On a sparse support (`_Scan`)
     the family's columns are ranked once (`_band_order`), and a window
     whose Gram block, in rank order, is a band that `_band_fits` takes it
     from `_band_top`.  Otherwise, or when that call fails, a complex window
     of at least `_LANCZOS_MIN_COLS` columns takes it from `_krylov_window`,
-    each Lanczos run started from the last one's Ritz vector, and every
-    other window from `_top_eigenvalue`.  Entries are scaled by 2**-exp,
-    exactly, first, and each root is scaled back (`_unscale`), to inf past
-    the largest float.
+    and every other window from `_top_eigenvalue`.  Nothing but G, the rows
+    added so far and the inner window's top eigenvalue (the interlacing
+    guard) passes from one window to the next, so each value is computed
+    from its own Gram block alone.  Entries are scaled by 2**-exp, exactly,
+    first, and each root is scaled back (`_unscale`), to inf past the
+    largest float.
     """
     if not count:
         return []
@@ -485,8 +478,7 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
     band = _band_order(src, ri, ci) if scan.sparse else None
     gemm = blas.dgemm if scan.real else blas.zgemm
     G = np.zeros((ci.size, ci.size), dtype=dtype, order="F")
-    norms, done = [0.0] * count, 0
-    inner, warm = 0.0, None  # the last window's top eigenvalue; its Ritz vector and columns from Lanczos
+    norms, done, inner = [0.0] * count, 0, 0.0  # inner: the last window's top eigenvalue
     for k in reversed(range(count)):
         if nrows[k] > done:
             X = np.asarray(src[np.ix_(ri[done : nrows[k]], ci)], dtype=dtype)
@@ -497,20 +489,16 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
         keep = np.flatnonzero(G.diagonal()[: ncols[k]].real > 0)
         if keep.size == 1:
             inner = G[keep[0], keep[0]].real
-            norms[k] = _svd_norm(src[np.ix_(ri[:done], ci[keep])])
+            norms[k] = _svd_norm(src[np.ix_(np.sort(ri[:done]), ci[keep])])  # rows in the fallback's order
         elif keep.size:
             top = None
             if band is not None and _band_fits(band[1], keep.size):
                 rank, b = band
                 top = _band_top(G, keep if rank is None else keep[np.argsort(rank[keep])], b)
             if top is None and not scan.real and keep.size >= _LANCZOS_MIN_COLS:
-                top, warm = _krylov_window(G, keep, warm, inner)
+                top = _krylov_window(G, keep, inner)
             if top is None:
-                if keep.size == G.shape[0] and k == 0:
-                    H = G  # the outermost window takes all of G, which is not needed after it
-                else:
-                    H = G.T[np.ix_(keep, keep)].T  # Fortran-ordered copy of G on keep x keep
-                top = _top_eigenvalue(H)
+                top = _top_eigenvalue(G.T[np.ix_(keep, keep)].T)  # a Fortran-ordered copy
             inner = top
             norms[k] = _unscale(math.sqrt(top), scan.exp)
     return norms
@@ -531,20 +519,21 @@ def operator_norm(matrix: np.ndarray, family: tuple[np.ndarray, np.ndarray, int]
     matrix grown over all windows (`_gram_norms`), in real arithmetic when
     the matrix has no imaginary part.  A window with one nonzero column (or
     row, where the Gram matrix is over rows) takes `symbols._block_norms`
-    of that column instead, as the fallback below does, so a single entry
-    a reads |a| on either path.  Where at most one in 16 of the
+    of its entries in natural order instead, as the fallback below does, so
+    it reads the same bits on either path.  Where at most one in 16 of the
     support's parts is nonzero, the columns are ordered by reverse
     Cuthill-McKee, and a window whose Gram block is then a band of
     half-width b <= max(c, 32) / 16 on its c columns takes that eigenvalue
     from one LAPACK `?sbevx` or `?hbevx` call on the band, and a diagonal
     one (no row with two nonzeros) its largest diagonal entry.  Otherwise
     a complex window of at least `_LANCZOS_MIN_COLS` = 160 columns takes
-    it from Lanczos with full reorthogonalization (`_lanczos_top`), which
-    stops on breakdown or on a residual of at most c*eps of the
-    eigenvalue, and falls back to LAPACK when it runs out of steps or reads
-    below the inner window; every other window takes it from one LAPACK
-    `?syevr` or `?heevr` call.  Every value stays within the Gram matrix's
-    own error bound of the window's SVD, and reruns are bit-identical: the
+    it from Lanczos with full reorthogonalization (`_lanczos_top`) from a
+    seeded Gaussian start, which stops on breakdown or on a residual of at
+    most c*eps of the eigenvalue, and falls back to LAPACK when it runs out
+    of steps or reads below the inner window; every other window takes it
+    from one LAPACK `?syevr` or `?heevr` call.  Every value stays within
+    the Gram matrix's own error bound of the window's SVD and depends on
+    its own window's Gram block alone, and reruns are bit-identical: the
     ordering is deterministic and the Lanczos start is seeded.  A matrix
     with a non-finite entry, or one whose nonzero magnitudes span too wide
     a range to square after scaling, takes each window from

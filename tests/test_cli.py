@@ -281,26 +281,36 @@ def _ms_bytes(tmp, index: int) -> bytes:
 
 @st.composite
 def ms_corruptions(draw):
-    """(space index, kind, how): 1-3 bit flips in the header line or in the payload, a truncation, or one odd payload part."""
+    """(space index, kind, how): 1-3 bit flips in the header line or in the payload, a truncation of either, or one odd payload part."""
     index = draw(st.integers(0, len(FUZZ_SPACES) - 1))
-    kind = draw(st.sampled_from(["header", "payload", "truncate", "part"]))
-    if kind in ("header", "payload"):
-        spot = st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 7))
-        return index, kind, draw(st.lists(spot, min_size=1, max_size=3))
-    if kind == "truncate":
-        return index, kind, draw(st.floats(0.0, 1.0, exclude_max=True))
-    return index, kind, (draw(st.floats(0.0, 1.0, exclude_max=True)), draw(st.sampled_from(ODD_PARTS)))
+    kind = draw(st.sampled_from(["header", "payload", "truncate header", "truncate payload", "part"]))
+    if kind == "part":
+        return index, kind, (draw(st.floats(0.0, 1.0, exclude_max=True)), draw(st.sampled_from(ODD_PARTS)))
+    return index, kind, draw(_corruption(kind))
+
+
+def _corruption(kind: str):
+    """The strategy for `_corrupt`'s how: 1-3 (position, bit) flips, or one truncation position."""
+    where = st.floats(0.0, 1.0, exclude_max=True)
+    if kind.startswith("truncate"):
+        return where
+    return st.lists(st.tuples(where, st.integers(0, 7)), min_size=1, max_size=3)
 
 
 def _corrupt(raw: bytes, kind: str, how) -> bytes:
-    """raw with the corruption applied; positions are fractions of the header line (its newline included) or payload."""
+    """raw with the corruption applied; positions are fractions of the header line (its newline included) or payload.
+
+    kind is "header" or "payload" (bit flips there), "truncate header" or
+    "truncate payload" (everything from one position on cut), or "part" (one
+    payload float replaced).
+    """
     start = raw.index(b"\n") + 1
-    lo, size = (0, start) if kind == "header" else (start, len(raw) - start)
+    lo, size = (0, start) if kind.endswith("header") else (start, len(raw) - start)
     data = bytearray(raw)
     if kind in ("header", "payload"):
         for where, bit in how:
             data[lo + int(where * size)] ^= 1 << bit
-    elif kind == "truncate":
+    elif kind.startswith("truncate"):
         del data[lo + int(how * size) :]
     else:
         where, value = how
@@ -309,17 +319,31 @@ def _corrupt(raw: bytes, kind: str, how) -> bytes:
     return bytes(data)
 
 
+def _holds_nan(path) -> bool:
+    """Whether a written file holds a NaN: in its text, or in the float64 payload after an .op or .ms header line."""
+    raw = path.read_bytes()
+    if path.suffix not in (".op", ".ms"):
+        return b"NaN" in raw
+    start = raw.index(b"\n") + 1
+    return b"NaN" in raw[:start] or bool(np.isnan(np.frombuffer(raw[start:], dtype="<f8")).any())
+
+
+def _run_corrupt(argv, out) -> None:
+    """One CLI call on a corrupted input, writing out: exit 0, 1 or 2, and no NaN in out."""
+    out.unlink(missing_ok=True)
+    err = io_.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert not out.exists() or not _holds_nan(out), argv
+
+
 def _check_ms_corruption(tmp_path, case):
     index, kind, how = case
     path, out = tmp_path / "bad.ms", tmp_path / "r.json"
     path.write_bytes(_corrupt(_ms_bytes(tmp_path, index), kind, how))
     for verb in MS_VERBS:
-        out.unlink(missing_ok=True)
-        err = io_.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([verb[0], "--modelspace", str(path), *verb[1:], "--out", str(out)])
-        assert code in (0, 1, 2), (verb, code, err.getvalue())
-        assert not out.exists() or "NaN" not in out.read_text(), verb
+        _run_corrupt([verb[0], "--modelspace", str(path), *verb[1:], "--out", str(out)], out)
 
 
 @settings(max_examples=25)
@@ -335,6 +359,112 @@ def test_corrupt_modelspace_never_exits_three(tmp_path_factory, case):
 @given(ms_corruptions())
 def test_corrupt_modelspace_never_exits_three_sweep(tmp_path_factory, case):
     _check_ms_corruption(tmp_path_factory.getbasetemp(), case)
+
+
+# operators the .op property corrupts: a Toeplitz section whose header
+# carries its symbol, a dense n = 2 section and a p = 2 one, of at most 81
+# entries.  A header flipped to name another box is refused by its binary
+# payload's size before anything is allocated
+FUZZ_OPERATORS = [
+    toeplitz(from_coefficients(1, 1, [((0,), 2.0), ((1,), 1.0), ((-2,), 0.5j)]), Box((5,))),
+    TruncatedOperator(Box((2, 2)), 1, np.random.default_rng(26).standard_normal((9, 9)) + 0.5j),
+    TruncatedOperator(Box((3,)), 2, np.random.default_rng(27).standard_normal((8, 8)) * 1e-3 + np.eye(8)),
+]
+OP_VERBS = (["check-toeplitz"], ["recover"], ["compactness"], ["decompose"])
+
+
+@functools.cache
+def _op_bytes(tmp, index: int) -> bytes:
+    """The .op file of FUZZ_OPERATORS[index], written once under tmp."""
+    path = tmp / f"fuzz{index}.op"
+    io.save_operator(path, FUZZ_OPERATORS[index])
+    return path.read_bytes()
+
+
+@st.composite
+def op_corruptions(draw):
+    """(operator index, kind, how): 1-3 bit flips in the header line, or a truncation in the header or payload."""
+    kind = draw(st.sampled_from(["header", "truncate header", "truncate payload"]))
+    return draw(st.integers(0, len(FUZZ_OPERATORS) - 1)), kind, draw(_corruption(kind))
+
+
+def _check_op_corruption(tmp_path, case):
+    index, kind, how = case
+    path, out = tmp_path / "bad.op", tmp_path / "r.json"
+    path.write_bytes(_corrupt(_op_bytes(tmp_path, index), kind, how))
+    for verb in OP_VERBS:
+        _run_corrupt([*verb, str(path), "--out", str(out)], out)
+
+
+@settings(max_examples=25)
+@given(op_corruptions())
+def test_corrupt_operator_header_never_exits_three(tmp_path_factory, case):
+    # the operator verbs on an .op file with a corrupted header, or cut
+    # short, exit 0, 1 or 2 (most are refused on load), never 3, and write
+    # no NaN
+    _check_op_corruption(tmp_path_factory.getbasetemp(), case)
+
+
+@pytest.mark.nightly
+@settings(max_examples=2000)
+@given(op_corruptions())
+def test_corrupt_operator_header_never_exits_three_sweep(tmp_path_factory, case):
+    _check_op_corruption(tmp_path_factory.getbasetemp(), case)
+
+
+# (symbol, caps) of the symbol files the symbol property corrupts: one
+# variable with negative frequencies, a Blaschke factor, one variable at
+# p = 2, and two variables.  Frequencies of one digit and caps of at most 7
+# keep every section and model space a flip can name small
+FUZZ_SYMBOLS = [
+    (from_coefficients(1, 1, [((0,), 2.0), ((1,), 1.0), ((-1,), 0.25j)]), "5"),
+    (blaschke_factor(0.5, 6), "7"),
+    (from_coefficients(1, 2, [((2,), np.eye(2)), ((0,), np.array([[0.0, 0.5], [0.5j, 0.0]]))]), "4"),
+    (from_coefficients(2, 1, [((1, 1), 1.0), ((0, 2), 0.5)]), "3,3"),
+]
+
+
+@functools.cache
+def _symbol_bytes(tmp, index: int) -> bytes:
+    """The symbol JSON of FUZZ_SYMBOLS[index], written once under tmp."""
+    path = tmp / f"fuzz{index}.json"
+    io.save_symbol(path, FUZZ_SYMBOLS[index][0])
+    return path.read_bytes()
+
+
+@st.composite
+def symbol_corruptions(draw):
+    """(symbol index, kind, how): 1-3 bit flips in the JSON line, or a truncation of it."""
+    kind = draw(st.sampled_from(["header", "truncate header"]))
+    return draw(st.integers(0, len(FUZZ_SYMBOLS) - 1)), kind, draw(_corruption(kind))
+
+
+def _check_symbol_corruption(tmp_path, case):
+    index, kind, how = case
+    path, good = tmp_path / "bad.json", tmp_path / "good.json"
+    path.write_bytes(_corrupt(_symbol_bytes(tmp_path, index), kind, how))
+    if not good.exists():
+        io.save_symbol(good, blaschke_factor(-0.5j, 4))
+    op, ms, product = tmp_path / "s.op", tmp_path / "s.ms", tmp_path / "product.json"
+    caps = FUZZ_SYMBOLS[index][1]
+    _run_corrupt(["toeplitz", "--symbol", str(path), "--caps", caps, "--out", str(op)], op)
+    _run_corrupt(["modelspace", "--theta", str(path), "--caps", caps, "--out", str(ms)], ms)
+    _run_corrupt(["symbol", "--product", f"{path},{good}", "--out", str(product)], product)
+
+
+@settings(max_examples=25)
+@given(symbol_corruptions())
+def test_corrupt_symbol_never_exits_three(tmp_path_factory, case):
+    # toeplitz, modelspace and symbol --product on a corrupted symbol file
+    # exit 0, 1 or 2, never 3, and write no file holding a NaN
+    _check_symbol_corruption(tmp_path_factory.getbasetemp(), case)
+
+
+@pytest.mark.nightly
+@settings(max_examples=2000)
+@given(symbol_corruptions())
+def test_corrupt_symbol_never_exits_three_sweep(tmp_path_factory, case):
+    _check_symbol_corruption(tmp_path_factory.getbasetemp(), case)
 
 
 @settings(max_examples=25)

@@ -1,13 +1,15 @@
+import dataclasses
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polytoep import modelspace, operators
+from polytoep.analysis import compactness_profile
 from polytoep.lattice import Box
 from polytoep.operators import (
     TruncatedOperator,
@@ -321,6 +323,41 @@ def test_operator_norm_windows_are_the_depth_cuts(case):
 
 
 @st.composite
+def one_column_families(draw):
+    """A matrix with one nonzero column, or one nonzero row, and a depth family on it.
+
+    The column is real or complex, its zero rows and depths random, so the
+    depth order of its rows is a random permutation of their natural order.
+    A row puts the Gram matrix over rows, and its one column is then M's row.
+    """
+    r, c = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    count = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    column = rng.standard_normal(r)
+    if draw(st.booleans()):
+        column = column + 1j * rng.standard_normal(r)
+    column[rng.random(r) < 0.3] = 0
+    M = np.zeros((r, c), dtype=column.dtype)
+    M[:, rng.integers(c)] = column
+    if draw(st.booleans()):
+        M = M.T
+    rdepth, cdepth = (rng.integers(-2, count + 3, size=n) for n in M.shape)
+    return M, (rdepth, cdepth, count)
+
+
+@settings(max_examples=300)
+@given(one_column_families())
+@example((np.array([[0, 0.1 + 0.1j], [0, 0.1 + 0.3j]]), (np.arange(2), np.arange(2), 2)))
+def test_one_column_windows_read_like_the_fallback(case):
+    # a window with one nonzero column takes `_svd_norm` of its entries in
+    # natural order, so it reads the fallback's bits whatever the depth order
+    # of its rows (the example's reverses its column)
+    M, family = case
+    scan = _scan(M)
+    assert operator_norm(M, family, scan) == operator_norm(M, family, dataclasses.replace(scan, exp=None))
+
+
+@st.composite
 def band_families(draw):
     """A matrix with a narrow-band or block-diagonal support under random row and column permutations, and a depth family.
 
@@ -507,8 +544,9 @@ def test_lanczos_breakdown_on_invariant_krylov_spaces():
 
 
 def test_lanczos_start_reaches_columns_new_to_the_window():
-    # the top singular value sits only in the outer shell's new columns:
-    # the inner window's Ritz vector, padded with zeros, has no part in it
+    # the top singular value sits only in the outer shell's new columns,
+    # which the inner window never saw: the seeded Gaussian start alone
+    # reaches them
     rng = np.random.default_rng(20)
     M = np.zeros((240, 240), dtype=complex)
     M[:200, :200] = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
@@ -523,6 +561,25 @@ def test_lanczos_start_reaches_columns_new_to_the_window():
         assert abs(got - oracles._norm(W)) <= oracles.gram_bound(W), k
 
 
+def test_lanczos_value_depends_on_its_own_window():
+    # c_0 of a complex-noisy (15,15) section is a 256-column Lanczos window
+    # whether or not its inner windows ran Lanczos too: each run starts from
+    # the seeded Gaussian vector alone, so the value reads the same bits
+    rng = np.random.default_rng(2)
+    box = Box((15, 15))
+    M = toeplitz(random_symbol(2, 2, 1, rng), box).matrix
+    M = M + 1e-3 * (rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape))
+    T = TruncatedOperator(box, 1, M)
+    c_0 = []
+    for crossover in (2, M.shape[0]):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_LANCZOS_MIN_COLS", crossover)
+            lanczos, lapack = _solver_sizes(mp)
+            c_0.append(compactness_profile(T, 15).c_m[0])
+        assert 256 in lanczos and 256 not in lapack, (lanczos, lapack)
+    assert c_0[0] == c_0[1], c_0
+
+
 def test_lanczos_value_below_the_inner_window_is_recomputed(monkeypatch):
     # a window holds its inner window, so a Lanczos value below the inner
     # one is a missed eigenvalue: the window goes to LAPACK instead
@@ -532,8 +589,8 @@ def test_lanczos_value_below_the_inner_window_is_recomputed(monkeypatch):
     run = operators._lanczos_top
 
     def low(H, start, budget):
-        out = run(H, start, budget)
-        return (out[0] / 2, out[1]) if H.shape[0] == 240 else out
+        top = run(H, start, budget)
+        return top / 2 if H.shape[0] == 240 else top
 
     monkeypatch.setattr(operators, "_lanczos_top", low)
     lanczos, lapack = _solver_sizes(monkeypatch)
