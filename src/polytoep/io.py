@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import Box
-from .modelspace import BOUNDARY_NOTE, ModelSpace
+from .modelspace import BOUNDARY_NOTE, ModelSpace, _selection_rows
 from .operators import TruncatedOperator, toeplitz
 from .symbols import TorusSymbol, from_coefficients
 
@@ -209,7 +209,13 @@ def save_modelspace(path, ms: ModelSpace) -> None:
 
 
 def load_modelspace(path) -> ModelSpace:
-    """Read a model-space file; a header field that disagrees with theta is refused."""
+    """Read a model-space file; a header field that disagrees with theta is refused.
+
+    So is a basis whose Gram matrix V*V is off the identity by more than
+    ORTHONORMAL_TOL in some entry.  A selection basis (every column a
+    distinct standard basis vector with entry 1.0, `modelspace._selection_rows`)
+    has V*V = I exactly and skips the q x q product.
+    """
     header, payload = _read_header(path)
     if header.get("kind") != "modelspace":
         raise ValueError(f"{path}: not a model-space file")
@@ -231,8 +237,11 @@ def load_modelspace(path) -> ModelSpace:
     ms = ModelSpace(theta=theta, box=box, basis=basis)
     if safe != list(ms.safe_box.caps):
         raise ValueError(f"{path}: safe_caps {safe} are not the caps minus theta's top frequency, {list(ms.safe_box.caps)}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge or non-finite entry: inf or NaN, refused below
-        deviation = np.abs(basis.conj().T @ basis - np.eye(q)).max() if q else 0.0
+    if _selection_rows(basis) is not None:  # V*V = I exactly, q = 0 included
+        deviation = 0.0
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge or non-finite entry: inf or NaN, refused below
+            deviation = np.abs(basis.conj().T @ basis - np.eye(q)).max()
     if not deviation <= ORTHONORMAL_TOL:  # NaN fails too
         raise ValueError(
             f"{path}: basis columns are not orthonormal (Gram deviation {deviation:.3e} "

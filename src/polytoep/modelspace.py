@@ -26,9 +26,13 @@ BOUNDARY_NOTE = (
     "near-boundary basis vectors may differ from the untruncated space"
 )
 
-# Largest q whose invariance map takes the dense SVD.  The matrix-free probe
-# is faster from about q = 10 at n = 3, q = 11 at n = 2 and q = 16 at n = 1,
-# where the dense SVD still wins by at most 7 ms (q ladder in CHANGES.md).
+# Largest q whose invariance map takes the dense SVD when the compressed
+# shifts are dense (an SVD basis); a selection basis takes the difference
+# split at every q.  The matrix-free probe is faster from about q = 10 at
+# n = 3, q = 11 at n = 2 and q = 16 at n = 1, where the dense SVD still wins
+# by at most 7 ms (q ladder in CHANGES.md).  The ladder ran on monomial
+# spaces, before they took the split; both paths cost the same on any basis
+# of the same q and n.
 DENSE_MAX_Q = 12
 
 # Smallest Krylov dimension of a Lanczos run in `invariance_kernel`.  At
@@ -82,20 +86,41 @@ def _safe_box(theta: TorusSymbol, box: Box) -> Box:
     return Box(caps)
 
 
-def _partial_map(M: np.ndarray) -> np.ndarray | None:
-    """pi with M[pi[b], b] = 1 and pi[b] = -1 on a zero column, when M is a partial permutation; else None.
+def _selection_rows(V: np.ndarray) -> np.ndarray | None:
+    """The row of each column when every column of V is a distinct standard basis vector; else None.
 
-    A partial permutation has every nonzero entry exactly 1, at most one in
-    each row and at most one in each column.
+    Each column must hold exactly one nonzero entry, equal to 1.0, and no two
+    columns share a row.  Such a V has V*V = I exactly, and every compressed
+    shift V* S V is a partial permutation (`_shift_maps`).
     """
-    rows, cols = np.nonzero(M)
-    if not np.all(M[rows, cols] == 1.0):
+    nonzero = V != 0  # a NaN entry counts as nonzero, so it is never a selection
+    if not (nonzero.sum(axis=0) == 1).all():
         return None
-    if np.unique(rows).size != rows.size or np.unique(cols).size != cols.size:
+    rows = nonzero.argmax(axis=0)
+    if not (V[rows, np.arange(V.shape[1])] == 1.0).all() or np.unique(rows).size != rows.size:
         return None
-    pi = np.full(M.shape[1], -1)
-    pi[cols] = rows
-    return pi
+    return rows
+
+
+def _shift_maps(box: Box, p: int, rows: np.ndarray) -> list[np.ndarray]:
+    """pi_i for every direction i of a selection basis whose column b sits on row rows[b].
+
+    C_i[pi_i[b], b] = 1 is the only nonzero entry of column b of the
+    compressed shift: row r of k goes to row r + stride_i of k + e_i, and
+    pi_i[b] is the column on that row.  pi_i[b] = -1, a zero column, where
+    k_i = d_i or that row is outside the basis.
+    """
+    side = _side(box, p)
+    col = np.full(math.prod(side), -1)
+    col[rows] = np.arange(rows.size)
+    k = np.unravel_index(rows, side)
+    maps = []
+    for i, d in enumerate(box.caps):
+        pi = np.full(rows.size, -1)
+        up = k[i] < d
+        pi[up] = col[rows[up] + math.prod(side[i + 1 :])]
+        maps.append(pi)
+    return maps
 
 
 def model_basis(theta: TorusSymbol, box: Box, tol: float = INNER_TOL, grid_sizes=None) -> ModelSpace:
@@ -114,8 +139,7 @@ def model_basis(theta: TorusSymbol, box: Box, tol: float = INNER_TOL, grid_sizes
             f"(requested {cert.requested_tol:.3e} + tail allowance {cert.tail_allowance:.3e})"
         )
     cols = _gather(theta, box, _safe_box(theta, box))
-    pi = _partial_map(cols)
-    if pi is not None and np.all(pi >= 0):  # every column a distinct standard basis vector
+    if _selection_rows(cols) is not None:
         free = np.flatnonzero(~cols.any(axis=1))
         basis = np.zeros((cols.shape[0], free.size), dtype=complex)
         basis[free, np.arange(free.size)] = 1.0
@@ -132,12 +156,21 @@ def compressed_shift(ms: ModelSpace, direction: int) -> np.ndarray:
 
     S sends the row of k to the row of k + e_direction and kills the top
     layer, so V* S V is the rows of k + e_direction against the rows of k:
-    two slices of the basis read as a (d_1+1, ..., d_n+1, p, q) tensor.  The
-    columns of V are orthonormal by construction (`model_basis`) or by the
-    check in `io.load_modelspace`.
+    two slices of the basis read as a (d_1+1, ..., d_n+1, p, q) tensor.  On a
+    selection basis (`_selection_rows`, every monomial theta) C is the
+    partial permutation pi of `_shift_maps`, filled in without the products;
+    its entries are the same 0.0 and 1.0.  The columns of V are orthonormal
+    by construction (`model_basis`) or by the check in `io.load_modelspace`.
     """
     box = ms.box
     _check_directions(box, (direction,))
+    rows = _selection_rows(ms.basis)
+    if rows is not None:
+        pi = _shift_maps(box, ms.p, rows)[direction]
+        b = np.flatnonzero(pi >= 0)
+        C = np.zeros((ms.q, ms.q), dtype=complex)
+        C[pi[b], b] = 1.0
+        return C
     V = ms.basis.reshape(_side(box, ms.p) + (ms.q,))
     src, dst = _cut(box, (direction,), 0, 1), _cut(box, (direction,), 1, 0)
     return V[dst].reshape(-1, ms.q).conj().T @ V[src].reshape(-1, ms.q)
@@ -147,7 +180,10 @@ def compressed_shift(ms: ModelSpace, direction: int) -> np.ndarray:
 class InvarianceKernelReport:
     """Smallest singular value of the stacked map A -> (A - C_i* A C_i)_i.
 
-    matvecs counts the applications of the normal map (0 for the dense SVD).
+    method is "difference-split" (a selection basis), "dense-svd" or
+    "lanczos".  matvecs counts the applications of the normal map and
+    residual is that of Lanczos's smallest Ritz pair; both are 0 on the two
+    exact paths.
     """
 
     sigma_min: float
@@ -172,14 +208,62 @@ def _hermitian(X: np.ndarray) -> np.ndarray:
     return A
 
 
+def _difference_split(box: Box, p: int, rows: np.ndarray) -> np.ndarray:
+    """Every singular value of the stacked map on a selection basis, class by class.
+
+    With pi_i from `_shift_maps`, L_i(A)[a, b] = A[a, b] - A[pi_i a, pi_i b],
+    the second term 0 where pi_i a or pi_i b is -1.  pi_i moves both rows by
+    e_i, so it keeps the class of the pair (a, b): the exponent difference
+    x(a) - x(b) and the block components s(a), s(b).  So L is block
+    diagonal over the classes, a class of m pairs giving an (n m) x m block
+    of real 0 and +-1 entries, and the singular values of L are those of the
+    blocks together, multiplicities included.  The blocks of one size take
+    one batched SVD.
+    """
+    q, n = rows.size, box.n
+    maps = _shift_maps(box, p, rows)
+    *x, s = np.unravel_index(rows, _side(box, p))
+    key = np.zeros((q, q), dtype=np.int64)
+    for xj, d in zip(x, box.caps):
+        key = key * (2 * d + 1) + (xj[:, None] - xj[None, :] + d)
+    key = ((key * p + s[:, None]) * p + s[None, :]).reshape(-1)  # of the pair a * q + b
+    order = np.argsort(key, kind="stable")  # the pairs, class by class
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sizes = np.diff(starts, append=q * q)
+    local = np.empty(q * q, dtype=np.int64)  # each pair's place in its class
+    local[order] = np.arange(q * q) - np.repeat(starts, sizes)
+    targets = []  # local index of (pi_i a, pi_i b), -1 where either is -1
+    for pi in maps:
+        up = pi >= 0
+        target = np.full((q, q), -1)
+        target[np.ix_(up, up)] = local.reshape(q, q)[np.ix_(pi[up], pi[up])]
+        targets.append(target.reshape(-1))
+    svals = []
+    for m in np.unique(sizes):
+        pairs = order[starts[sizes == m][:, None] + np.arange(m)]  # (classes, m)
+        M = np.zeros((pairs.shape[0], n, m, m))
+        M[:, :, np.arange(m), np.arange(m)] = 1.0
+        for i, target in enumerate(targets):
+            c, j = np.nonzero(target[pairs] >= 0)
+            M[c, i, j, target[pairs[c, j]]] = -1.0
+        svals.append(np.linalg.svd(M.reshape(-1, n * m, m), compute_uv=False).reshape(-1))
+    return np.concatenate(svals)
+
+
 def invariance_kernel(ms: ModelSpace, tol: float = KERNEL_TOL) -> InvarianceKernelReport:
     """Rigidity probe: sigma_min of the invariance map and how many sigma <= tol.
 
-    Both paths take the stacked map L on the Hermitian matrices H only.  For
-    q <= DENSE_MAX_Q, a dense SVD of L on all q^2 coordinates of H.  Above
-    it, Lanczos (`eigsh`, ARPACK's real symmetric `dsaupd`) on the normal map
-    restricted to H, matrix-free and started from a fixed seeded vector so
-    that reruns give identical reports.  That half is exact: L_i(A*) =
+    On a selection basis (`_selection_rows`, every monomial theta) each C_i
+    is a partial permutation and the stacked map splits by exponent
+    difference (`_difference_split`): every singular value is computed, so
+    sigma_min and kernel_dim are exact, with no Krylov run.
+
+    A dense C_i (an SVD basis) takes one of two paths, both on the stacked
+    map L on the Hermitian matrices H only.  For q <= DENSE_MAX_Q, a dense
+    SVD of L on all q^2 coordinates of H.  Above it, Lanczos (`eigsh`,
+    ARPACK's real symmetric `dsaupd`) on the normal map restricted to H,
+    matrix-free and started from a fixed seeded vector so that reruns give
+    identical reports.  That half is exact: L_i(A*) =
     L_i(A)*, so the normal map keeps H; C^{q x q} = H + iH is orthogonal in
     Re tr(A* B), and multiplying by i carries L on H onto L on iH, so L on H
     has the singular values of L, with the same multiplicities.  `_hermitian`
@@ -199,6 +283,10 @@ def invariance_kernel(ms: ModelSpace, tol: float = KERNEL_TOL) -> InvarianceKern
     q = ms.q
     if q < 1:
         raise ValueError("empty model space has no invariance map")
+    rows = _selection_rows(ms.basis)
+    if rows is not None:
+        svals = _difference_split(ms.box, ms.p, rows)
+        return InvarianceKernelReport(float(svals.min()), int((svals <= tol).sum()), tol, q, "difference-split", 0.0, 0)
     S = np.stack([compressed_shift(ms, i) for i in range(ms.n)])
     SH = np.ascontiguousarray(S.conj().transpose(0, 2, 1))
     dim = q * q
@@ -270,25 +358,15 @@ class ModelCompactnessReport:
     verdict: bool
 
 
-def _compression_norms(C: np.ndarray, T: np.ndarray, m_max: int) -> list[float]:
-    """||C*^m T C^m|| for m = 1..m_max, of a finite T.
+def _compression_norms(pi: np.ndarray, T: np.ndarray, m_max: int) -> list[float]:
+    """||C*^m T C^m|| for m = 1..m_max, of a finite T, where C[pi(b), b] = 1 (`_shift_maps`).
 
-    Where C is a partial permutation, C[pi(b), b] = 1 (`_partial_map`),
     C*^m T C^m is T on I_m x I_m, I_m = pi^m(dom pi^m), with rows and
     columns relabelled by the one bijection pi^m, so the two have the same
     norm.  The I_m nest, so the sequence is one `operator_norm` family of T:
     depth(a) is the largest m <= m_max with a in I_m, 0 outside I_1, and
-    window m - 1 holds the rows and columns of depth at least m.  Any other
-    C takes the dense products one m at a time and the norm of each.
+    window m - 1 holds the rows and columns of depth at least m.
     """
-    pi = _partial_map(C)
-    if pi is None:
-        Cs, X, norms = C.conj().T, T, []
-        for _ in range(m_max):
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow, and inf * 0 after it: norm inf
-                X = Cs @ X @ C
-            norms.append(operator_norm(X))
-        return norms
     depth = np.zeros(pi.size, dtype=np.int64)
     at = pi[pi >= 0]  # I_1
     for m in range(1, m_max + 1):
@@ -298,6 +376,16 @@ def _compression_norms(C: np.ndarray, T: np.ndarray, m_max: int) -> list[float]:
         at = pi[at]
         at = at[at >= 0]  # I_(m+1) = pi(I_m and dom pi)
     return operator_norm(T, (depth - 1, depth - 1, m_max))
+
+
+def _product_norms(C: np.ndarray, T: np.ndarray, m_max: int) -> list[float]:
+    """||C*^m T C^m|| for m = 1..m_max, of a finite T and a dense C: the products one m at a time."""
+    Cs, X, norms = C.conj().T, T, []
+    for _ in range(m_max):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow, and inf * 0 after it: norm inf
+            X = Cs @ X @ C
+        norms.append(operator_norm(X))
+    return norms
 
 
 def model_compactness_test(
@@ -328,9 +416,12 @@ def model_compactness_test(
     T = np.asarray(T, dtype=complex)
     if T.shape != (ms.q, ms.q):
         raise ValueError(f"operator shape {T.shape} does not match model dimension {ms.q}")
-    if np.isfinite(T).all():
-        norms = [_compression_norms(compressed_shift(ms, i), T, m_max) for i in range(ms.n)]
-    else:
+    rows = _selection_rows(ms.basis)
+    if not np.isfinite(T).all():
         norms = [[math.inf] * m_max for _ in range(ms.n)]
+    elif rows is None:
+        norms = [_product_norms(compressed_shift(ms, i), T, m_max) for i in range(ms.n)]
+    else:
+        norms = [_compression_norms(pi, T, m_max) for pi in _shift_maps(ms.box, ms.p, rows)]
     verdict = all(seq[-1] <= tol for seq in norms)
     return ModelCompactnessReport(norms=norms, m_max=m_max, tol=tol, verdict=verdict)

@@ -11,7 +11,9 @@ section, so the production sequences, which take every window of one fixed
 matrix in one pass, can be held to each window's own SVD within
 `gram_bound`; `force_lanczos` puts every complex window of those sequences
 on the norm kernel's Lanczos path, which otherwise starts at 160 columns,
-and `force_band` every window on its band path.
+and `force_band` every window on its band path.  Likewise `rotated` puts a
+monomial model space on the dense compressed-shift paths of the rigidity
+probe, which its own selection basis skips.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from polytoep import operators
 from polytoep.lattice import Box
+from polytoep.modelspace import ModelSpace
 from polytoep.operators import TruncatedOperator, _cut, _window
 from polytoep.symbols import TorusSymbol
 
@@ -271,6 +274,18 @@ def shift_oracle(box: Box, direction: int, p: int) -> np.ndarray:
             for a in range(p):
                 out[r + a, c + a] = 1.0
     return out
+
+
+def rotated(ms, seed: int = 0) -> ModelSpace:
+    """The same model space with its basis turned by a seeded unitary U.
+
+    V U spans the same space, and its compressed shifts are U* C_i U, so the
+    invariance map has the same singular values.  V U is not a selection
+    basis, so a monomial theta takes the dense-C paths on it.
+    """
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((ms.q, ms.q)) + 1j * rng.standard_normal((ms.q, ms.q))
+    return ModelSpace(ms.theta, ms.box, ms.basis @ np.linalg.qr(Z)[0])
 
 
 def model_compactness_windows(ms, T: np.ndarray, m_max: int) -> list[list[np.ndarray]]:

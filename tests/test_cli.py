@@ -22,6 +22,8 @@ from polytoep.modelspace import model_basis
 from polytoep.operators import TruncatedOperator, toeplitz
 from polytoep.symbols import blaschke_factor, from_coefficients
 
+from oracles import rotated
+
 PHI = {
     "n": 2,
     "p": 1,
@@ -965,11 +967,16 @@ def test_report_keys_are_pinned(tmp_path):
             assert sorted(data["witness"]) == WITNESS_KEYS[kind], kind
             assert all(sorted(ct) == ["i", "j", "norms"] for ct in data["witness"].get("cross_terms", []))
     assert witnesses == set(WITNESS_KEYS)
+    # a monomial theta's selection basis takes the split; the same space on a
+    # rotated basis takes the dense SVD (q = 7) or Lanczos (q = 16)
     for exponents, caps, method in (("1,1", "3,3", "dense-svd"), ("2,2", "4,4", "lanczos")):
         theta, ms = tmp_path / "theta.json", tmp_path / "Q.ms"
         assert main(["symbol", "--monomial", exponents, "--out", str(theta)]) == 0
         assert main(["modelspace", "--theta", str(theta), "--caps", caps, "--out", str(ms)]) == 0
-        data = report(["invariance", "--modelspace", str(ms)])
-        keys("invariance", data)
-        assert data["method"] == method
+        for want in ("difference-split", method):
+            if want == method:
+                io.save_modelspace(ms, rotated(io.load_modelspace(ms)))
+            data = report(["invariance", "--modelspace", str(ms)])
+            keys("invariance", data)
+            assert data["method"] == want
     keys("model-compactness", report(["model-compactness", "--modelspace", str(ms), "--identity", "--m-max", "2"]))

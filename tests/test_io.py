@@ -103,6 +103,52 @@ def test_modelspace_basis_must_be_orthonormal(tmp_path, damage):
         io.load_modelspace(tmp_path / "Q.ms")
 
 
+SELECTION_DAMAGE = ("none", "two on one row", "1 + 1e-9", "-1", "1j", "extra entry", "bit flip")
+
+
+@st.composite
+def near_selection_bases(draw):
+    """A monomial space's selection basis, intact or with one column damaged."""
+    n = draw(st.integers(1, 2))
+    caps = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    k = tuple(draw(st.integers(0, c)) for c in caps)
+    ms = model_basis(from_coefficients(n, 1, [(k, 1.0)]), Box(caps))
+    if ms.q == 0:
+        return ms, "none"
+    damage = draw(st.sampled_from(SELECTION_DAMAGE))
+    V, j = ms.basis, draw(st.integers(0, ms.q - 1))
+    row = int(np.flatnonzero(V[:, j])[0])
+    if damage == "two on one row":
+        V[:, j] = V[:, (j + draw(st.integers(1, max(1, ms.q - 1)))) % ms.q]  # another column, when q > 1
+    elif damage in ("1 + 1e-9", "-1", "1j"):
+        V[row, j] = {"1 + 1e-9": 1 + 1e-9, "-1": -1.0, "1j": 1j}[damage]
+    elif damage == "extra entry":
+        V[draw(st.integers(0, V.shape[0] - 1)), j] += draw(st.sampled_from([1e-300, 1e-12, 1e-10, 1e-6]))
+    elif damage == "bit flip":
+        parts = V[row : row + 1, j].view(np.uint64)  # the real part, then the imaginary part
+        parts[draw(st.integers(0, 1))] ^= np.uint64(1) << np.uint64(draw(st.integers(0, 63)))
+    return ms, damage
+
+
+@given(near_selection_bases())
+def test_modelspace_load_accepts_exactly_the_orthonormal_bases(tmp_path_factory, case):
+    # a selection basis skips the Gram product; the verdict and the message
+    # are still those of the full check
+    ms, _ = case
+    path = tmp_path_factory.getbasetemp() / "near-selection.ms"
+    io.save_modelspace(path, ms)
+    V = ms.basis
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.abs(V.conj().T @ V - np.eye(ms.q)).max() if ms.q else 0.0
+    if deviation <= io.ORTHONORMAL_TOL:
+        assert io.load_modelspace(path).basis.tobytes() == V.tobytes()
+        return
+    message = f"basis columns are not orthonormal (Gram deviation {deviation:.3e} > {io.ORTHONORMAL_TOL:.0e})"
+    with pytest.raises(ValueError) as err:
+        io.load_modelspace(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_report_determinism(tmp_path):
     report = {"b": 1.0 / 3.0, "a": [1, 2.5e-17], "nested": {"x": True}}
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"

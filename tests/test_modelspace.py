@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polytoep import modelspace
@@ -21,7 +21,7 @@ from polytoep.operators import _gather
 from polytoep.symbols import blaschke_factor, from_coefficients, product_inner
 
 import oracles
-from oracles import analytic_columns_oracle, enumerate_basis, shift_oracle, stacked_invariance_oracle
+from oracles import analytic_columns_oracle, enumerate_basis, rotated, shift_oracle, stacked_invariance_oracle
 
 
 def monomial(n, k, p=1):
@@ -121,7 +121,7 @@ def test_compressed_shift_adjoint_relation():
 
 def test_invariance_kernel_nilpotent_exact():
     for N in range(2, 7):
-        ms = model_basis(monomial(1, (N,)), Box((N + 2,)))
+        ms = rotated(model_basis(monomial(1, (N,)), Box((N + 2,))))
         rep = invariance_kernel(ms, tol=1e-8)
         assert rep.kernel_dim == 0
         assert rep.sigma_min >= 0.1
@@ -222,7 +222,7 @@ def check_model_compactness(ms, T, m_max):
         with pytest.raises(ValueError, match="empty model space"):
             model_compactness_test(ms, T, m_max)
         return
-    assert all(modelspace._partial_map(compressed_shift(ms, i)) is not None for i in range(ms.n))
+    assert modelspace._selection_rows(ms.basis) is not None
     rep = model_compactness_test(ms, T, m_max)
     oracle = oracles.model_compactness_oracle(ms, T, m_max)
     for seq, wants, windows in zip(rep.norms, oracle, oracles.model_compactness_windows(ms, T, m_max), strict=True):
@@ -294,7 +294,7 @@ def test_block_model_space():
 
 
 def test_invariance_kernel_lanczos_is_deterministic():
-    ms = model_basis(monomial(2, (1, 1)), Box((6, 6)))
+    ms = rotated(model_basis(monomial(2, (1, 1)), Box((6, 6))))
     assert ms.q == 13 > modelspace.DENSE_MAX_Q
     first = asdict(invariance_kernel(ms, tol=1e-8))
     assert first["method"] == "lanczos"
@@ -309,6 +309,8 @@ def blaschke_pair(degree):
 # side of the dense/Lanczos crossover per dimension, and q = 14 at p = 2;
 # z^16 and z1z2z3 have repeated singular values, b2*b2 has distinct ones, and
 # the p = 2 space is two copies of z1z2's, so each of its values is fourfold.
+# The dense-C tests take each on a rotated basis (`oracles.rotated`), since a
+# monomial theta's own selection basis takes the difference split.
 PROBE_SPACES = [
     (monomial(1, (10,)), (12,)),
     (monomial(1, (16,)), (18,)),
@@ -327,7 +329,7 @@ def oracle_singular_values(ms):
 
 @pytest.mark.parametrize("theta, caps", PROBE_SPACES)
 def test_invariance_kernel_matches_dense_oracle(theta, caps):
-    ms = model_basis(theta, Box(caps))
+    ms = rotated(model_basis(theta, Box(caps)))
     svals = oracle_singular_values(ms)
     rep = invariance_kernel(ms, tol=1e-8)
     dense = ms.q <= modelspace.DENSE_MAX_Q
@@ -344,13 +346,76 @@ def test_invariance_kernel_matches_dense_oracle(theta, caps):
     (monomial(2, (2, 1)), (4, 4), 0.95),  # 11, in equal pairs but the first
 ])
 def test_invariance_kernel_counts_every_sigma_within_tol(theta, caps, tol):
-    ms = model_basis(theta, Box(caps))
+    ms = rotated(model_basis(theta, Box(caps)))
     assert ms.q > modelspace.DENSE_MAX_Q
     svals = oracle_singular_values(ms)
     rep = invariance_kernel(ms, tol=tol)
     assert rep.method == "lanczos"
     assert rep.kernel_dim == int((svals <= tol).sum()) > 6
     assert abs(rep.sigma_min - svals[-1]) <= 1e-10
+
+
+@st.composite
+def monomial_spaces(draw, max_q):
+    """A monomial space with 1 <= q <= max_q: n <= 3, p <= 2, diag(z^k, z^k2) and zero caps included."""
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    caps = tuple(draw(st.lists(st.integers(0, (15, 4, 2)[n - 1]), min_size=n, max_size=n)))
+    k, k2 = (tuple(draw(st.integers(0, c)) for c in caps) for _ in range(2))
+    ms = model_basis(monomial_theta(n, p, k, k2), Box(caps))
+    assume(1 <= ms.q <= max_q)
+    return ms
+
+
+def check_difference_split(ms):
+    """The split against the stacked oracle: sigma_min within q^2 eps, and every kernel_dim.
+
+    Each compressed shift is the partial permutation, with the bits of the
+    products V* S V.
+    """
+    for i in range(ms.n):
+        want = ms.basis.conj().T @ shift_oracle(ms.box, i, ms.p) @ ms.basis
+        assert compressed_shift(ms, i).tobytes() == want.tobytes()
+    svals = oracle_singular_values(ms)
+    for tol in (modelspace.KERNEL_TOL, 0.7, 0.95):
+        rep = invariance_kernel(ms, tol=tol)
+        assert (rep.method, rep.residual, rep.matvecs) == ("difference-split", 0.0, 0)
+        assert abs(rep.sigma_min - svals[-1]) <= ms.q**2 * oracles.EPS
+        assert rep.kernel_dim == int((svals <= tol).sum())
+
+
+@settings(max_examples=40)
+@given(monomial_spaces(30))
+def test_difference_split_matches_the_stacked_oracle(ms):
+    check_difference_split(ms)
+
+
+@pytest.mark.nightly
+@settings(max_examples=2000)
+@given(monomial_spaces(30))
+def test_difference_split_matches_the_stacked_oracle_sweep(ms):
+    check_difference_split(ms)
+
+
+@pytest.mark.parametrize("q", [40, 120, 200])
+def test_difference_split_closed_form_on_z_to_the_q(q):
+    # class 0 of z^q is I - J, J the q x q Jordan block, whose smallest
+    # singular value 2 sin(pi / (2 (2q + 1))) is the smallest of the map;
+    # z^120 ran over 300 s on the Lanczos path
+    rep = invariance_kernel(model_basis(monomial(1, (q,)), Box((q + 10,))))
+    want = 2 * math.sin(math.pi / (2 * (2 * q + 1)))
+    assert rep.method == "difference-split" and rep.kernel_dim == 0
+    assert abs(rep.sigma_min - want) <= 1e-15 * want
+
+
+@settings(max_examples=30)
+@given(monomial_spaces(16), st.integers(0, 2**32 - 1))
+def test_difference_split_agrees_with_the_dense_paths(ms, seed):
+    # the split on a selection basis and the dense SVD or Lanczos on the same
+    # space with a rotated basis
+    split, other = invariance_kernel(ms), invariance_kernel(rotated(ms, seed))
+    assert other.method == ("dense-svd" if ms.q <= modelspace.DENSE_MAX_Q else "lanczos")
+    assert abs(split.sigma_min - other.sigma_min) <= 1e-10
+    assert split.kernel_dim == other.kernel_dim
 
 
 def test_compressed_shift_is_the_compression():
@@ -380,17 +445,18 @@ def eigsh_operators(ms, tol=1e-8):
     return [call.args[0] for call in spy.call_args_list]
 
 
-# q = 13 (n = 2), 14 (n = 3), 16 (n = 1, repeated singular values), 14 (p = 2)
+# q = 13 (n = 2), 14 (n = 3), 16 (n = 1, repeated singular values), 14 (p = 2),
+# each on a rotated basis
 HERMITIAN_SPACES = [
-    model_basis(monomial(2, (1, 1)), Box((6, 6))),
-    model_basis(monomial(3, (1, 1, 1)), Box((2, 2, 1))),
-    model_basis(monomial(1, (16,)), Box((18,))),
-    model_basis(monomial(2, (1, 1), p=2), Box((3, 3))),
+    rotated(model_basis(monomial(2, (1, 1)), Box((6, 6)))),
+    rotated(model_basis(monomial(3, (1, 1, 1)), Box((2, 2, 1)))),
+    rotated(model_basis(monomial(1, (16,)), Box((18,)))),
+    rotated(model_basis(monomial(2, (1, 1), p=2), Box((3, 3)))),
 ]
 
 
 def test_eigsh_gets_a_float64_operator():
-    ms = model_basis(monomial(1, (16,)), Box((18,)))  # 62 sigma <= 0.7: several runs
+    ms = rotated(model_basis(monomial(1, (16,)), Box((18,))))  # 62 sigma <= 0.7: several runs
     ops = eigsh_operators(ms, tol=0.7)
     assert len(ops) > 1
     for op in ops:
