@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import Box
-from .modelspace import BOUNDARY_NOTE, ModelSpace, _selection_rows
+from .modelspace import BOUNDARY_NOTE, ModelSpace
 from .operators import TruncatedOperator, toeplitz
 from .symbols import TorusSymbol, from_coefficients
 
@@ -213,7 +213,7 @@ def load_modelspace(path) -> ModelSpace:
 
     So is a basis whose Gram matrix V*V is off the identity by more than
     ORTHONORMAL_TOL in some entry.  A selection basis (every column a
-    distinct standard basis vector with entry 1.0, `modelspace._selection_rows`)
+    distinct standard basis vector with entry 1.0, `ModelSpace.selection_rows`)
     has V*V = I exactly and skips the q x q product.
     """
     header, payload = _read_header(path)
@@ -237,7 +237,7 @@ def load_modelspace(path) -> ModelSpace:
     ms = ModelSpace(theta=theta, box=box, basis=basis)
     if safe != list(ms.safe_box.caps):
         raise ValueError(f"{path}: safe_caps {safe} are not the caps minus theta's top frequency, {list(ms.safe_box.caps)}")
-    if _selection_rows(basis) is not None:  # V*V = I exactly, q = 0 included
+    if ms.selection_rows is not None:  # V*V = I exactly, q = 0 included
         deviation = 0.0
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # a huge or non-finite entry: inf or NaN, refused below

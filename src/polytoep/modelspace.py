@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg
@@ -28,11 +29,10 @@ BOUNDARY_NOTE = (
 
 # Largest q whose invariance map takes the dense SVD when the compressed
 # shifts are dense (an SVD basis); a selection basis takes the difference
-# split at every q.  The matrix-free probe is faster from about q = 10 at
-# n = 3, q = 11 at n = 2 and q = 16 at n = 1, where the dense SVD still wins
-# by at most 7 ms (q ladder in CHANGES.md).  The ladder ran on monomial
-# spaces, before they took the split; both paths cost the same on any basis
-# of the same q and n.
+# split at every q.  The q ladder in CHANGES.md found the matrix-free probe
+# faster from about q = 10 at n = 3, q = 11 at n = 2 and q = 16 at n = 1,
+# but it ran on monomial spaces; Lanczos's cost depends on the spectrum, so
+# the crossover for dense C (Blaschke spaces) is unmeasured.
 DENSE_MAX_Q = 12
 
 # Smallest Krylov dimension of a Lanczos run in `invariance_kernel`.  At
@@ -76,6 +76,15 @@ class ModelSpace:
     def column_tail_bound(self) -> float:
         return self.theta.tail_bound
 
+    @cached_property
+    def selection_rows(self) -> np.ndarray | None:
+        """The row of each basis column on a selection basis, else None (`_selection_rows`).
+
+        Read once, at first use; the basis is not to change after that.
+        Every monomial theta's basis from `model_basis` is a selection.
+        """
+        return _selection_rows(self.basis)
+
 
 def _safe_box(theta: TorusSymbol, box: Box) -> Box:
     """Caps minus theta's top frequency: the k for which theta * z^k fits the box."""
@@ -91,7 +100,8 @@ def _selection_rows(V: np.ndarray) -> np.ndarray | None:
 
     Each column must hold exactly one nonzero entry, equal to 1.0, and no two
     columns share a row.  Such a V has V*V = I exactly, and every compressed
-    shift V* S V is a partial permutation (`_shift_maps`).
+    shift V* S V is a partial permutation (`_shift_maps`).  Passed the support
+    V != 0, it tests the support alone.
     """
     nonzero = V != 0  # a NaN entry counts as nonzero, so it is never a selection
     if not (nonzero.sum(axis=0) == 1).all():
@@ -127,7 +137,10 @@ def model_basis(theta: TorusSymbol, box: Box, tol: float = INNER_TOL, grid_sizes
     """Construct the truncated quotient for an inner-certified analytic symbol.
 
     Monomial-type symbols keep the canonical monomial complement (so nilpotent
-    identities stay exact); anything else gets an SVD complement.
+    identities stay exact); anything else gets an SVD complement.  theta is
+    monomial-type when each column theta * z^k has one nonzero entry, on a
+    row of its own, whatever its unimodular value: the complement is then
+    spanned by the rows no column reaches.
     """
     if theta.n != box.n:
         raise ValueError(f"symbol dimension {theta.n} != box dimension {box.n}")
@@ -139,7 +152,7 @@ def model_basis(theta: TorusSymbol, box: Box, tol: float = INNER_TOL, grid_sizes
             f"(requested {cert.requested_tol:.3e} + tail allowance {cert.tail_allowance:.3e})"
         )
     cols = _gather(theta, box, _safe_box(theta, box))
-    if _selection_rows(cols) is not None:
+    if _selection_rows(cols != 0) is not None:
         free = np.flatnonzero(~cols.any(axis=1))
         basis = np.zeros((cols.shape[0], free.size), dtype=complex)
         basis[free, np.arange(free.size)] = 1.0
@@ -156,21 +169,12 @@ def compressed_shift(ms: ModelSpace, direction: int) -> np.ndarray:
 
     S sends the row of k to the row of k + e_direction and kills the top
     layer, so V* S V is the rows of k + e_direction against the rows of k:
-    two slices of the basis read as a (d_1+1, ..., d_n+1, p, q) tensor.  On a
-    selection basis (`_selection_rows`, every monomial theta) C is the
-    partial permutation pi of `_shift_maps`, filled in without the products;
-    its entries are the same 0.0 and 1.0.  The columns of V are orthonormal
-    by construction (`model_basis`) or by the check in `io.load_modelspace`.
+    two slices of the basis read as a (d_1+1, ..., d_n+1, p, q) tensor.  The
+    columns of V are orthonormal by construction (`model_basis`) or by the
+    check in `io.load_modelspace`.
     """
     box = ms.box
     _check_directions(box, (direction,))
-    rows = _selection_rows(ms.basis)
-    if rows is not None:
-        pi = _shift_maps(box, ms.p, rows)[direction]
-        b = np.flatnonzero(pi >= 0)
-        C = np.zeros((ms.q, ms.q), dtype=complex)
-        C[pi[b], b] = 1.0
-        return C
     V = ms.basis.reshape(_side(box, ms.p) + (ms.q,))
     src, dst = _cut(box, (direction,), 0, 1), _cut(box, (direction,), 1, 0)
     return V[dst].reshape(-1, ms.q).conj().T @ V[src].reshape(-1, ms.q)
@@ -253,9 +257,9 @@ def _difference_split(box: Box, p: int, rows: np.ndarray) -> np.ndarray:
 def invariance_kernel(ms: ModelSpace, tol: float = KERNEL_TOL) -> InvarianceKernelReport:
     """Rigidity probe: sigma_min of the invariance map and how many sigma <= tol.
 
-    On a selection basis (`_selection_rows`, every monomial theta) each C_i
-    is a partial permutation and the stacked map splits by exponent
-    difference (`_difference_split`): every singular value is computed, so
+    On a selection basis (`ModelSpace.selection_rows`, every monomial
+    theta) each C_i is a partial permutation and the stacked map splits by
+    exponent difference (`_difference_split`): every singular value is computed, so
     sigma_min and kernel_dim are exact, with no Krylov run.
 
     A dense C_i (an SVD basis) takes one of two paths, both on the stacked
@@ -283,7 +287,7 @@ def invariance_kernel(ms: ModelSpace, tol: float = KERNEL_TOL) -> InvarianceKern
     q = ms.q
     if q < 1:
         raise ValueError("empty model space has no invariance map")
-    rows = _selection_rows(ms.basis)
+    rows = ms.selection_rows
     if rows is not None:
         svals = _difference_split(ms.box, ms.p, rows)
         return InvarianceKernelReport(float(svals.min()), int((svals <= tol).sum()), tol, q, "difference-split", 0.0, 0)
@@ -416,7 +420,7 @@ def model_compactness_test(
     T = np.asarray(T, dtype=complex)
     if T.shape != (ms.q, ms.q):
         raise ValueError(f"operator shape {T.shape} does not match model dimension {ms.q}")
-    rows = _selection_rows(ms.basis)
+    rows = ms.selection_rows
     if not np.isfinite(T).all():
         norms = [[math.inf] * m_max for _ in range(ms.n)]
     elif rows is None:

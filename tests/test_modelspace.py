@@ -192,11 +192,11 @@ def test_model_compactness_non_finite_entry_is_inf_everywhere(theta, caps, permu
             assert rep.norms == [[math.inf] * m_max] * ms.n and not rep.verdict
 
 
-def monomial_theta(n, p, k, k2):
-    """z^k I_p, or diag(z^k, z^k2) at p = 2."""
+def monomial_theta(n, p, k, k2, phase=1.0):
+    """phase z^k I_p, or phase diag(z^k, z^k2) at p = 2."""
     if p == 1 or k == k2:
-        return monomial(n, k, p)
-    return from_coefficients(n, 2, [(tuple(k), np.diag([1.0, 0.0])), (tuple(k2), np.diag([0.0, 1.0]))])
+        return from_coefficients(n, p, [(tuple(k), phase * np.eye(p))])
+    return from_coefficients(n, 2, [(tuple(k), np.diag([phase, 0.0])), (tuple(k2), np.diag([0.0, phase]))])
 
 
 OPERATOR_KINDS = ("complex", "real", "identity", "zero", "zero-rows")
@@ -222,7 +222,7 @@ def check_model_compactness(ms, T, m_max):
         with pytest.raises(ValueError, match="empty model space"):
             model_compactness_test(ms, T, m_max)
         return
-    assert modelspace._selection_rows(ms.basis) is not None
+    assert ms.selection_rows is not None
     rep = model_compactness_test(ms, T, m_max)
     oracle = oracles.model_compactness_oracle(ms, T, m_max)
     for seq, wants, windows in zip(rep.norms, oracle, oracles.model_compactness_windows(ms, T, m_max), strict=True):
@@ -234,11 +234,11 @@ def check_model_compactness(ms, T, m_max):
 
 @st.composite
 def monomial_compactness_cases(draw):
-    """A monomial space over n, p <= 2 with m_max below and past nilpotency, and a T of each kind."""
+    """A monomial space over n, p <= 2, a phase -1 or i included, with m_max below and past nilpotency, and a T of each kind."""
     n, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     caps = tuple(draw(st.lists(st.integers(0, 7 if n == 1 else 3), min_size=n, max_size=n)))
     k, k2 = (tuple(draw(st.integers(0, c)) for c in caps) for _ in range(2))
-    ms = model_basis(monomial_theta(n, p, k, k2), Box(caps))
+    ms = model_basis(monomial_theta(n, p, k, k2, draw(st.sampled_from([1.0, -1.0, 1j]))), Box(caps))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     T = compactness_operator(draw(st.sampled_from(OPERATOR_KINDS)), ms.q, rng)
     return ms, T, draw(st.integers(1, max(caps) + 2))
@@ -357,24 +357,17 @@ def test_invariance_kernel_counts_every_sigma_within_tol(theta, caps, tol):
 
 @st.composite
 def monomial_spaces(draw, max_q):
-    """A monomial space with 1 <= q <= max_q: n <= 3, p <= 2, diag(z^k, z^k2) and zero caps included."""
+    """A monomial space with 1 <= q <= max_q: n <= 3, p <= 2, diag(z^k, z^k2), a phase -1 or i and zero caps included."""
     n, p = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     caps = tuple(draw(st.lists(st.integers(0, (15, 4, 2)[n - 1]), min_size=n, max_size=n)))
     k, k2 = (tuple(draw(st.integers(0, c)) for c in caps) for _ in range(2))
-    ms = model_basis(monomial_theta(n, p, k, k2), Box(caps))
+    ms = model_basis(monomial_theta(n, p, k, k2, draw(st.sampled_from([1.0, -1.0, 1j]))), Box(caps))
     assume(1 <= ms.q <= max_q)
     return ms
 
 
 def check_difference_split(ms):
-    """The split against the stacked oracle: sigma_min within q^2 eps, and every kernel_dim.
-
-    Each compressed shift is the partial permutation, with the bits of the
-    products V* S V.
-    """
-    for i in range(ms.n):
-        want = ms.basis.conj().T @ shift_oracle(ms.box, i, ms.p) @ ms.basis
-        assert compressed_shift(ms, i).tobytes() == want.tobytes()
+    """The split against the stacked oracle: sigma_min within q^2 eps, and every kernel_dim."""
     svals = oracle_singular_values(ms)
     for tol in (modelspace.KERNEL_TOL, 0.7, 0.95):
         rep = invariance_kernel(ms, tol=tol)
@@ -396,12 +389,16 @@ def test_difference_split_matches_the_stacked_oracle_sweep(ms):
     check_difference_split(ms)
 
 
+@pytest.mark.parametrize("phase", [1.0, -1.0, 1j])
 @pytest.mark.parametrize("q", [40, 120, 200])
-def test_difference_split_closed_form_on_z_to_the_q(q):
+def test_difference_split_closed_form_on_z_to_the_q(q, phase):
     # class 0 of z^q is I - J, J the q x q Jordan block, whose smallest
     # singular value 2 sin(pi / (2 (2q + 1))) is the smallest of the map;
-    # z^120 ran over 300 s on the Lanczos path
-    rep = invariance_kernel(model_basis(monomial(1, (q,)), Box((q + 10,))))
+    # z^120 ran over 300 s on the Lanczos path.  A unimodular phase leaves
+    # K_theta, and so the selection basis, unchanged.
+    ms = model_basis(from_coefficients(1, 1, [((q,), phase)]), Box((q + 10,)))
+    assert ms.selection_rows is not None
+    rep = invariance_kernel(ms)
     want = 2 * math.sin(math.pi / (2 * (2 * q + 1)))
     assert rep.method == "difference-split" and rep.kernel_dim == 0
     assert abs(rep.sigma_min - want) <= 1e-15 * want
