@@ -29,7 +29,6 @@ import numpy as np
 from .lattice import Box, MultiIndex, interior
 from .operators import (
     TruncatedOperator,
-    _check_directions,
     _cut,
     _exponents,
     _flat,
@@ -288,7 +287,6 @@ def section(T: TruncatedOperator, m: int, directions: tuple[int, ...]) -> Trunca
     e sums the unit vectors of the selected (distinct) directions.  The
     matrix may be a view of T.matrix.
     """
-    _check_directions(T.box, directions)
     inner = interior(T.box, m, directions)
     cut = _cut(T.box, directions, m, 0)
     return TruncatedOperator(inner, T.p, _window(T, cut, cut))
@@ -311,15 +309,11 @@ class AsymptoticSequence:
 def asymptotic_sequence(
     T: TruncatedOperator, directions: tuple[int, ...], m_max: int, tol: float = LIMIT_TOL
 ) -> AsymptoticSequence:
-    """Sections of T under iterated simultaneous shifts in the given directions."""
-    _check_directions(T.box, directions)
-    if m_max < 0:
-        raise ValueError(f"m_max = {m_max} must be nonnegative")
-    for j in directions:
-        if m_max > T.box.caps[j]:
-            raise ValueError(
-                f"m_max = {m_max} exceeds cap {T.box.caps[j]} in direction {j}"
-            )
+    """Sections of T under iterated simultaneous shifts in the given directions, m = 0..m_max.
+
+    The directions and m_max are those of a nonempty `interior`.
+    """
+    interior(T.box, m_max, directions)
     # step m reads T[l + (m+1)e, k + (m+1)e] - T[l + m*e, k + m*e], which is
     # entry (l + m*e, k + m*e) of the one matrix D_e; D_e needs every cap in
     # the directions to be at least 1, which m_max >= 1 guarantees
@@ -346,17 +340,12 @@ def cross_term_profile(
     """Exact finite sections of the cross compressions of K.
 
     Entry (l, k) of the m-th section is K[l + m*e_i, k + m*e_j] over the
-    interior pairs for which both translates stay in the box.  scan is
+    interior pairs for which both translates stay in the box; i may equal
+    j, and m_max fits both caps (`interior`).  scan is
     `operators._scan(K.matrix)` when the caller already holds it.
     """
-    box = K.box
-    for d in (i, j):
-        _check_directions(box, (d,))
-    if m_max < 0:
-        raise ValueError(f"m_max = {m_max} must be nonnegative")
-    if m_max > min(box.caps[i], box.caps[j]):
-        raise ValueError(f"m_max = {m_max} too deep for directions ({i}, {j})")
-    x = _exponents(box, K.p)
+    interior(K.box, m_max, (i,) if i == j else (i, j))
+    x = _exponents(K.box, K.p)
     norms = operator_norm(K.matrix, (x[i] - 1, x[j] - 1, m_max), scan)
     return CrossTermProfile(i=i, j=j, norms=norms)
 
@@ -459,8 +448,7 @@ def asymptotic_decompose(
         raise ValueError(
             f"box caps {box.caps} too small: need m_max >= 1 (got {m_max})"
         )
-    if m_max > min(box.caps):
-        raise ValueError(f"m_max = {m_max} exceeds min cap {min(box.caps)}")
+    interior(box, m_max)
     sequences = [asymptotic_sequence(T, (i,), m_max, tol) for i in range(box.n)]
     diagonal = sequences[0] if box.n == 1 else asymptotic_sequence(T, tuple(range(box.n)), m_max, tol)
     stabilized = [m for m, s in enumerate(diagonal.step_norms) if s <= tol]

@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -160,9 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_symbol(args) -> int:
     if args.coeffs is not None:
         text = args.coeffs
-        path = Path(text)
-        if path.exists():
-            text = path.read_text()
+        if os.path.isfile(text):  # False, not an error, on a name too long for a file: inline JSON
+            text = Path(text).read_text()
         data = json.loads(text)
         if isinstance(data, list):
             if args.n is None:

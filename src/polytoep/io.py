@@ -200,7 +200,7 @@ def save_modelspace(path, ms: ModelSpace) -> None:
         "safe_caps": list(ms.safe_box.caps),
         "q": ms.q,
         "theta": symbol_to_dict(ms.theta),
-        "column_tail_bound": ms.column_tail_bound,
+        "column_tail_bound": ms.theta.tail_bound,
         "boundary_note": BOUNDARY_NOTE,
     }
     with open(path, "wb") as fh:

@@ -41,23 +41,31 @@ class Box:
         return out
 
 
+def _check_directions(box: Box, directions: tuple[int, ...]) -> None:
+    if len(set(directions)) != len(directions) or any(not 0 <= j < box.n for j in directions):
+        raise ValueError(
+            f"directions {directions} out of range or repeated: need distinct axes in 0..{box.n - 1}"
+        )
+
+
 def interior(box: Box, m: int, directions: tuple[int, ...] | None = None) -> Box:
     """Sub-box with caps reduced by ``m`` in the selected directions.
 
-    Directions are 0-based axes; ``None`` selects all of them.  This is the
-    safe index set for an m-fold shift: ``k`` in the interior implies
-    ``k + m*e_j`` stays in ``box`` for each selected ``j``.
+    Directions are distinct 0-based axes; ``None`` selects all of them.
+    This is the safe index set for an m-fold shift: ``k`` in the interior
+    implies ``k + m*e_j`` stays in ``box`` for each selected ``j``.  The one
+    check of a shifted sub-box: bad directions, a negative ``m`` and an
+    ``m`` past a cap are refused here.
     """
     if m < 0:
-        raise ValueError("shift depth m must be nonnegative")
+        raise ValueError(f"shift depth m = {m} must be nonnegative")
     dirs = tuple(range(box.n)) if directions is None else tuple(directions)
-    if any(j < 0 or j >= box.n for j in dirs):
-        raise ValueError(f"directions {dirs} out of range for dimension {box.n}")
+    _check_directions(box, dirs)
     caps = list(box.caps)
     for j in dirs:
         caps[j] -= m
         if caps[j] < 0:
             raise ValueError(
-                f"empty interior: m={m} exceeds cap {box.caps[j]} in direction {j}"
+                f"empty interior: m = {m} exceeds cap {box.caps[j]} in direction {j}"
             )
     return Box(tuple(caps))

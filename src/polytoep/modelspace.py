@@ -18,8 +18,8 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .analysis import LIMIT_TOL
-from .lattice import Box
-from .operators import _check_directions, _cut, _gather, _side, operator_norm
+from .lattice import Box, _check_directions
+from .operators import _cut, _gather, _side, operator_norm
 from .symbols import INNER_TOL, TorusSymbol, is_inner
 
 BOUNDARY_NOTE = (
@@ -29,10 +29,11 @@ BOUNDARY_NOTE = (
 
 # Largest q whose invariance map takes the dense SVD when the compressed
 # shifts are dense (an SVD basis); a selection basis takes the difference
-# split at every q.  The q ladder in CHANGES.md found the matrix-free probe
-# faster from about q = 10 at n = 3, q = 11 at n = 2 and q = 16 at n = 1,
-# but it ran on monomial spaces; Lanczos's cost depends on the spectrum, so
-# the crossover for dense C (Blaschke spaces) is unmeasured.
+# split at every q.  On Blaschke spaces with q = 2, 7, 8 and 12 (best of 3,
+# one BLAS thread, 2-vCPU VM) the dense SVD took 0.11, 0.57, 0.68 and
+# 4.05 ms, Lanczos 0.57, 2.90, 5.09 and 10.6 ms, with sigma_min equal to
+# 3e-16 relative; at q = 1 eigsh has no Lanczos path (it needs k < q^2).
+# The crossover above 12 is unmeasured.
 DENSE_MAX_Q = 12
 
 # Smallest Krylov dimension of a Lanczos run in `invariance_kernel`.  At
@@ -71,10 +72,6 @@ class ModelSpace:
     @property
     def safe_box(self) -> Box:
         return _safe_box(self.theta, self.box)
-
-    @property
-    def column_tail_bound(self) -> float:
-        return self.theta.tail_bound
 
     @cached_property
     def selection_rows(self) -> np.ndarray | None:

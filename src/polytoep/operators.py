@@ -80,13 +80,6 @@ def _side(box: Box, p: int) -> tuple[int, ...]:
     return tuple(c + 1 for c in box.caps) + (p,)
 
 
-def _check_directions(box: Box, directions: tuple[int, ...]) -> None:
-    if len(set(directions)) != len(directions) or any(not 0 <= j < box.n for j in directions):
-        raise ValueError(
-            f"directions {directions} out of range or repeated: need distinct axes in 0..{box.n - 1}"
-        )
-
-
 def _cut(box: Box, directions: tuple[int, ...], start: int, drop: int) -> tuple[slice, ...]:
     """One slice per variable: start..cap - drop in the selected directions, all of the rest."""
     return tuple(slice(start, c + 1 - drop) if j in directions else slice(None) for j, c in enumerate(box.caps))
@@ -438,14 +431,17 @@ def _band_order(M: np.ndarray, ri: np.ndarray, ci: np.ndarray) -> tuple[np.ndarr
 def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: int, scan: _Scan) -> list[float]:
     """Each window's norm as the root of the top eigenvalue of one growing Gram matrix.
 
-    The Gram matrix G = X* X is over M's nonzero columns (its rows when they
-    are fewer: the singular values of M.T are M's), deepest first, so every
-    window's columns lead.  Walking from the innermost window outward, each
-    shell of new rows X is added as G += X* X by one `gemm` filling both
-    triangles, so every entry is a plain sum of products, never a
-    difference, and a Lanczos matvec reads G as it stands.  A window's
-    squared norm is the top eigenvalue of G on its own nonzero columns, the
-    ones whose diagonal entry is positive.  A window with one such column
+    Rows and columns of negative depth are in no window, so both sides are
+    cropped to the nonzero ones of depth at least 0 first; every window is
+    0.0 when either side is then empty.  The Gram matrix G = X* X is over
+    the cropped columns (the cropped rows when they are fewer: the singular
+    values of M.T are M's), deepest first, so every window's columns lead.
+    Walking from the innermost window outward, each shell of new rows X is
+    added as G += X* X by one `gemm` filling both triangles, so every entry
+    is a plain sum of products, never a difference, and a Lanczos matvec
+    reads G as it stands.  A window's squared norm is the top eigenvalue
+    of G on its own nonzero columns, the ones whose diagonal entry is
+    positive.  A window with one such column
     takes `_svd_norm` of that column instead, its rows in natural order:
     the fallback's per-window kernel on the same entries in the same order,
     so the two paths read the same bits.  On a sparse support (`_Scan`)
@@ -460,15 +456,15 @@ def _gram_norms(M: np.ndarray, rdepth: np.ndarray, cdepth: np.ndarray, count: in
     first, and each root is scaled back (`_unscale`), to inf past the
     largest float.
     """
-    if not count:
-        return []
-    rows, cols = scan.rows, scan.cols
+    rows, cols = scan.rows & (rdepth >= 0), scan.cols & (cdepth >= 0)
+    if not (count and rows.any() and cols.any()):
+        return [0.0] * count
     if np.count_nonzero(rows) < np.count_nonzero(cols):
         M, rdepth, cdepth, rows, cols = M.T, cdepth, rdepth, cols, rows
     src = M.real if scan.real and np.iscomplexobj(M) else M
     dtype = float if scan.real else complex
     rdepth, cdepth = np.minimum(rdepth, count - 1), np.minimum(cdepth, count - 1)
-    ri = np.flatnonzero(rows & (rdepth >= 0))
+    ri = np.flatnonzero(rows)
     ri = ri[np.argsort(-rdepth[ri], kind="stable")]
     ci = np.flatnonzero(cols)
     ci = ci[np.argsort(-cdepth[ci], kind="stable")]
@@ -517,7 +513,9 @@ def operator_norm(matrix: np.ndarray, family: tuple[np.ndarray, np.ndarray, int]
     A window's norm is taken on its nonzero rows x columns and is 0.0 when
     there are none.  Each is the root of the top eigenvalue of one Gram
     matrix grown over all windows (`_gram_norms`), in real arithmetic when
-    the matrix has no imaginary part.  A window with one nonzero column (or
+    the matrix has no imaginary part; rows and columns of negative depth
+    enter it on neither side, and it is built on the side with fewer
+    nonzero lines left.  A window with one nonzero column (or
     row, where the Gram matrix is over rows) takes `symbols._block_norms`
     of its entries in natural order instead, as the fallback below does, so
     it reads the same bits on either path.  Where at most one in 16 of the

@@ -272,12 +272,10 @@ def random_symbol(
     span: int,
     p: int = 1,
     rng: np.random.Generator | None = None,
-    scale: float = 1.0,
 ) -> TorusSymbol:
     """Random trig polynomial with full support on |k_i| <= span, iid complex Gaussian blocks."""
     rng = np.random.default_rng() if rng is None else rng
     coeffs = {}
     for k in itertools.product(*([range(-span, span + 1)] * n)):
-        blk = scale * (rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
-        coeffs[k] = blk
+        coeffs[k] = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
     return TorusSymbol(n, p, coeffs, 0.0)

@@ -709,6 +709,16 @@ def test_symbol_bad_bare_entry_exit_two(tmp_path, capsys):
     assert io.load_symbol(out).coeff((1,)).item() == 2.0
 
 
+def test_symbol_long_inline_table(tmp_path):
+    # over 255 bytes, the longest file name most file systems take
+    entries = json.dumps([{"k": [k], "re": 1.0 / (k + 1), "im": -0.5 / (k + 1)} for k in range(20)])
+    assert len(entries) > 255
+    out = tmp_path / "x.json"
+    assert main(["symbol", "--coeffs", entries, "--n", "1", "--out", str(out)]) == 0
+    sym = io.load_symbol(out)
+    assert all(sym.coeff((k,)).item() == complex(1.0 / (k + 1), -0.5 / (k + 1)) for k in range(20))
+
+
 def test_symbol_nan_tail_bound_exit_two(tmp_path, capsys):
     # a NaN or infinite tail bound is no bound: refused, so no symbol file
     # carries one and a model-space header's tail compares with a plain !=

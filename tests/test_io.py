@@ -323,7 +323,7 @@ def test_modelspace_save_load_is_bit_exact(tmp_path_factory, ms):
         return
     back = io.load_modelspace(path)
     assert (back.box, back.safe_box, back.p, back.q) == (ms.box, ms.safe_box, ms.p, ms.q)
-    assert np.float64(back.column_tail_bound).tobytes() == np.float64(ms.column_tail_bound).tobytes()
+    assert np.float64(back.theta.tail_bound).tobytes() == np.float64(ms.theta.tail_bound).tobytes()
     assert back.basis.shape == ms.basis.shape and back.basis.tobytes() == ms.basis.tobytes()
     assert (back.theta.n, back.theta.p, back.theta.tail_bound) == (ms.theta.n, ms.theta.p, ms.theta.tail_bound)
     assert list(back.theta.coefficients) == sorted(ms.theta.coefficients)

@@ -57,6 +57,12 @@ def test_interior_examples():
         interior(Box((2, 2)), 3, (0,))
 
 
+@pytest.mark.parametrize("directions", [(0, 0), (1, 0, 1), (2,), (-1,)])
+def test_interior_refuses_repeated_or_out_of_range_directions(directions):
+    with pytest.raises(ValueError, match="out of range or repeated"):
+        interior(Box((5, 5)), 1, directions)
+
+
 def test_interior_composes():
     box = Box((6, 5))
     for m1, m2 in itertools.product(range(3), repeat=2):

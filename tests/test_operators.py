@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polytoep import modelspace, operators
-from polytoep.analysis import compactness_profile
+from polytoep.analysis import compactness_profile, cross_term_profile
 from polytoep.lattice import Box
 from polytoep.operators import (
     TruncatedOperator,
@@ -646,3 +646,32 @@ def test_real_windows_keep_lapack():
             got = operator_norm(A)
         assert not lanczos and lapack == [300]
         assert abs(got - oracles._norm(M)) <= oracles.gram_bound(M)
+
+
+def _gram_orders(mp: pytest.MonkeyPatch) -> list[int]:
+    """Spy on the band and dense eigensolvers: the order of the Gram matrix, or block of it, each one is handed."""
+    orders = []
+    band, top = operators._band_top, operators._top_eigenvalue
+    mp.setattr(operators, "_band_top", lambda G, perm, b: orders.append(G.shape[0]) or band(G, perm, b))
+    mp.setattr(operators, "_top_eigenvalue", lambda H: orders.append(H.shape[0]) or top(H))
+    return orders
+
+
+def test_cross_term_gram_matrix_leaves_out_columns_of_negative_depth(monkeypatch):
+    # the axis swap e_(0, k) -> e_(k, 0) on (15, 15): cross term (0, 1) reads
+    # rows with x_0 >= 1 against columns with x_1 >= 1, so of the swap's 16
+    # nonzero columns the one of (0, 0), at depth -1, is in no window nor in G
+    swap = np.zeros((256, 256), dtype=complex)
+    swap[16 * np.arange(16), np.arange(16)] = 1.0
+    orders = _gram_orders(monkeypatch)
+    assert cross_term_profile(TruncatedOperator(Box((15, 15)), 1, swap), 0, 1, 15).norms == [1.0] * 15
+    assert orders and set(orders) == {15}
+
+
+def test_model_compression_gram_matrix_leaves_out_columns_of_negative_depth(monkeypatch):
+    # z1z2 on (20, 20) has 41 basis columns; in each direction the 21 outside
+    # the shift's image I_1 have depth -1, and G holds the other 20
+    ms = modelspace.model_basis(from_coefficients(2, 1, [((1, 1), 1.0)]), Box((20, 20)))
+    orders = _gram_orders(monkeypatch)
+    assert modelspace.model_compactness_test(ms, np.eye(ms.q), 4).norms == [[1.0] * 4] * 2
+    assert ms.q == 41 and orders and set(orders) == {20}

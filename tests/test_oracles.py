@@ -19,7 +19,7 @@ from polytoep.analysis import (
     toeplitz_defect,
 )
 from polytoep.lattice import Box
-from polytoep.operators import TruncatedOperator, toeplitz
+from polytoep.operators import TruncatedOperator, _exponents, toeplitz
 from polytoep.symbols import random_symbol
 
 import oracles
@@ -152,7 +152,7 @@ def _eigensolver_spectra(mp: pytest.MonkeyPatch) -> list[np.ndarray]:
     return seen
 
 
-def check_family(norms, M: np.ndarray, windows, seen: list) -> None:
+def check_family(norms, M: np.ndarray, windows, outer, seen: list) -> None:
     """One norm family of M against its reference windows, rebuilt one by one.
 
     Each value is within `oracles.gram_bound` of the window's own SVD, 0.0
@@ -162,10 +162,12 @@ def check_family(norms, M: np.ndarray, windows, seen: list) -> None:
     input must be the Gram matrix, scaled by 4**-exp, of exactly the
     window's cropped support: as many rows and columns as the support has
     on the Gram side, and the support's squared singular values as its
-    spectrum.  One-column and empty windows need no eigensolver.
+    spectrum.  The Gram side is the one with fewer nonzero lines in outer,
+    the (row, column) masks of the family's outermost window.  One-column
+    and empty windows need no eigensolver.
     """
     scan = operators._scan(M)
-    by_rows = np.count_nonzero(scan.rows) < np.count_nonzero(scan.cols)
+    by_rows = np.count_nonzero(scan.rows & outer[0]) < np.count_nonzero(scan.cols & outer[1])
     solved = []
     for got, W in zip(norms, windows, strict=True):
         Wc = oracles.cropped(W)
@@ -191,33 +193,40 @@ def check_family(norms, M: np.ndarray, windows, seen: list) -> None:
 
 
 def norm_families(T: TruncatedOperator, with_remainder: bool = True):
-    """(norms, matrix, reference windows) of every step, cross-term and compactness family of T, and of its remainder.
+    """(norms, matrix, reference windows, outer) of every step, cross-term and compactness family of T, and of its remainder.
+
+    outer holds the row and column masks of the family's outermost window.
 
     A generator: each family's norms are taken when it is drawn, under
     whatever patches the caller holds at that moment.
     """
     box = T.box
+    x = _exponents(box, T.p)
     matrices = [T]
     if with_remainder:
         matrices.append(T - toeplitz(recover_symbol(T).symbol, box))
     for dirs in [(j,) for j in range(box.n)] + [tuple(range(box.n))]:
         m_max = min(box.caps[j] for j in dirs)
         if m_max:
-            yield asymptotic_sequence(T, dirs, m_max).step_norms, _step(T, dirs), oracles.step_windows(T, dirs, m_max)
+            D = _step(T, dirs)
+            whole = (np.ones(D.shape[0], dtype=bool),) * 2
+            yield asymptotic_sequence(T, dirs, m_max).step_norms, D, oracles.step_windows(T, dirs, m_max), whole
     for K in matrices:
         for i, j in itertools.product(range(box.n), repeat=2):
             m_max = min(box.caps[i], box.caps[j])
-            yield cross_term_profile(K, i, j, m_max).norms, K.matrix, oracles.cross_windows(K, i, j, m_max)
+            outer = (x[i] >= 1, x[j] >= 1)
+            yield cross_term_profile(K, i, j, m_max).norms, K.matrix, oracles.cross_windows(K, i, j, m_max), outer
         m_max = min(box.caps) + 1
-        yield compactness_profile(K, m_max).c_m, K.matrix, oracles.compactness_windows(K, m_max)
+        whole = (np.ones(K.dim, dtype=bool),) * 2
+        yield compactness_profile(K, m_max).c_m, K.matrix, oracles.compactness_windows(K, m_max), whole
 
 
 def check_families(T: TruncatedOperator, with_remainder: bool = True) -> None:
     """Every step, cross-term and compactness family of T, and of its remainder, by `check_family`."""
     with pytest.MonkeyPatch.context() as mp:
         seen = _eigensolver_spectra(mp)
-        for norms, M, windows in norm_families(T, with_remainder):
-            check_family(norms, M, windows, seen)
+        for norms, M, windows, outer in norm_families(T, with_remainder):
+            check_family(norms, M, windows, outer, seen)
 
 
 def check_values(norms, windows) -> None:
@@ -284,5 +293,5 @@ def test_oracle_equivalence_exhaustive():
         # a second pass with every complex window of two or more columns on Lanczos
         with pytest.MonkeyPatch.context() as mp:
             oracles.force_lanczos(mp)
-            for norms, _, windows in norm_families(T):
+            for norms, _, windows, _ in norm_families(T):
                 check_values(norms, windows)
