@@ -39,12 +39,17 @@ def symbol_to_dict(sym: TorusSymbol) -> dict:
                 "im": blk.imag.tolist(),
             }
         )
-    return {
+    out = {
         "n": sym.n,
         "p": sym.p,
         "coefficients": coeffs,
         "tail_bound": float(sym.tail_bound),
     }
+    if sym.zeros is not None:
+        out["zeros"] = [
+            {"re": [a.real for a in variable], "im": [a.imag for a in variable]} for variable in sym.zeros
+        ]
+    return out
 
 
 def symbol_from_dict(data: dict) -> TorusSymbol:
@@ -54,20 +59,29 @@ def symbol_from_dict(data: dict) -> TorusSymbol:
     im are (p, p) nested lists, or numbers when p = 1, and a missing im is
     zero.  The parts are assigned rather than combined as re + 1j*im, which
     would lose a -0.0 real part and spread a NaN or infinite imaginary part
-    into the real one.
+    into the real one.  An optional zeros holds one {re, im} pair of
+    equal-length lists per variable, as `symbol_to_dict` writes it.
     """
     try:
         n, p = _integer(data["n"]), _integer(data["p"])
         entries = []
         for item in data["coefficients"]:
-            re = np.asarray(item["re"], dtype=float)
-            blk = np.empty(re.shape, dtype=complex)
-            blk.real, blk.imag = re, item.get("im", 0.0)
-            entries.append((tuple(_integer(x) for x in item["k"]), blk))
+            entries.append((tuple(_integer(x) for x in item["k"]), _complex_array(item)))
         tail = float(data.get("tail_bound", 0.0))
+        zeros = data.get("zeros")
+        if zeros is not None:
+            zeros = [_complex_array(variable).reshape(-1).tolist() for variable in zeros]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed symbol JSON: {exc}") from exc
-    return TorusSymbol(n, p, from_coefficients(n, p, entries).coefficients, tail)
+    return TorusSymbol(n, p, from_coefficients(n, p, entries).coefficients, tail, zeros)
+
+
+def _complex_array(item: dict) -> np.ndarray:
+    """item's re and im as one complex array, the parts assigned; a missing im is zero."""
+    re = np.asarray(item["re"], dtype=float)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, item.get("im", 0.0)
+    return out
 
 
 def save_symbol(path, sym: TorusSymbol) -> None:
@@ -236,7 +250,7 @@ def load_modelspace(path) -> ModelSpace:
     basis = _matrix_from_bytes(payload, p * box.dim, q)
     ms = ModelSpace(theta=theta, box=box, basis=basis)
     if safe != list(ms.safe_box.caps):
-        raise ValueError(f"{path}: safe_caps {safe} are not the caps minus theta's top frequency, {list(ms.safe_box.caps)}")
+        raise ValueError(f"{path}: safe_caps {safe} are not the caps minus theta's reach, {list(ms.safe_box.caps)}")
     if ms.selection_rows is not None:  # V*V = I exactly, q = 0 included
         deviation = 0.0
     else:

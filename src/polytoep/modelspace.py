@@ -1,18 +1,26 @@
-"""Truncated Beurling-type quotient spaces and their compressed shifts.
+"""Truncated model spaces K_theta = H^2 minus theta H^2 and their compressed shifts.
 
-The quotient is realized as the orthogonal complement, inside the truncated
-basis, of the exactly representable columns theta * z^k = T_theta e_k (k in
-the safe sub-box where the whole product fits): the columns of T_theta on
-that sub-box.  Near the box boundary these columns undercount the
-untruncated quotient, so theorem tests should prefer deep interiors; every
-model-space file carries a note to that effect.
+There are three bases.  A theta with zeros (a scalar Blaschke-type theta,
+`symbols.TorusSymbol.zeros`) gets the Takenaka-Malmquist-Walsh (TMW)
+vectors of K_theta itself, cut at the caps and orthonormalized
+(`_tmw_columns`): its dimension is that of K_theta on the box, whatever the
+truncation degree of theta's table, and a unit vector of the span lies
+within `ModelSpace.distance_bound` of K_theta, of the order of max |a|^(d+1)
+per variable.  Every other theta is certified inner on a grid, and the
+quotient is the orthogonal complement, inside the truncated basis, of the
+exactly representable columns theta * z^k = T_theta e_k (k in the safe
+sub-box where the whole product fits): a selection of monomials when theta
+is monomial-type, else an SVD complement.  Near the box boundary these
+columns undercount the untruncated quotient, so theorem tests should prefer
+deep interiors.  Zeros all 0 give the monomial selection, bit for bit.
+Every model-space file carries a note to that effect.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse.linalg
@@ -20,26 +28,31 @@ import scipy.sparse.linalg
 from .analysis import LIMIT_TOL
 from .lattice import Box, _check_directions
 from .operators import _cut, _gather, _side, operator_norm
-from .symbols import INNER_TOL, TorusSymbol, is_inner
+from .symbols import INNER_TOL, TorusSymbol, is_inner, tmw_series, tmw_tails
 
 BOUNDARY_NOTE = (
-    "truncated quotient: exact against columns that fit the box; "
-    "near-boundary basis vectors may differ from the untruncated space"
+    "truncated quotient: with theta's zeros, the TMW basis of K_theta cut at the caps, "
+    "within about max|a|^(d+1) of K_theta; else exact against columns that fit the box, "
+    "and near-boundary basis vectors may differ from the untruncated space"
 )
 
 # Largest q whose invariance map takes the dense SVD when the compressed
-# shifts are dense (an SVD basis); a selection basis takes the difference
-# split at every q.  On Blaschke spaces with q = 2, 7, 8 and 12 (best of 3,
-# one BLAS thread, 2-vCPU VM) the dense SVD took 0.11, 0.57, 0.68 and
-# 4.05 ms, Lanczos 0.57, 2.90, 5.09 and 10.6 ms, with sigma_min equal to
-# 3e-16 relative; at q = 1 eigsh has no Lanczos path (it needs k < q^2).
-# The crossover above 12 is unmeasured.
-DENSE_MAX_Q = 12
+# shifts are dense (a TMW or SVD basis); a selection basis takes the
+# difference split at every q.  On TMW Blaschke spaces (|a| = 1/2, best of 3,
+# alternating, one BLAS thread, 2-vCPU VM) at n = 2 the dense SVD took 0.56,
+# 1.23, 3.48, 5.27, 7.42 and 39.9 ms at q = 7, 9, 11, 12, 13 and 19, Lanczos
+# 2.89, 3.49, 4.57, 4.50, 4.71 and 7.52 ms; a rerun tied at q = 11 (3.96
+# against 3.83 ms).  At n = 1 Lanczos converges more slowly and the dense
+# SVD stays ahead up to q = 21 (50.5 against 57.5 ms at 21, 80.5 against
+# 70.7 at 23); one constant serves both, set at the n = 2 crossover.
+# sigma_min agreed within 5e-16.  At q = 1 eigsh has no Lanczos path (it
+# needs k < q^2).
+DENSE_MAX_Q = 11
 
-# Smallest Krylov dimension of a Lanczos run in `invariance_kernel`.  At
-# b7*b7 (q = 91, n = 2) the matvecs fall from 461 at 20 to 385 at 32 but
-# only to 353 at 64, while each restart costs more; 28 and 32 were fastest
-# (ncv ladder in CHANGES.md).
+# Smallest Krylov dimension of a Lanczos run in `invariance_kernel`.  On
+# b7*b7's former SVD basis (q = 91, n = 2) the matvecs fall from 461 at 20
+# to 385 at 32 but only to 353 at 64, while each restart costs more; 28 and
+# 32 were fastest (ncv ladder in CHANGES.md).
 NCV = 32
 
 KERNEL_TOL = 1e-8  # singular values of the invariance map at most this count toward its kernel
@@ -50,7 +63,7 @@ class ModelSpace:
     """Orthonormal basis of the truncated quotient of theta on a box.
 
     Everything else is read off theta and the box: the block size, the safe
-    sub-box (caps minus theta's top frequency) and the tail bound.
+    sub-box (caps minus theta's reach, `_safe_box`) and the tail bound.
     """
 
     theta: TorusSymbol
@@ -74,22 +87,89 @@ class ModelSpace:
         return _safe_box(self.theta, self.box)
 
     @cached_property
+    def distance_bound(self) -> float | None:
+        """For theta with zeros, how far a unit vector of the span may lie from K_theta; else None.
+
+        A unit v = T c, T the columns of `_tmw_columns`, lies
+        ||sum_j c_j t_j|| from the vector with each column's K_theta_i factor
+        uncut, which is in K_theta; t_j is column j's cut-off part, of norm
+        nu_j.  So the distance is at most ||nu||_2 ||c|| <= ||nu||_2 /
+        sigma_min(T): of the order of max |a|^(d + 1) over the variables'
+        zeros and caps.  It is 0 when every zero is 0.
+        """
+        if self.theta.zeros is None:
+            return None
+        T, nu = _tmw_columns(self.theta.zeros, self.box)
+        if not nu.any():
+            return 0.0
+        return float(np.linalg.norm(nu) / np.linalg.svd(T, compute_uv=False)[-1])
+
+    @cached_property
     def selection_rows(self) -> np.ndarray | None:
         """The row of each basis column on a selection basis, else None (`_selection_rows`).
 
         Read once, at first use; the basis is not to change after that.
-        Every monomial theta's basis from `model_basis` is a selection.
+        Every monomial theta's basis from `model_basis` is a selection, and
+        so is that of a theta whose zeros are all 0.
         """
         return _selection_rows(self.basis)
 
 
 def _safe_box(theta: TorusSymbol, box: Box) -> Box:
-    """Caps minus theta's top frequency: the k for which theta * z^k fits the box."""
-    _, hi = theta.freq_range()
+    """Caps minus theta's reach: its top frequency, or its number of zeros in each variable.
+
+    For theta given by coefficients it holds the k for which theta * z^k
+    fits the box; for theta with zeros, the exponents of the theta z^k
+    parts of the TMW basis (`_tmw_columns`).  The two agree on z^m.
+    """
+    hi = theta.freq_range()[1] if theta.zeros is None else tuple(len(z) for z in theta.zeros)
     caps = tuple(int(c - h) for c, h in zip(box.caps, hi))
     if any(c < 0 for c in caps):
         raise ValueError(f"empty safe box: support reach {hi} does not fit caps {box.caps}")
     return Box(caps)
+
+
+def _tmw_vectors(zeros, d: int) -> np.ndarray:
+    """Columns j = 0..d: the first d + 1 TMW vectors of (zeros, 0, 0, ...) cut at z^d (`symbols.tmw_series`).
+
+    The first len(zeros) span K_B, B the product of the zeros' factors, and
+    the rest are B z^k.  Every zero 0 gives the identity, exactly.
+    """
+    return tmw_series((tuple(zeros) + (0j,) * (d + 1))[: d + 1], d)[0]
+
+
+def _tmw_columns(zeros, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """The spanning columns of a theta with zeros on the box, and the norm nu of each one's cut-off part.
+
+    With m_i = len(zeros_i) <= d_i (`_safe_box`), K_theta is the orthogonal sum
+    over i of (theta_1 H^2 x ... x theta_(i-1) H^2) x K_theta_i x H^2 x ...
+    x H^2.  Cut at the caps, summand i is spanned by the tensor products of
+    TMW vectors j_l >= m_l in each variable l < i (`_tmw_vectors`), one
+    j_i < m_i in variable i and the monomials z^k in each variable after i:
+    the multi-indices j with some j_l < m_l.  The columns come in the
+    row-major order of j, which for zeros all 0 is the row order of the
+    monomial selection basis.  Only the K_theta_i factor has a part that
+    matters beyond the caps: every column with that factor uncut lies in
+    K_theta, so nu is that part's norm (`symbols.tmw_tails`) times the
+    norms of the other factors.
+    """
+    side = [d + 1 for d in box.caps]
+    m = [len(z) for z in zeros]
+    vectors = [_tmw_vectors(z, d) for z, d in zip(zeros, box.caps)]
+    tails = [tmw_tails(z, d) for z, d in zip(zeros, box.caps)]
+    cols, nus, labels = [], [], []
+    for i in range(box.n):
+        ranges = [np.arange(m[l] if l < i else 0, m[l] if l == i else side[l]) for l in range(box.n)]
+        factors = [vectors[l][:, r] if l <= i else np.eye(side[l]) for l, r in enumerate(ranges)]
+        norms = [
+            np.linalg.norm(F, axis=0) if l < i else tails[l] if l == i else np.ones(side[l])
+            for l, F in enumerate(factors)
+        ]
+        cols.append(reduce(np.kron, factors))
+        nus.append(reduce(np.kron, norms))
+        labels.append(np.ravel_multi_index(np.meshgrid(*ranges, indexing="ij"), side).reshape(-1))
+    order = np.argsort(np.concatenate(labels))
+    return np.hstack(cols)[:, order], np.concatenate(nus)[order]
 
 
 def _selection_rows(V: np.ndarray) -> np.ndarray | None:
@@ -131,22 +211,40 @@ def _shift_maps(box: Box, p: int, rows: np.ndarray) -> list[np.ndarray]:
 
 
 def model_basis(theta: TorusSymbol, box: Box, tol: float = INNER_TOL, grid_sizes=None) -> ModelSpace:
-    """Construct the truncated quotient for an inner-certified analytic symbol.
+    """Construct the truncated model space of an inner theta.
 
-    Monomial-type symbols keep the canonical monomial complement (so nilpotent
-    identities stay exact); anything else gets an SVD complement.  theta is
-    monomial-type when each column theta * z^k has one nonzero entry, on a
-    row of its own, whatever its unimodular value: the complement is then
-    spanned by the rows no column reaches.
+    A theta with zeros is inner because every |a| < 1 (`TorusSymbol`), with
+    no grid, and spans K_theta itself, cut at the caps (`_tmw_columns`):
+    its dimension does not depend on the truncation degree of the table.
+    The columns are orthonormalized by one QR, each phase set so that R
+    has a positive diagonal; zeros all 0 give a selection, kept as it is.
+
+    A theta given by coefficients alone must pass the grid certificate
+    (`symbols.is_inner`), with a tail allowance no larger than tol: a
+    larger one would certify anything.  Monomial-type symbols keep the
+    canonical monomial complement (so nilpotent identities stay exact);
+    anything else gets an SVD complement of the columns theta * z^k that
+    fit the box.  theta is monomial-type when each such column has one
+    nonzero entry, on a row of its own, whatever its unimodular value: the
+    complement is then spanned by the rows no column reaches.
     """
     if theta.n != box.n:
         raise ValueError(f"symbol dimension {theta.n} != box dimension {box.n}")
+    if theta.zeros is not None:
+        _safe_box(theta, box)  # refuses more zeros than a cap
+        cols = _tmw_columns(theta.zeros, box)[0]
+        if _selection_rows(cols) is not None:
+            return ModelSpace(theta=theta, box=box, basis=cols)
+        Q, R = np.linalg.qr(cols)
+        d = np.diagonal(R)
+        return ModelSpace(theta=theta, box=box, basis=Q * (np.abs(d) / d))
     cert = is_inner(theta, grid_sizes=grid_sizes, tol=tol)
-    if not cert.passed:
+    if not cert.passed or cert.tail_allowance > tol:
         raise ValueError(
             f"inner certification failed: deviation {cert.max_deviation:.3e} at grid point "
-            f"[{', '.join(f'{t:.6g}' for t in cert.worst_point)}] > tolerance {cert.tolerance:.3e} "
-            f"(requested {cert.requested_tol:.3e} + tail allowance {cert.tail_allowance:.3e})"
+            f"[{', '.join(f'{t:.6g}' for t in cert.worst_point)}], tolerance {cert.tolerance:.3e} "
+            f"(requested {cert.requested_tol:.3e} + tail allowance {cert.tail_allowance:.3e}); "
+            "the tail allowance may not exceed the requested tolerance"
         )
     cols = _gather(theta, box, _safe_box(theta, box))
     if _selection_rows(cols != 0) is not None:
@@ -218,8 +316,11 @@ def _difference_split(box: Box, p: int, rows: np.ndarray) -> np.ndarray:
     x(a) - x(b) and the block components s(a), s(b).  So L is block
     diagonal over the classes, a class of m pairs giving an (n m) x m block
     of real 0 and +-1 entries, and the singular values of L are those of the
-    blocks together, multiplicities included.  The blocks of one size take
-    one batched SVD.
+    blocks together, multiplicities included.  The class of (b, a) is the
+    mirror of that of (a, b), and its block is the same up to the order of
+    the pairs, so only the class of each mirror pair with the smaller key
+    takes an SVD, its values counted twice unless it is its own mirror.
+    The blocks of one size take one batched SVD.
     """
     q, n = rows.size, box.n
     maps = _shift_maps(box, p, rows)
@@ -227,10 +328,13 @@ def _difference_split(box: Box, p: int, rows: np.ndarray) -> np.ndarray:
     key = np.zeros((q, q), dtype=np.int64)
     for xj, d in zip(x, box.caps):
         key = key * (2 * d + 1) + (xj[:, None] - xj[None, :] + d)
-    key = ((key * p + s[:, None]) * p + s[None, :]).reshape(-1)  # of the pair a * q + b
+    key = (key * p + s[:, None]) * p + s[None, :]
+    mirror = key.T.reshape(-1)  # the key of the pair b * q + a
+    key = key.reshape(-1)  # of the pair a * q + b
     order = np.argsort(key, kind="stable")  # the pairs, class by class
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     sizes = np.diff(starts, append=q * q)
+    copies = np.sign(mirror[order[starts]] - key[order[starts]]) + 1  # 2, 1 (its own mirror) or 0
     local = np.empty(q * q, dtype=np.int64)  # each pair's place in its class
     local[order] = np.arange(q * q) - np.repeat(starts, sizes)
     targets = []  # local index of (pi_i a, pi_i b), -1 where either is -1
@@ -241,13 +345,17 @@ def _difference_split(box: Box, p: int, rows: np.ndarray) -> np.ndarray:
         targets.append(target.reshape(-1))
     svals = []
     for m in np.unique(sizes):
-        pairs = order[starts[sizes == m][:, None] + np.arange(m)]  # (classes, m)
+        chosen = (sizes == m) & (copies > 0)
+        if not chosen.any():
+            continue
+        pairs = order[starts[chosen][:, None] + np.arange(m)]  # (classes, m)
         M = np.zeros((pairs.shape[0], n, m, m))
         M[:, :, np.arange(m), np.arange(m)] = 1.0
         for i, target in enumerate(targets):
             c, j = np.nonzero(target[pairs] >= 0)
             M[c, i, j, target[pairs[c, j]]] = -1.0
-        svals.append(np.linalg.svd(M.reshape(-1, n * m, m), compute_uv=False).reshape(-1))
+        values = np.linalg.svd(M.reshape(-1, n * m, m), compute_uv=False)
+        svals.append(np.repeat(values, copies[chosen], axis=0).reshape(-1))
     return np.concatenate(svals)
 
 
@@ -259,7 +367,7 @@ def invariance_kernel(ms: ModelSpace, tol: float = KERNEL_TOL) -> InvarianceKern
     exponent difference (`_difference_split`): every singular value is computed, so
     sigma_min and kernel_dim are exact, with no Krylov run.
 
-    A dense C_i (an SVD basis) takes one of two paths, both on the stacked
+    A dense C_i (a TMW or SVD basis) takes one of two paths, both on the stacked
     map L on the Hermitian matrices H only.  For q <= DENSE_MAX_Q, a dense
     SVD of L on all q^2 coordinates of H.  Above it, Lanczos (`eigsh`,
     ARPACK's real symmetric `dsaupd`) on the normal map restricted to H,
@@ -406,9 +514,9 @@ def model_compactness_test(
     mean unbounded, as `symbols._block_norms` reads it in a block.  A finite
     T takes each direction by `_compression_norms`: a compressed shift that
     is a partial permutation, as on every selection basis from
-    `model_basis` (monomial theta), gives one nested norm family of T
-    itself, and any other (an SVD basis, as for a Blaschke product) the
-    dense products.
+    `model_basis` (monomial theta, or zeros all 0), gives one nested norm
+    family of T itself, and any other (a TMW basis, as for a Blaschke
+    product with a zero off 0, or an SVD basis) the dense products.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")

@@ -276,6 +276,11 @@ def shift_oracle(box: Box, direction: int, p: int) -> np.ndarray:
     return out
 
 
+def coefficients_only(sym: TorusSymbol) -> TorusSymbol:
+    """sym without its zeros: its table and tail bound alone, which `model_basis` takes through the grid certificate."""
+    return TorusSymbol(sym.n, sym.p, sym.coefficients, sym.tail_bound)
+
+
 def rotated(ms, seed: int = 0) -> ModelSpace:
     """The same model space with its basis turned by a seeded unitary U.
 
@@ -360,3 +365,47 @@ def all_boxes_up_to(max_dim: int, max_n: int = 3):
             if box is not None and box.dim <= max_dim:
                 out.append(box)
     return out
+
+
+def blaschke_taylor(zeros, degree: int) -> np.ndarray:
+    """Taylor coefficients 0..degree of prod_j b_{a_j}: each factor's closed form -a, (1 - |a|^2) conj(a)^(k-1), convolved."""
+    out = np.zeros(degree + 1, dtype=complex)
+    out[0] = 1.0
+    for a in zeros:
+        b = np.zeros(degree + 1, dtype=complex)
+        b[0] = -a
+        b[1:] = (1 - abs(a) ** 2) * np.conj(a) ** np.arange(degree)
+        out = np.convolve(out, b)[: degree + 1]
+    return out
+
+
+def tmw_oracle(zeros, degree: int) -> np.ndarray:
+    """Columns j: the TMW vector sqrt(1 - |a_j|^2) / (1 - conj(a_j) z) prod_(i<j) b_(a_i), cut at z^degree."""
+    kernel = lambda a: np.sqrt(1 - abs(a) ** 2) * np.conj(a) ** np.arange(degree + 1)  # noqa: E731
+    cols = [np.convolve(kernel(a), blaschke_taylor(zeros[:j], degree))[: degree + 1] for j, a in enumerate(zeros)]
+    return np.array(cols, dtype=complex).reshape(len(zeros), degree + 1).T
+
+
+def model_space_residual(zeros, box: Box, V: np.ndarray) -> np.ndarray:
+    """||v||^2 - ||P v||^2 for each column v of V, P the projection onto K_theta, theta = prod_i B_i(z_i).
+
+    K_theta is the orthogonal sum over i of theta_1 H^2 x ... x
+    theta_(i-1) H^2 x K_(theta_i) x H^2 x ... x H^2, with the orthonormal
+    basis theta_l z^k (l < i), the TMW vectors of theta_i's zeros and z^k
+    (l > i).  A v in the box meets only the first d_l + 1 of theta_l z^k
+    and z^k, and the inner products need each function only up to the
+    caps, so ||P v||^2 is a finite sum.
+    """
+    theta_cols, kernel_cols, ident = [], [], []
+    for z, d in zip(zeros, box.caps):
+        th = blaschke_taylor(z, d)
+        theta_cols.append(np.array([np.concatenate([np.zeros(k), th[: d + 1 - k]]) for k in range(d + 1)]).T)
+        kernel_cols.append(tmw_oracle(z, d))
+        ident.append(np.eye(d + 1))
+    mass = np.zeros(V.shape[1])
+    for i in range(box.n):
+        A = np.ones((1, 1))
+        for l in range(box.n):
+            A = np.kron(A, theta_cols[l] if l < i else kernel_cols[l] if l == i else ident[l])
+        mass += np.sum(np.abs(A.conj().T @ V) ** 2, axis=0)
+    return np.sum(np.abs(V) ** 2, axis=0) - mass

@@ -20,7 +20,7 @@ from polytoep.cli import main
 from polytoep.lattice import Box
 from polytoep.modelspace import model_basis
 from polytoep.operators import TruncatedOperator, toeplitz
-from polytoep.symbols import blaschke_factor, from_coefficients
+from polytoep.symbols import blaschke_factor, from_coefficients, product_inner
 
 from oracles import rotated
 
@@ -254,14 +254,19 @@ def test_op_payload_edges_never_exit_three_sweep(tmp_path_factory, op):
     _check_op_payload(tmp_path_factory.getbasetemp(), op)
 
 
+# U diag(z^2, 1) U*, U a real rotation: inner, exactly, and given by its
+# coefficients alone, whose columns are not monomial-type
+_U = np.array([[0.6, -0.8], [0.8, 0.6]])
+ROTATED_BLOCK = from_coefficients(1, 2, [((0,), _U @ np.diag([0.0, 1.0]) @ _U.T), ((2,), _U @ np.diag([1.0, 0.0]) @ _U.T)])
 # (theta, caps) of the model spaces the .ms property corrupts: selection
 # bases, whose compressed shifts are partial permutations, at n = 1, 2 and
-# p = 2, and an SVD basis with dense ones; q = 3, 5, 4 and 6
+# p = 2, an SVD basis and a TMW basis with dense ones; q = 3, 5, 4, 4 and 9
 FUZZ_SPACES = [
     (from_coefficients(1, 1, [((3,), 1.0)]), (5,)),
     (from_coefficients(2, 1, [((1, 1), 1.0)]), (2, 2)),
     (from_coefficients(1, 2, [((2,), np.eye(2))]), (3,)),
-    (blaschke_factor(0.5, 6), (9,)),
+    (ROTATED_BLOCK, (3,)),
+    (product_inner([blaschke_factor(0.5, 6), blaschke_factor(-0.5j, 6)]), (4, 4)),
 ]
 # payload parts: NaN, infinite, huge, subnormal
 ODD_PARTS = [math.nan, math.inf, -math.inf, sys.float_info.max, -1e300, 1e300, 5e-324, 2.0**-1060]
@@ -434,17 +439,38 @@ def _symbol_bytes(tmp, index: int) -> bytes:
     return path.read_bytes()
 
 
+# values a zero drawn into a symbol file may take: inside the disc, on or
+# outside its boundary, and not finite
+ZERO_VALUES = [0.5, 0.25, 0.0, -0.5j, 1.0, 0.6 + 0.8j, 2.0, math.nan, math.inf, complex(0.0, -math.inf)]
+
+
 @st.composite
 def symbol_corruptions(draw):
-    """(symbol index, kind, how): 1-3 bit flips in the JSON line, or a truncation of it."""
-    kind = draw(st.sampled_from(["header", "truncate header"]))
-    return draw(st.integers(0, len(FUZZ_SYMBOLS) - 1)), kind, draw(_corruption(kind))
+    """(symbol index, kind, how): 1-3 bit flips in the JSON line, a truncation of it, or zeros written in.
+
+    The zeros are 0-3 lists of 0-2 values of ZERO_VALUES: a count that does
+    not match n, a zero with |a| >= 1 or not finite, and zeros that
+    disagree with the coefficients all occur.
+    """
+    kind = draw(st.sampled_from(["header", "truncate header", "zeros"]))
+    if kind == "zeros":
+        how = draw(st.lists(st.lists(st.sampled_from(ZERO_VALUES), max_size=2), max_size=3))
+    else:
+        how = draw(_corruption(kind))
+    return draw(st.integers(0, len(FUZZ_SYMBOLS) - 1)), kind, how
+
+
+def _with_zeros(raw: bytes, zeros) -> bytes:
+    data = json.loads(raw)
+    data["zeros"] = [{"re": [complex(a).real for a in z], "im": [complex(a).imag for a in z]} for z in zeros]
+    return json.dumps(data).encode() + b"\n"  # NaN and Infinity as Python's json writes them
 
 
 def _check_symbol_corruption(tmp_path, case):
     index, kind, how = case
     path, good = tmp_path / "bad.json", tmp_path / "good.json"
-    path.write_bytes(_corrupt(_symbol_bytes(tmp_path, index), kind, how))
+    raw = _symbol_bytes(tmp_path, index)
+    path.write_bytes(_with_zeros(raw, how) if kind == "zeros" else _corrupt(raw, kind, how))
     if not good.exists():
         io.save_symbol(good, blaschke_factor(-0.5j, 4))
     op, ms, product = tmp_path / "s.op", tmp_path / "s.ms", tmp_path / "product.json"
@@ -658,12 +684,36 @@ def test_symbol_builders(tmp_path):
     b = tmp_path / "b.json"
     assert main(["symbol", "--blaschke", "0.5", "--degree", "12", "--out", str(b)]) == 0
     sym = io.load_symbol(b)
-    assert sym.tail_bound > 0
+    assert sym.tail_bound > 0 and sym.zeros == ((0.5,),)
     z = tmp_path / "z.json"
     assert main(["symbol", "--monomial", "1", "--out", str(z)]) == 0
     prod = tmp_path / "prod.json"
     assert main(["symbol", "--product", f"{b},{z}", "--out", str(prod)]) == 0
-    assert io.load_symbol(prod).n == 2
+    assert io.load_symbol(prod).n == 2 and io.load_symbol(prod).zeros is None
+    assert main(["symbol", "--product", f"{b},{b}", "--out", str(prod)]) == 0
+    assert io.load_symbol(prod).zeros == ((0.5,), (0.5,))
+
+
+def test_blaschke_model_space_ignores_the_truncation_degree(tmp_path, capsys):
+    # the default degree 40 is far past caps 9: the zeros give K_theta's 19 dimensions
+    b = tmp_path / "b.json"
+    assert main(["symbol", "--blaschke", "0.5", "--out", str(b)]) == 0
+    prod, ms = tmp_path / "prod.json", tmp_path / "Q.ms"
+    assert main(["symbol", "--product", f"{b},{b}", "--out", str(prod)]) == 0
+    assert main(["modelspace", "--theta", str(prod), "--caps", "9,9", "--out", str(ms)]) == 0
+    assert "q = 19" in capsys.readouterr().out
+    assert main(["invariance", "--modelspace", str(ms)]) == 0
+
+
+def test_vacuous_inner_certificate_is_refused(tmp_path, capsys):
+    # 5z is not inner, and a tail bound of 1e300 would let the grid certify it
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({
+        "n": 1, "p": 1, "tail_bound": 1e300, "coefficients": [{"k": [1], "re": [[5.0]], "im": [[0.0]]}],
+    }))
+    assert main(["modelspace", "--theta", str(theta), "--caps", "4", "--out", str(tmp_path / "Q.ms")]) == 2
+    assert "tail allowance 1.000e+300" in capsys.readouterr().err
+    assert not (tmp_path / "Q.ms").exists()
 
 
 def test_recover_cli(tmp_path):

@@ -11,7 +11,7 @@ from polytoep import io
 from polytoep.lattice import Box
 from polytoep.modelspace import ModelSpace, model_basis
 from polytoep.operators import TruncatedOperator, toeplitz
-from polytoep.symbols import TorusSymbol, from_coefficients, random_symbol
+from polytoep.symbols import TorusSymbol, blaschke_factor, from_coefficients, multiply, product_inner, random_symbol
 
 from oracles import max_coeff_difference
 
@@ -87,6 +87,30 @@ def test_modelspace_round_trip(tmp_path):
     assert back.box == ms.box and back.safe_box == ms.safe_box
     assert np.array_equal(back.basis, ms.basis)
     assert max_coeff_difference(back.theta, theta) == 0.0
+
+
+def test_zeros_survive_the_symbol_and_modelspace_files(tmp_path):
+    theta = product_inner([blaschke_factor(0.5, 4), multiply(blaschke_factor(-0.5j, 3), blaschke_factor(0.3, 2))])
+    io.save_symbol(tmp_path / "theta.json", theta)
+    data = json.loads((tmp_path / "theta.json").read_text())
+    assert data["zeros"] == [{"re": [0.5], "im": [0.0]}, {"re": [-0.0, 0.3], "im": [-0.5, 0.0]}]
+    assert io.load_symbol(tmp_path / "theta.json").zeros == theta.zeros
+    ms = model_basis(theta, Box((6, 5)))
+    io.save_modelspace(tmp_path / "Q.ms", ms)
+    back = io.load_modelspace(tmp_path / "Q.ms")
+    assert back.theta.zeros == theta.zeros and back.basis.tobytes() == ms.basis.tobytes()
+    assert back.safe_box.caps == (5, 3) and back.distance_bound == ms.distance_bound
+    # a symbol without zeros writes no zeros key
+    io.save_symbol(tmp_path / "z.json", from_coefficients(1, 1, [((1,), 1.0)]))
+    assert "zeros" not in json.loads((tmp_path / "z.json").read_text())
+
+
+@pytest.mark.parametrize("zeros", [0.5, [0.5], [{"re": [1.5]}], [{"im": [0.5]}], [{"re": ["x"]}], [{"re": [0.5], "im": [0.0, 1.0]}]])
+def test_malformed_zeros_are_refused(tmp_path, zeros):
+    data = io.symbol_to_dict(blaschke_factor(0.5, 8))
+    (tmp_path / "bad.json").write_text(json.dumps({**data, "zeros": zeros}))
+    with pytest.raises(ValueError):
+        io.load_symbol(tmp_path / "bad.json")
 
 
 @pytest.mark.parametrize("damage", ["scale", "nan", "duplicate"])

@@ -18,10 +18,17 @@ from polytoep.modelspace import (
     model_compactness_test,
 )
 from polytoep.operators import _gather
-from polytoep.symbols import blaschke_factor, from_coefficients, product_inner
+from polytoep.symbols import TorusSymbol, blaschke_factor, from_coefficients, multiply, product_inner
 
 import oracles
-from oracles import analytic_columns_oracle, enumerate_basis, rotated, shift_oracle, stacked_invariance_oracle
+from oracles import (
+    analytic_columns_oracle,
+    coefficients_only,
+    enumerate_basis,
+    rotated,
+    shift_oracle,
+    stacked_invariance_oracle,
+)
 
 
 def monomial(n, k, p=1):
@@ -63,9 +70,11 @@ def test_model_basis_rejects_oversized_theta():
 
 
 def test_model_basis_orthogonality_invariants():
-    b = blaschke_factor(0.5, 6)  # tail 2^-6 * 1.5: must fit inside the box caps
-    theta = product_inner([b, blaschke_factor(0.0, 1)])
-    ms = model_basis(theta, Box((6, 4)), tol=2e-2)
+    # the SVD complement of a theta given by coefficients alone: tail
+    # 2^-6 * 1.5, within tol, and the degree must fit inside the box caps
+    theta = coefficients_only(product_inner([blaschke_factor(0.5, 6), blaschke_factor(0.0, 1)]))
+    ms = model_basis(theta, Box((6, 4)), tol=3e-2)
+    assert ms.selection_rows is None
     gram = ms.basis.conj().T @ ms.basis
     assert np.abs(gram - np.eye(ms.q)).max() < 1e-10
     # complement columns really annihilate the analytic columns
@@ -74,8 +83,8 @@ def test_model_basis_orthogonality_invariants():
 
 
 @pytest.mark.parametrize("theta, caps", [
-    (blaschke_factor(0.5, 6), (9,)),
-    (product_inner([blaschke_factor(0.5, 3), blaschke_factor(-0.25j, 2)]), (5, 4)),
+    (coefficients_only(blaschke_factor(0.5, 6)), (9,)),
+    (coefficients_only(product_inner([blaschke_factor(0.5, 3), blaschke_factor(-0.25j, 2)])), (5, 4)),
     (monomial(2, (2, 1)), (4, 1)),
     (monomial(1, (3,)), (3,)),  # safe box (0,)
     (monomial(1, (2,), p=2), (4,)),
@@ -305,17 +314,18 @@ def blaschke_pair(degree):
     return product_inner([blaschke_factor(0.5, degree), blaschke_factor(-0.5j, degree)])
 
 
-# (theta, caps): q = 10, 16 (n = 1), 9, 16 (n = 2), 10, 14 (n = 3), one on each
+# (theta, caps): q = 10, 16 (n = 1), 9, 13 (n = 2), 10, 14 (n = 3), one on each
 # side of the dense/Lanczos crossover per dimension, and q = 14 at p = 2;
-# z^16 and z1z2z3 have repeated singular values, b2*b2 has distinct ones, and
-# the p = 2 space is two copies of z1z2's, so each of its values is fourfold.
-# The dense-C tests take each on a rotated basis (`oracles.rotated`), since a
-# monomial theta's own selection basis takes the difference split.
+# z^16 and z1z2z3 have repeated singular values, b2*b2 (a TMW basis) has
+# nearly distinct ones, and the p = 2 space is two copies of z1z2's, so each
+# of its values is fourfold.  The dense-C tests take each on a rotated basis
+# (`oracles.rotated`), since a monomial theta's own selection basis takes the
+# difference split.
 PROBE_SPACES = [
     (monomial(1, (10,)), (12,)),
     (monomial(1, (16,)), (18,)),
     (monomial(2, (1, 1)), (4, 4)),
-    (blaschke_pair(2), (4, 4)),
+    (blaschke_pair(2), (6, 6)),
     (monomial(3, (1, 1, 1)), (2, 1, 1)),
     (monomial(3, (1, 1, 1)), (2, 2, 1)),
     (monomial(2, (1, 1), p=2), (3, 3)),
@@ -341,7 +351,7 @@ def test_invariance_kernel_matches_dense_oracle(theta, caps):
 
 
 @pytest.mark.parametrize("theta, caps, tol", [
-    (blaschke_pair(2), (4, 4), 0.9),    # 14 distinct singular values below tol
+    (blaschke_pair(2), (6, 6), 0.9),    # 17 singular values below tol, a few in near pairs
     (monomial(1, (16,)), (18,), 0.7),   # 62, most of them in equal pairs
     (monomial(2, (2, 1)), (4, 4), 0.95),  # 11, in equal pairs but the first
 ])
@@ -493,3 +503,124 @@ def test_hermitian_half_has_the_spectrum_of_the_normal_map(index):
     real = np.stack([normal(e) for e in np.eye(ms.q**2)], axis=1)
     want = oracle_singular_values(ms)[::-1] ** 2
     assert np.abs(np.linalg.eigvalsh((real + real.T) / 2) - want).max() <= 1e-12
+
+
+# -- TMW bases: theta with zeros ---------------------------------------------
+
+
+def one():
+    """The constant 1 as a one-variable symbol with an empty list of zeros."""
+    return TorusSymbol(1, 1, {(0,): np.ones((1, 1), dtype=complex)}, 0.0, zeros=((),))
+
+
+@pytest.mark.parametrize("a", [0.5, -0.3 + 0.4j, 0.9j])
+@pytest.mark.parametrize("d", [3, 9, 20])
+def test_blaschke_factor_space_is_its_kernel(a, d):
+    # K_(b_a) is spanned by the Szego kernel at a, and C is a within the tail;
+    # the identity's compressions read |C|^(2m), |a|^(2m) within 2m times it
+    ms = model_basis(blaschke_factor(a, 3), Box((d,)))
+    assert ms.q == 1 and ms.selection_rows is None
+    tail = ms.distance_bound
+    assert tail == pytest.approx(abs(a) ** (d + 1) / math.sqrt(1 - abs(a) ** (2 * d + 2)), rel=1e-12)
+    assert abs(compressed_shift(ms, 0).item() - a) <= tail
+    rep = model_compactness_test(ms, np.eye(1), m_max=5)
+    for m, v in enumerate(rep.norms[0], 1):
+        assert abs(v - abs(a) ** (2 * m)) <= 2 * m * tail
+
+
+@pytest.mark.parametrize("d", [12, 20, 40])
+def test_one_variable_product_has_a_triangular_shift(d):
+    # in TMW order C is lower triangular with the zeros on its diagonal
+    zeros = (0.5, -0.3 + 0.4j, 0.7j, 0.5)
+    theta = blaschke_factor(zeros[0], 4)
+    for a in zeros[1:]:
+        theta = multiply(theta, blaschke_factor(a, 4))
+    ms = model_basis(theta, Box((d,)))
+    C = compressed_shift(ms, 0)
+    tail = 4 * ms.distance_bound
+    assert ms.q == len(zeros) and tail < 1
+    assert np.abs(np.triu(C, 1)).max() <= tail
+    assert np.abs(np.diagonal(C) - np.array(zeros)).max() <= tail
+
+
+def test_q_does_not_depend_on_the_truncation_degree():
+    # b_a(z1) b_b(z2) on (9, 9): K_(b_a) x span{z2^k} plus b_a z1^j x K_(b_b), 10 + 9
+    spaces = [model_basis(product_inner([blaschke_factor(0.5, D), blaschke_factor(-0.5j, D)]), Box((9, 9)))
+              for D in (0, 2, 7, 40)]
+    assert [ms.q for ms in spaces] == [19] * 4
+    assert all(ms.basis.tobytes() == spaces[0].basis.tobytes() for ms in spaces)
+    assert spaces[0].safe_box.caps == (8, 8)
+
+
+def zero_monomial(k):
+    """z^k with every zero at 0, built as a product of Blaschke factors b_0."""
+    factors = []
+    for ki in k:
+        f = one()
+        for _ in range(ki):
+            f = multiply(f, blaschke_factor(0.0, 1))
+        factors.append(f)
+    return product_inner(factors)
+
+
+def test_zeros_at_the_origin_give_the_selection_basis():
+    # every monomial space on small boxes, built from zeros and from the coefficient alone
+    for n, top in ((1, 8), (2, 4), (3, 2)):
+        for caps in itertools.product(range(top + 1), repeat=n):
+            for k in itertools.product(*(range(c + 1) for c in caps)):
+                got, want = model_basis(zero_monomial(k), Box(caps)), model_basis(monomial(n, k), Box(caps))
+                assert got.basis.shape == want.basis.shape and got.basis.tobytes() == want.basis.tobytes()
+                assert got.distance_bound == 0.0 and got.selection_rows is not None
+
+
+@st.composite
+def tmw_thetas(draw):
+    """A product of one-variable Blaschke products, n <= 3, 0-3 zeros (at most the cap) per variable, moduli 0 to 0.9."""
+    n = draw(st.integers(1, 3))
+    caps = tuple(draw(st.lists(st.integers(0, (12, 5, 2)[n - 1]), min_size=n, max_size=n)))
+    factors = []
+    for d in caps:
+        f = one()
+        for _ in range(draw(st.integers(0, min(d, 3)))):
+            r = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))
+            a = r * np.exp(2j * np.pi * draw(st.floats(0.0, 1.0)))
+            f = multiply(f, blaschke_factor(a, draw(st.integers(0, 4))))
+        factors.append(f)
+    return product_inner(factors), Box(caps)
+
+
+def check_tmw_space(theta, box, seed):
+    """The TMW basis is orthonormal, of K_theta's dimension on the box, and within distance_bound of K_theta."""
+    ms = model_basis(theta, box)
+    want_q = box.dim - math.prod(d + 1 - len(z) for z, d in zip(theta.zeros, box.caps))
+    assert ms.q == want_q
+    assert np.abs(ms.basis.conj().T @ ms.basis - np.eye(ms.q)).max(initial=0.0) <= 64 * oracles.EPS
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(ms.q) + 1j * rng.standard_normal(ms.q)
+    V = np.column_stack([ms.basis, ms.basis @ (c / np.linalg.norm(c))]) if ms.q else ms.basis
+    residual = oracles.model_space_residual(theta.zeros, box, V)
+    assert (residual <= ms.distance_bound**2 + 64 * box.dim * oracles.EPS).all()
+
+
+@settings(max_examples=40)
+@given(tmw_thetas(), st.integers(0, 2**32 - 1))
+def test_tmw_basis_lies_within_its_tail_of_the_model_space(case, seed):
+    check_tmw_space(*case, seed)
+
+
+@pytest.mark.nightly
+@settings(max_examples=1000)
+@given(tmw_thetas(), st.integers(0, 2**32 - 1))
+def test_tmw_basis_lies_within_its_tail_of_the_model_space_sweep(case, seed):
+    check_tmw_space(*case, seed)
+
+
+def test_coefficient_only_tail_allowance_must_fit_the_tolerance():
+    # a grid certificate whose tail allowance exceeds tol would certify anything
+    b6, b40 = coefficients_only(blaschke_factor(0.5, 6)), coefficients_only(blaschke_factor(0.5, 40))
+    with pytest.raises(ValueError, match="tail allowance 2.344e-02"):
+        model_basis(b6, Box((9,)), tol=2e-2)
+    assert model_basis(b6, Box((9,)), tol=3e-2).q == 6
+    assert model_basis(b40, Box((44,)), tol=2e-2).q == 40
+    with pytest.raises(ValueError, match="tail allowance 1.000e\\+300"):
+        model_basis(TorusSymbol(1, 1, {(1,): np.full((1, 1), 5.0 + 0j)}, 1e300), Box((3,)))

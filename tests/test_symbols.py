@@ -233,3 +233,62 @@ def test_block_norms_are_lapack_per_block(p, dtype):
         want[5, 4] = math.inf
     assert np.array_equal(_block_norms(B), want)
     assert all(np.array_equal(_block_norms(b), w) for b, w in zip(B[1], want[1]))
+
+
+# -- zeros ---------------------------------------------------------------------
+
+
+def test_builders_carry_the_zeros():
+    assert blaschke_factor(0.5, 3).zeros == ((0.5,),)
+    pair = product_inner([blaschke_factor(0.5, 3), blaschke_factor(-0.5j, 2)])
+    assert pair.zeros == ((0.5,), (-0.5j,))
+    # factor i in variable i, joined variable by variable under multiply
+    both = multiply(pair, product_inner([blaschke_factor(0.25, 2), blaschke_factor(0.0, 1)]))
+    assert both.zeros == ((0.5, 0.25), (-0.5j, 0.0))
+    assert multiply(blaschke_factor(0.5, 3), blaschke_factor(0.3j, 4)).zeros == ((0.5, 0.3j),)
+    # one factor given by coefficients alone: no zeros
+    z = from_coefficients(1, 1, [((1,), 1.0)])
+    assert product_inner([blaschke_factor(0.5, 3), z]).zeros is None
+    assert multiply(blaschke_factor(0.5, 3), z).zeros is None
+
+
+@pytest.mark.parametrize("zeros, match", [
+    (((1.0,),), "finite with"),
+    (((0.6 + 0.8j,),), "finite with"),
+    (((math.nan,),), "finite with"),
+    (((complex(0.0, math.inf),),), "finite with"),
+    (((0.5,), (0.5,)), "one per variable"),
+    ((), "one per variable"),
+    (((0.25,),), "disagree"),
+    (((0.5, 0.5),), "disagree"),
+    (((),), "disagree"),
+])
+def test_zeros_that_do_not_describe_the_table_are_refused(zeros, match):
+    b = blaschke_factor(0.5, 12)
+    with pytest.raises(ValueError, match=match):
+        TorusSymbol(1, 1, b.coefficients, b.tail_bound, zeros=zeros)
+
+
+def test_zeros_need_a_scalar_analytic_table():
+    with pytest.raises(ValueError, match="p = 2"):
+        TorusSymbol(1, 2, {(1,): np.eye(2, dtype=complex)}, 0.0, zeros=((0.0,),))
+    with pytest.raises(ValueError, match="analytic"):
+        TorusSymbol(1, 1, {(1,): np.ones((1, 1)), (-1,): np.zeros((1, 1))}, 0.0, zeros=((0.0,),))
+
+
+def test_table_agrees_with_its_zeros_within_the_tail_bound():
+    # the L^2 distance of the table from the product is the dropped tail,
+    # sqrt(1 - |a|^2) |a|^D for one factor; a table cut short with an
+    # understated tail is refused
+    b = blaschke_factor(0.5, 6)
+    assert b.tail_bound >= math.sqrt(0.75) * 0.5**6
+    cut = {k: v for k, v in b.coefficients.items() if k[0] <= 3}
+    with pytest.raises(ValueError, match="disagree"):
+        TorusSymbol(1, 1, cut, 0.1, zeros=((0.5,),))
+    assert TorusSymbol(1, 1, cut, 0.2, zeros=((0.5,),)).zeros == ((0.5,),)
+    # b_0 at degree 0 is an empty table with tail 1: the whole of z is dropped
+    assert blaschke_factor(0.0, 0).zeros == ((0.0,),)
+    bumped = dict(b.coefficients)
+    bumped[(2,)] = bumped[(2,)] + 0.05
+    with pytest.raises(ValueError, match="disagree"):
+        TorusSymbol(1, 1, bumped, b.tail_bound, zeros=((0.5,),))
