@@ -6,11 +6,13 @@ real/imaginary parts (row-major) or CSV with the same interleaving for
 small matrices.  All JSON is emitted with sorted keys and repr-exact floats
 so identical inputs produce bit-identical files.
 
-An operator header carries a `symbol` only for a Toeplitz section; loading
-refuses a file whose payload is not exactly that symbol's section, so the
-symbol never disagrees with the matrix it travels with.  Likewise a
-model-space header's n, p, safe_caps and column_tail_bound are read off
-theta and the caps, and loading refuses a header that states other values.
+Both containers have one writer and one reader, and a header records only
+what cannot be derived: an operator's kind, p, caps and format, plus the
+symbol of a Toeplitz section, and a model space's kind, p, caps, q and
+theta.  Loading refuses an operator whose payload is not exactly its header
+symbol's section, and a model space whose p or number of caps is not
+theta's or whose caps do not hold theta's reach, so no recorded value
+disagrees with another.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import Box
-from .modelspace import BOUNDARY_NOTE, ModelSpace
+from .modelspace import ModelSpace, _safe_box
 from .operators import TruncatedOperator, toeplitz
 from .symbols import TorusSymbol, from_coefficients
 
@@ -122,41 +124,48 @@ def _matrix_from_csv(text: str, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def save_operator(path, op: TruncatedOperator, fmt: str = "binary") -> None:
-    if fmt not in ("binary", "csv"):
-        raise ValueError(f"unknown operator format {fmt!r}")
-    header = {
-        "kind": "operator",
-        "n": op.box.n,
-        "p": op.p,
-        "caps": list(op.box.caps),
-        "format": fmt,
-    }
-    if op.symbol is not None:
-        header["symbol"] = symbol_to_dict(op.symbol)
-    head = dumps_header(header) + "\n"
-    if fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(head.encode())
-            fh.write(_matrix_to_bytes(op.matrix))
-    else:
-        with open(path, "w") as fh:
-            fh.write(head)
-            fh.write(_matrix_to_csv(op.matrix))
+def _write_container(path, header: dict, payload: bytes) -> None:
+    """An `.op` or `.ms` file: the header as one canonical JSON line, then the payload."""
+    with open(path, "wb") as fh:
+        fh.write((dumps_header(header) + "\n").encode())
+        fh.write(payload)
 
 
-def _read_header(path) -> tuple[dict, bytes]:
-    raw = Path(path).read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
+def _read_container(path, kind: str) -> tuple[dict, Box, int, np.ndarray]:
+    """The header, box, block size p and payload matrix of an `.op` or `.ms` file.
+
+    kind is "operator" or "modelspace", and the header must say so.  The
+    payload has p times the box's dimension rows and, for an operator, as
+    many columns, binary or CSV as its format says; for a model space, q
+    columns in binary.  Other keys are the caller's to read, and a key no
+    one reads is ignored: older files also record n, safe_caps,
+    column_tail_bound, boundary_note, structure or direction.
+    """
+    head, newline, payload = Path(path).read_bytes().partition(b"\n")  # the whole file is freed before the matrix is made
+    if not newline:
         raise ValueError(f"{path}: missing header line")
     try:
-        header = json.loads(raw[:nl].decode())
+        header = json.loads(head.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header is not a JSON object")
-    return header, raw[nl + 1 :]
+    if header.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} file (kind={header.get('kind')!r})")
+    try:
+        box = Box(tuple(header["caps"]))
+        p = _integer(header["p"])
+        rows = p * box.dim
+        cols, fmt = (rows, header["format"]) if kind == "operator" else (_integer(header["q"]), "binary")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed {kind} header: {exc}") from exc
+    if fmt == "binary":
+        matrix = _matrix_from_bytes(payload, rows, cols)
+    elif fmt == "csv":
+        matrix = _matrix_from_csv(payload.decode(), rows, cols)
+    else:
+        raise ValueError(f"{path}: unknown payload format {fmt!r}")
+    return header, box, p, matrix
 
 
 def _integer(value) -> int:
@@ -166,28 +175,24 @@ def _integer(value) -> int:
     return value
 
 
+def save_operator(path, op: TruncatedOperator, fmt: str = "binary") -> None:
+    """Write kind, p, caps, format, the symbol of a Toeplitz section, and the matrix."""
+    if fmt not in ("binary", "csv"):
+        raise ValueError(f"unknown operator format {fmt!r}")
+    header = {"kind": "operator", "p": op.p, "caps": list(op.box.caps), "format": fmt}
+    if op.symbol is not None:
+        header["symbol"] = symbol_to_dict(op.symbol)
+    payload = _matrix_to_bytes(op.matrix) if fmt == "binary" else _matrix_to_csv(op.matrix).encode()
+    _write_container(path, header, payload)
+
+
 def load_operator(path) -> TruncatedOperator:
-    """Read an operator file; keys other than those save_operator writes are ignored.
+    """Read an operator file (`_read_container`).
 
     A payload with a NaN entry is refused, naming the first one's (row,
     column): no verdict can rest on it.
     """
-    header, payload = _read_header(path)
-    if header.get("kind") != "operator":
-        raise ValueError(f"{path}: not an operator file (kind={header.get('kind')!r})")
-    try:
-        box = Box(tuple(header["caps"]))
-        p = _integer(header["p"])
-        fmt = header["format"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed operator header: {exc}") from exc
-    dim = p * box.dim
-    if fmt == "binary":
-        matrix = _matrix_from_bytes(payload, dim, dim)
-    elif fmt == "csv":
-        matrix = _matrix_from_csv(payload.decode(), dim, dim)
-    else:
-        raise ValueError(f"{path}: unknown payload format {fmt!r}")
+    header, box, p, matrix = _read_container(path, "operator")
     parts = matrix.view(float)
     if np.isnan(parts.min()):  # one pass: a NaN anywhere makes the minimum NaN
         row, col = np.argwhere(np.isnan(parts))[0]
@@ -206,56 +211,36 @@ def load_operator(path) -> TruncatedOperator:
 
 
 def save_modelspace(path, ms: ModelSpace) -> None:
-    header = {
-        "kind": "modelspace",
-        "n": ms.box.n,
-        "p": ms.p,
-        "caps": list(ms.box.caps),
-        "safe_caps": list(ms.safe_box.caps),
-        "q": ms.q,
-        "theta": symbol_to_dict(ms.theta),
-        "column_tail_bound": ms.theta.tail_bound,
-        "boundary_note": BOUNDARY_NOTE,
-    }
-    with open(path, "wb") as fh:
-        fh.write((dumps_header(header) + "\n").encode())
-        fh.write(_matrix_to_bytes(ms.basis))
+    """Write kind, p, caps, q, theta and the basis."""
+    header = {"kind": "modelspace", "p": ms.p, "caps": list(ms.box.caps), "q": ms.q, "theta": symbol_to_dict(ms.theta)}
+    _write_container(path, header, _matrix_to_bytes(ms.basis))
 
 
 def load_modelspace(path) -> ModelSpace:
-    """Read a model-space file; a header field that disagrees with theta is refused.
+    """Read a model-space file (`_read_container`) whose p and caps fit its theta.
 
-    So is a basis whose Gram matrix V*V is off the identity by more than
-    ORTHONORMAL_TOL in some entry.  A selection basis (every column a
-    distinct standard basis vector with entry 1.0, `ModelSpace.selection_rows`)
-    has V*V = I exactly and skips the q x q product.
+    A header whose p is not theta's, whose number of caps is not theta's n,
+    or whose caps do not hold theta's reach (`modelspace._safe_box`, as
+    `model_basis` refuses it) is refused.  So is a basis whose Gram matrix
+    V*V is off the identity by more than ORTHONORMAL_TOL in some entry.  A
+    selection basis (every column a distinct standard basis vector with
+    entry 1.0, `ModelSpace.selection_rows`) has V*V = I exactly and skips
+    the q x q product.
     """
-    header, payload = _read_header(path)
-    if header.get("kind") != "modelspace":
-        raise ValueError(f"{path}: not a model-space file")
+    header, box, p, basis = _read_container(path, "modelspace")
     try:
-        box = Box(tuple(header["caps"]))
-        n, p, q = (_integer(header[key]) for key in ("n", "p", "q"))
-        safe = [_integer(c) for c in header["safe_caps"]]
         theta = symbol_from_dict(header["theta"])
-        tail = float(header.get("column_tail_bound", theta.tail_bound))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed model-space header: {exc}") from exc
-    if (n, p) != (theta.n, theta.p) or box.n != theta.n:
-        raise ValueError(
-            f"{path}: header has n = {n}, p = {p} and {box.n} caps; theta has n = {theta.n}, p = {theta.p}"
-        )
-    if tail != theta.tail_bound:
-        raise ValueError(f"{path}: column_tail_bound {tail!r} is not theta's tail bound {theta.tail_bound!r}")
-    basis = _matrix_from_bytes(payload, p * box.dim, q)
+        raise ValueError(f"{path}: malformed modelspace header: {exc}") from exc
+    if p != theta.p or box.n != theta.n:
+        raise ValueError(f"{path}: header has p = {p} and {box.n} caps; theta has n = {theta.n}, p = {theta.p}")
+    _safe_box(theta, box)  # refuses caps that do not hold theta's reach
     ms = ModelSpace(theta=theta, box=box, basis=basis)
-    if safe != list(ms.safe_box.caps):
-        raise ValueError(f"{path}: safe_caps {safe} are not the caps minus theta's reach, {list(ms.safe_box.caps)}")
     if ms.selection_rows is not None:  # V*V = I exactly, q = 0 included
         deviation = 0.0
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # a huge or non-finite entry: inf or NaN, refused below
-            deviation = np.abs(basis.conj().T @ basis - np.eye(q)).max()
+            deviation = np.abs(basis.conj().T @ basis - np.eye(ms.q)).max()
     if not deviation <= ORTHONORMAL_TOL:  # NaN fails too
         raise ValueError(
             f"{path}: basis columns are not orthonormal (Gram deviation {deviation:.3e} "

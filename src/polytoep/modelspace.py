@@ -13,7 +13,6 @@ sub-box where the whole product fits): a selection of monomials when theta
 is monomial-type, else an SVD complement.  Near the box boundary these
 columns undercount the untruncated quotient, so theorem tests should prefer
 deep interiors.  Zeros all 0 give the monomial selection, bit for bit.
-Every model-space file carries a note to that effect.
 """
 
 from __future__ import annotations
@@ -30,12 +29,6 @@ from .lattice import Box, _check_directions
 from .operators import _cut, _gather, _side, operator_norm
 from .symbols import INNER_TOL, TorusSymbol, is_inner, tmw_series, tmw_tails
 
-BOUNDARY_NOTE = (
-    "truncated quotient: with theta's zeros, the TMW basis of K_theta cut at the caps, "
-    "within about max|a|^(d+1) of K_theta; else exact against columns that fit the box, "
-    "and near-boundary basis vectors may differ from the untruncated space"
-)
-
 # Largest q whose invariance map takes the dense SVD when the compressed
 # shifts are dense (a TMW or SVD basis); a selection basis takes the
 # difference split at every q.  On TMW Blaschke spaces (|a| = 1/2, best of 3,
@@ -49,10 +42,13 @@ BOUNDARY_NOTE = (
 # needs k < q^2).
 DENSE_MAX_Q = 11
 
-# Smallest Krylov dimension of a Lanczos run in `invariance_kernel`.  On
-# b7*b7's former SVD basis (q = 91, n = 2) the matvecs fall from 461 at 20
-# to 385 at 32 but only to 353 at 64, while each restart costs more; 28 and
-# 32 were fastest (ncv ladder in CHANGES.md).
+# Smallest Krylov dimension of a Lanczos run in `invariance_kernel`.  On the
+# TMW spaces of b_a(z1) b_b(z2), |a| = |b| = 1/2, on (6,6), (9,9), (12,12)
+# and (15,15) (q = 13, 19, 25, 31) the probe takes 65, 81, 97 and 97
+# matvecs at 32 against 71, 81, 91 and 101 at ARPACK's default 20, and the
+# times are within about 12% either way (median of 15, alternating, one
+# BLAS thread, 2-vCPU VM).  The default gains nothing, and 32 keeps the
+# matvecs that b3*b3's report states.
 NCV = 32
 
 KERNEL_TOL = 1e-8  # singular values of the invariance map at most this count toward its kernel
@@ -62,8 +58,8 @@ KERNEL_TOL = 1e-8  # singular values of the invariance map at most this count to
 class ModelSpace:
     """Orthonormal basis of the truncated quotient of theta on a box.
 
-    Everything else is read off theta and the box: the block size, the safe
-    sub-box (caps minus theta's reach, `_safe_box`) and the tail bound.
+    Everything else is read off theta and the box: the block size, and the
+    safe sub-box (caps minus theta's reach, `_safe_box`).
     """
 
     theta: TorusSymbol
@@ -81,10 +77,6 @@ class ModelSpace:
     @property
     def q(self) -> int:
         return self.basis.shape[1]
-
-    @property
-    def safe_box(self) -> Box:
-        return _safe_box(self.theta, self.box)
 
     @cached_property
     def distance_bound(self) -> float | None:
@@ -122,7 +114,7 @@ def _safe_box(theta: TorusSymbol, box: Box) -> Box:
     fits the box; for theta with zeros, the exponents of the theta z^k
     parts of the TMW basis (`_tmw_columns`).  The two agree on z^m.
     """
-    hi = theta.freq_range()[1] if theta.zeros is None else tuple(len(z) for z in theta.zeros)
+    hi = tuple(int(h) for h in theta.freq_range()[1]) if theta.zeros is None else tuple(len(z) for z in theta.zeros)
     caps = tuple(int(c - h) for c, h in zip(box.caps, hi))
     if any(c < 0 for c in caps):
         raise ValueError(f"empty safe box: support reach {hi} does not fit caps {box.caps}")

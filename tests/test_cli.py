@@ -771,7 +771,7 @@ def test_symbol_long_inline_table(tmp_path):
 
 def test_symbol_nan_tail_bound_exit_two(tmp_path, capsys):
     # a NaN or infinite tail bound is no bound: refused, so no symbol file
-    # carries one and a model-space header's tail compares with a plain !=
+    # carries one
     out = tmp_path / "x.json"
     for tail in ("NaN", "Infinity"):
         coeffs = f'{{"n": 1, "p": 1, "coefficients": [{{"k": [2], "re": 1.0}}], "tail_bound": {tail}}}'
@@ -937,20 +937,122 @@ Z3 = {"n": 1, "p": 1, "coefficients": [{"k": [3], "re": [[1.0]], "im": [[0.0]]}]
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n", 2),
     ("p", 2),
-    ("safe_caps", [5]),
-    ("column_tail_bound", 0.5),
-    ("theta", {**Z3, "n": 2, "coefficients": [{**Z3["coefficients"][0], "k": [3, 0]}]}),
+    pytest.param("theta", {**Z3, "n": 2, "coefficients": [{**Z3["coefficients"][0], "k": [3, 0]}]}, id="theta-value4"),
+    pytest.param("theta", {**Z3, "coefficients": [{**Z3["coefficients"][0], "k": [7]}]}, id="theta-reach"),
 ])
 def test_modelspace_header_must_match_theta(tmp_path, capsys, field, value):
     path = tmp_path / "Q.ms"
     io.save_modelspace(path, model_basis(io.symbol_from_dict(Z3), Box((6,))))
     header, payload = path.read_bytes().split(b"\n", 1)
-    assert json.loads(header)["safe_caps"] == [3]
     path.write_bytes(json.dumps({**json.loads(header), field: value}).encode() + b"\n" + payload)
     assert main(["invariance", "--modelspace", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_modelspace_p_must_be_thetas(tmp_path, capsys):
+    # a p = 2 space under a scalar theta, the payload of the right size
+    path = tmp_path / "Q.ms"
+    io.save_modelspace(path, model_basis(from_coefficients(1, 2, [((3,), np.eye(2))]), Box((6,))))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps({**json.loads(header), "theta": Z3}).encode() + b"\n" + payload)
+    assert main(["invariance", "--modelspace", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: header has p = 2 and 1 caps; theta has n = 1, p = 1\n"
+
+
+# the boundary note every .ms file carried before headers dropped derived fields
+OLD_BOUNDARY_NOTE = (
+    "truncated quotient: with theta's zeros, the TMW basis of K_theta cut at the caps, "
+    "within about max|a|^(d+1) of K_theta; else exact against columns that fit the box, "
+    "and near-boundary basis vectors may differ from the untruncated space"
+)
+
+
+def _old_header(path, **stale) -> None:
+    """Rewrite path's header as older files record it, byte for byte, with the stale values given.
+
+    They also record n, and a model space's safe_caps (the caps minus
+    theta's reach), column_tail_bound (theta's tail bound) and
+    boundary_note.
+    """
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["n"] = len(header["caps"])
+    if header["kind"] == "modelspace":
+        theta = header["theta"]
+        if "zeros" in theta:
+            reach = [len(z["re"]) for z in theta["zeros"]]
+        else:
+            reach = [max(c["k"][i] for c in theta["coefficients"]) for i in range(header["n"])]
+        header["safe_caps"] = [c - r for c, r in zip(header["caps"], reach)]
+        header["column_tail_bound"] = theta["tail_bound"]
+        header["boundary_note"] = OLD_BOUNDARY_NOTE
+    path.write_bytes(io.dumps_header({**header, **stale}).encode() + b"\n" + payload)
+
+
+@pytest.mark.parametrize("stale", [{}, {"n": 5, "safe_caps": [9, 9], "column_tail_bound": 0.5, "boundary_note": "x"}],
+                         ids=["current", "stale"])
+def test_files_with_derived_header_fields_load_and_report_the_same(tmp_path, stale):
+    # .op and .ms files as headers recorded them before (n, safe_caps,
+    # column_tail_bound, boundary_note), current or stale, load bit for bit
+    # and give byte-identical reports: those keys are ignored
+    box = Box((4, 4))
+    theta = product_inner([blaschke_factor(0.5, 6), blaschke_factor(-0.5j, 6)])
+    ms = model_basis(theta, box)
+    T = TruncatedOperator(Box((ms.q - 1,)), 1, np.random.default_rng(30).standard_normal((ms.q, ms.q)) + 0j)
+    files = {
+        "S.op": lambda path: io.save_operator(path, toeplitz(from_coefficients(2, 1, [((1, 0), 1.0), ((0, -1), 0.5)]), box)),
+        "K.op": lambda path: io.save_operator(path, TruncatedOperator(box, 1, np.eye(25)[::-1] + 0j), fmt="csv"),
+        "T.op": lambda path: io.save_operator(path, T),
+        "Q.ms": lambda path: io.save_modelspace(path, ms),
+        "Z.ms": lambda path: io.save_modelspace(path, model_basis(from_coefficients(2, 1, [((1, 1), 1.0)]), box)),
+    }
+    runs = [
+        ["check-toeplitz", "{d}/S.op"],
+        ["check-toeplitz", "{d}/K.op"],
+        ["invariance", "--modelspace", "{d}/Q.ms"],
+        ["invariance", "--modelspace", "{d}/Z.ms"],
+        ["model-compactness", "--modelspace", "{d}/Q.ms", "--operator", "{d}/T.op", "--m-max", "3"],
+        ["model-compactness", "--modelspace", "{d}/Z.ms", "--identity", "--m-max", "3"],
+    ]
+
+    def outputs():  # each file's matrix bytes and symbol, then each run's exit code and report bytes
+        loaded = []
+        for name in files:
+            if name.endswith(".op"):
+                op = io.load_operator(tmp_path / name)
+                loaded.append((op.matrix.tobytes(), op.symbol and io.symbol_to_dict(op.symbol)))
+            else:
+                ms = io.load_modelspace(tmp_path / name)
+                loaded.append((ms.basis.tobytes(), io.symbol_to_dict(ms.theta)))
+        reports = []
+        for argv in runs:
+            with contextlib.redirect_stderr(io_.StringIO()):
+                code = main([a.format(d=tmp_path) for a in argv] + ["--out", str(tmp_path / "r.json")])
+            reports.append((code, (tmp_path / "r.json").read_bytes()))
+        return loaded, reports
+
+    for name, save in files.items():
+        save(tmp_path / name)
+    current = outputs()
+    for name, save in files.items():
+        _old_header(tmp_path / name, **stale)
+        assert b'"n":' in (tmp_path / name).read_bytes()
+    assert outputs() == current
+    assert [code for code, _ in current[1]] == [0, 1, 0, 0, 1, 1]
+
+
+def test_headers_record_only_what_cannot_be_derived(tmp_path):
+    def keys(path):
+        return set(json.loads(path.read_bytes().split(b"\n", 1)[0]))
+
+    box = Box((3,))
+    io.save_operator(tmp_path / "T.op", toeplitz(from_coefficients(1, 1, [((1,), 1.0)]), box), fmt="csv")
+    io.save_operator(tmp_path / "M.op", TruncatedOperator(box, 2, np.eye(8) + 0j))
+    io.save_modelspace(tmp_path / "Q.ms", model_basis(blaschke_factor(0.5, 4), box))
+    assert keys(tmp_path / "T.op") == {"kind", "p", "caps", "format", "symbol"}
+    assert keys(tmp_path / "M.op") == {"kind", "p", "caps", "format"}
+    assert keys(tmp_path / "Q.ms") == {"kind", "p", "caps", "q", "theta"}
 
 
 def test_model_compactness_csv_bytes(tmp_path):

@@ -41,7 +41,7 @@ def test_model_basis_z_squared():
     want = np.zeros((6, 2))
     want[0, 0] = want[1, 1] = 1
     assert np.array_equal(ms.basis, want)
-    assert ms.safe_box.caps == (3,)
+    assert modelspace._safe_box(ms.theta, ms.box).caps == (3,)
 
 
 def test_model_basis_z1z2():
@@ -78,7 +78,7 @@ def test_model_basis_orthogonality_invariants():
     gram = ms.basis.conj().T @ ms.basis
     assert np.abs(gram - np.eye(ms.q)).max() < 1e-10
     # complement columns really annihilate the analytic columns
-    cols = analytic_columns_oracle(theta, Box((6, 4)), ms.safe_box)
+    cols = analytic_columns_oracle(theta, Box((6, 4)), modelspace._safe_box(theta, ms.box))
     assert np.abs(ms.basis.conj().T @ cols).max() < 1e-10
 
 
@@ -549,7 +549,7 @@ def test_q_does_not_depend_on_the_truncation_degree():
               for D in (0, 2, 7, 40)]
     assert [ms.q for ms in spaces] == [19] * 4
     assert all(ms.basis.tobytes() == spaces[0].basis.tobytes() for ms in spaces)
-    assert spaces[0].safe_box.caps == (8, 8)
+    assert modelspace._safe_box(spaces[0].theta, spaces[0].box).caps == (8, 8)
 
 
 def zero_monomial(k):
