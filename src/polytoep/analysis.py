@@ -34,10 +34,10 @@ from .operators import (
     _flat,
     _scan,
     _Scan,
+    _section_view,
     _view,
     _window,
     operator_norm,
-    toeplitz,
 )
 from .symbols import TorusSymbol, _block_norms
 
@@ -454,8 +454,11 @@ def asymptotic_decompose(
     stabilized = [m for m, s in enumerate(diagonal.step_norms) if s <= tol]
     m_star = stabilized[-1] if stabilized else m_max
     symbol = recover_symbol(section(T, m_star, diagonal.directions)).symbol
+    # T's tensor view minus the section's, in one pass into the one new matrix
+    full = (slice(None),) * box.n
+    remainder = TruncatedOperator(box, T.p, np.empty((T.dim, T.dim), dtype=complex))
     with np.errstate(over="ignore"):  # an entry past the largest float is inf, and so is its norm
-        remainder = T - toeplitz(symbol, box)
+        np.subtract(_view(T, full, full), _section_view(symbol, box, box), out=_view(remainder, full, full))
     scan = _scan(remainder.matrix)  # one read of the remainder serves all its norm families
     remainder_profile = compactness_profile(remainder, m_max, tol, scan)
     witness: dict | None = None

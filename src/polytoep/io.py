@@ -18,29 +18,28 @@ disagrees with another.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .lattice import Box
 from .modelspace import ModelSpace, _safe_box
-from .operators import TruncatedOperator, toeplitz
-from .symbols import TorusSymbol, from_coefficients
+from .operators import TruncatedOperator, _section_view, _side
+from .symbols import TorusSymbol, _stacked, from_coefficients
 
 ORTHONORMAL_TOL = 1e-10  # largest |V*V - I| entry a loaded model-space basis may have
 
 
 def symbol_to_dict(sym: TorusSymbol) -> dict:
-    coeffs = []
-    for k in sorted(sym.coefficients):
-        blk = sym.coefficients[k]
-        coeffs.append(
-            {
-                "k": [int(x) for x in k],
-                "re": blk.real.tolist(),
-                "im": blk.imag.tolist(),
-            }
-        )
+    """Symbol JSON, the coefficients in sorted frequency order, read off one stacked pass (`symbols._stacked`)."""
+    keys, blocks = _stacked(sym)
+    order = np.lexsort(keys.T[::-1])  # tuple order: the first variable is the primary key
+    keys, blocks = keys[order], blocks[order]
+    coeffs = [
+        {"k": k, "re": re, "im": im}
+        for k, re, im in zip(keys.tolist(), blocks.real.tolist(), blocks.imag.tolist())
+    ]
     out = {
         "n": sym.n,
         "p": sym.p,
@@ -94,16 +93,24 @@ def load_symbol(path) -> TorusSymbol:
     return symbol_from_dict(json.loads(Path(path).read_text()))
 
 
-def _matrix_to_bytes(matrix: np.ndarray) -> bytes:
-    return np.ascontiguousarray(matrix, dtype="<c16").tobytes()
+def _matrix_payload(matrix: np.ndarray) -> np.ndarray:
+    """The matrix as row-major little-endian complex128: the binary payload, written as its buffer."""
+    return np.ascontiguousarray(matrix, dtype="<c16")
 
 
-def _matrix_from_bytes(buf: bytes, rows: int, cols: int) -> np.ndarray:
-    if len(buf) != rows * cols * 16:
-        raise ValueError(
-            f"matrix payload holds {len(buf)} bytes, expected {rows * cols * 16}"
-        )
-    return np.frombuffer(buf, dtype="<c16").reshape(rows, cols).astype(complex)
+def _matrix_from_file(fh, rows: int, cols: int) -> np.ndarray:
+    """The rest of an open file as a rows x cols binary payload, read once into its array.
+
+    Its length is checked against the file's size before anything is
+    allocated, and again after the read.
+    """
+    size, want = os.fstat(fh.fileno()).st_size - fh.tell(), rows * cols * 16
+    if size == want:
+        matrix = np.empty((rows, cols), dtype="<c16")
+        size = fh.readinto(matrix)
+    if size != want:
+        raise ValueError(f"matrix payload holds {size} bytes, expected {want}")
+    return matrix.astype(complex, copy=False)
 
 
 def _matrix_to_csv(matrix: np.ndarray) -> str:
@@ -124,8 +131,12 @@ def _matrix_from_csv(text: str, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _write_container(path, header: dict, payload: bytes) -> None:
-    """An `.op` or `.ms` file: the header as one canonical JSON line, then the payload."""
+def _write_container(path, header: dict, payload) -> None:
+    """An `.op` or `.ms` file: the header as one canonical JSON line, then the payload.
+
+    payload is bytes or a `_matrix_payload` array, whose buffer is written
+    as it is.
+    """
     with open(path, "wb") as fh:
         fh.write((dumps_header(header) + "\n").encode())
         fh.write(payload)
@@ -137,34 +148,37 @@ def _read_container(path, kind: str) -> tuple[dict, Box, int, np.ndarray]:
     kind is "operator" or "modelspace", and the header must say so.  The
     payload has p times the box's dimension rows and, for an operator, as
     many columns, binary or CSV as its format says; for a model space, q
-    columns in binary.  Other keys are the caller's to read, and a key no
-    one reads is ignored: older files also record n, safe_caps,
-    column_tail_bound, boundary_note, structure or direction.
+    columns in binary.  A binary payload is read once, straight into the
+    matrix (`_matrix_from_file`), and one of any other length is refused.
+    Other keys are the caller's to read, and a key no one reads is ignored:
+    older files also record n, safe_caps, column_tail_bound, boundary_note,
+    structure or direction.
     """
-    head, newline, payload = Path(path).read_bytes().partition(b"\n")  # the whole file is freed before the matrix is made
-    if not newline:
-        raise ValueError(f"{path}: missing header line")
-    try:
-        header = json.loads(head.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: malformed header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
-    if header.get("kind") != kind:
-        raise ValueError(f"{path}: not a {kind} file (kind={header.get('kind')!r})")
-    try:
-        box = Box(tuple(header["caps"]))
-        p = _integer(header["p"])
-        rows = p * box.dim
-        cols, fmt = (rows, header["format"]) if kind == "operator" else (_integer(header["q"]), "binary")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed {kind} header: {exc}") from exc
-    if fmt == "binary":
-        matrix = _matrix_from_bytes(payload, rows, cols)
-    elif fmt == "csv":
-        matrix = _matrix_from_csv(payload.decode(), rows, cols)
-    else:
-        raise ValueError(f"{path}: unknown payload format {fmt!r}")
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        if not head.endswith(b"\n"):
+            raise ValueError(f"{path}: missing header line")
+        try:
+            header = json.loads(head.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: malformed header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is not a JSON object")
+        if header.get("kind") != kind:
+            raise ValueError(f"{path}: not a {kind} file (kind={header.get('kind')!r})")
+        try:
+            box = Box(tuple(header["caps"]))
+            p = _integer(header["p"])
+            rows = p * box.dim
+            cols, fmt = (rows, header["format"]) if kind == "operator" else (_integer(header["q"]), "binary")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed {kind} header: {exc}") from exc
+        if fmt == "binary":
+            matrix = _matrix_from_file(fh, rows, cols)
+        elif fmt == "csv":
+            matrix = _matrix_from_csv(fh.read().decode(), rows, cols)
+        else:
+            raise ValueError(f"{path}: unknown payload format {fmt!r}")
     return header, box, p, matrix
 
 
@@ -176,13 +190,17 @@ def _integer(value) -> int:
 
 
 def save_operator(path, op: TruncatedOperator, fmt: str = "binary") -> None:
-    """Write kind, p, caps, format, the symbol of a Toeplitz section, and the matrix."""
+    """Write kind, p, caps, format, the symbol of a Toeplitz section, and the matrix.
+
+    A binary matrix is written from its own buffer when it is already
+    row-major complex128, and from one converted copy otherwise.
+    """
     if fmt not in ("binary", "csv"):
         raise ValueError(f"unknown operator format {fmt!r}")
     header = {"kind": "operator", "p": op.p, "caps": list(op.box.caps), "format": fmt}
     if op.symbol is not None:
         header["symbol"] = symbol_to_dict(op.symbol)
-    payload = _matrix_to_bytes(op.matrix) if fmt == "binary" else _matrix_to_csv(op.matrix).encode()
+    payload = _matrix_payload(op.matrix) if fmt == "binary" else _matrix_to_csv(op.matrix).encode()
     _write_container(path, header, payload)
 
 
@@ -190,7 +208,9 @@ def load_operator(path) -> TruncatedOperator:
     """Read an operator file (`_read_container`).
 
     A payload with a NaN entry is refused, naming the first one's (row,
-    column): no verdict can rest on it.
+    column): no verdict can rest on it.  A header symbol is checked against
+    the payload through the section's view (`operators._section_view`), so
+    no second matrix is built.
     """
     header, box, p, matrix = _read_container(path, "operator")
     parts = matrix.view(float)
@@ -205,7 +225,8 @@ def load_operator(path) -> TruncatedOperator:
                 f"{path}: header symbol has n = {symbol.n}, p = {symbol.p}; "
                 f"the operator has n = {box.n}, p = {p}"
             )
-        if not np.array_equal(matrix, toeplitz(symbol, box).matrix):
+        side = _side(box, p)
+        if not np.array_equal(matrix.reshape(side + side), _section_view(symbol, box, box)):
             raise ValueError(f"{path}: payload is not the Toeplitz section of the header symbol")
     return TruncatedOperator(box=box, p=p, matrix=matrix, symbol=symbol)
 
@@ -213,7 +234,7 @@ def load_operator(path) -> TruncatedOperator:
 def save_modelspace(path, ms: ModelSpace) -> None:
     """Write kind, p, caps, q, theta and the basis."""
     header = {"kind": "modelspace", "p": ms.p, "caps": list(ms.box.caps), "q": ms.q, "theta": symbol_to_dict(ms.theta)}
-    _write_container(path, header, _matrix_to_bytes(ms.basis))
+    _write_container(path, header, _matrix_payload(ms.basis))
 
 
 def load_modelspace(path) -> ModelSpace:
@@ -234,7 +255,10 @@ def load_modelspace(path) -> ModelSpace:
         raise ValueError(f"{path}: malformed modelspace header: {exc}") from exc
     if p != theta.p or box.n != theta.n:
         raise ValueError(f"{path}: header has p = {p} and {box.n} caps; theta has n = {theta.n}, p = {theta.p}")
-    _safe_box(theta, box)  # refuses caps that do not hold theta's reach
+    try:
+        _safe_box(theta, box)  # refuses caps that do not hold theta's reach
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     ms = ModelSpace(theta=theta, box=box, basis=basis)
     if ms.selection_rows is not None:  # V*V = I exactly, q = 0 included
         deviation = 0.0

@@ -13,9 +13,11 @@ eigenvalue of a Gram matrix grown from the innermost window outward: from
 LAPACK's band solver where a sparse support orders that matrix into a
 narrow band, from Lanczos on a complex window above a measured column
 count, from LAPACK's dense solver on every other.
-Multilevel Toeplitz operators are gathered directly from symbol coefficients
-(block (l, k) = coeff(l - k), `_gather`), and their matvec has a fast path
-through an n-dimensional circulant embedding.
+A multilevel Toeplitz section is a read-only strided view of one table of
+its symbol's coefficients (block (l, k) = coeff(l - k), `_section_view`):
+`toeplitz` copies it once, and a caller that only subtracts or compares a
+section reads the view.  The matvec has a fast path through an
+n-dimensional circulant embedding.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas, lapack
 
 from .lattice import Box
-from .symbols import TorusSymbol, _block_norms, _next_pow2
+from .symbols import TorusSymbol, _block_norms, _next_pow2, _stacked
 
 
 @dataclass(eq=False)
@@ -111,29 +114,40 @@ def _exponents(box: Box, p: int) -> np.ndarray:
 
 
 def _table(sym: TorusSymbol, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
-    """Coefficient blocks at the frequencies -lo..hi, entry f + lo holding coeff(f); others are dropped."""
+    """Coefficient blocks at the frequencies -lo..hi, entry f + lo holding coeff(f); others are dropped.
+
+    One scatter of the stacked frequencies and blocks (`symbols._stacked`),
+    added into zeros, so a -0.0 part enters as 0.0.  Frequencies outside
+    the range are dropped before lo is added to the rest.
+    """
     lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
     table = np.zeros(tuple(hi + lo + 1) + (sym.p, sym.p), dtype=complex)
-    for f, blk in sym.coefficients.items():
-        fa = np.asarray(f, dtype=np.int64)
-        if np.all((-lo <= fa) & (fa <= hi)):
-            table[tuple(fa + lo)] += blk
+    keys, blocks = _stacked(sym)
+    inside = np.all((-lo <= keys) & (keys <= hi), axis=1)
+    table[tuple((keys[inside] + lo).T)] += blocks[inside]  # distinct frequencies: no entry is hit twice
     return table
 
 
-def _gather(sym: TorusSymbol, rows: Box, cols: Box) -> np.ndarray:
-    """Flat block-major matrix of the blocks coeff(l - k), l in rows and k in cols.
+def _section_view(sym: TorusSymbol, rows: Box, cols: Box) -> np.ndarray:
+    """The blocks coeff(l - k), l in rows and k in cols, as a read-only (row axes, column axes) tensor.
 
-    Frequencies outside the difference range [-cols.caps, rows.caps] never
-    enter the matrix and are dropped.
+    A strided view of one `_table` over the difference range [-cols.caps,
+    rows.caps]: entry l - k + cols.caps is offset l of the window of
+    rows.caps + 1 frequencies that starts at cols.caps - k, so the window
+    starts, reversed, are the column axes.  Frequencies outside the range
+    never enter and are dropped.
     """
-    n, p = rows.n, sym.p
+    n = rows.n
     table = _table(sym, cols.caps, rows.caps)
-    # open grids on the (l, a, k, b) axes of the matrix read as a tensor
-    grids = np.ix_(*(np.arange(s) for s in _side(rows, p) + _side(cols, p)))
-    l, a, k, b = grids[:n], grids[n], grids[n + 1 : -1], grids[-1]
-    diff = tuple(li - ki + c for li, ki, c in zip(l, k, cols.caps))
-    return table[diff + (a, b)].reshape(p * rows.dim, p * cols.dim)
+    windows = sliding_window_view(table, tuple(c + 1 for c in rows.caps), axis=tuple(range(n)))
+    # axes (starts..., a, b, offsets...) to (l..., a, k..., b)
+    windows = windows[(slice(None, None, -1),) * n]
+    return windows.transpose(*range(n + 2, 2 * n + 2), n, *range(n), n + 1)
+
+
+def _gather(sym: TorusSymbol, rows: Box, cols: Box) -> np.ndarray:
+    """Flat block-major matrix of the blocks coeff(l - k): one contiguous copy of `_section_view`."""
+    return _section_view(sym, rows, cols).copy().reshape(sym.p * rows.dim, sym.p * cols.dim)
 
 
 def toeplitz(sym: TorusSymbol, box: Box) -> TruncatedOperator:

@@ -206,6 +206,13 @@ class TorusSymbol:
         return blk
 
 
+def _stacked(sym: TorusSymbol) -> tuple[np.ndarray, np.ndarray]:
+    """The frequencies as an (m, n) int64 array and the blocks as an (m, p, p) complex one, in table order."""
+    keys = np.array(list(sym.coefficients), dtype=np.int64).reshape(-1, sym.n)
+    blocks = np.array(list(sym.coefficients.values()), dtype=complex).reshape(-1, sym.p, sym.p)
+    return keys, blocks
+
+
 def from_coefficients(n: int, p: int, entries) -> TorusSymbol:
     """Build a symbol from (frequency, block) pairs; duplicates and non-finite entries are rejected."""
     coeffs: dict[MultiIndex, np.ndarray] = {}

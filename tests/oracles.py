@@ -264,6 +264,23 @@ def analytic_columns_oracle(theta: TorusSymbol, box: Box, safe: Box) -> np.ndarr
     return cols
 
 
+def toeplitz_oracle(sym: TorusSymbol, rows: Box, cols: Box) -> np.ndarray:
+    """Block (l, k) = coeff(l - k) for l in rows and k in cols, added into zeros one block at a time.
+
+    A frequency outside the difference range meets no block pair and never
+    enters; adding into zeros makes a -0.0 part 0.0.
+    """
+    p = sym.p
+    out = np.zeros((p * rows.dim, p * cols.dim), dtype=complex)
+    for l in enumerate_basis(rows):
+        for k in enumerate_basis(cols):
+            f = tuple(a - b for a, b in zip(l, k))
+            if f in sym.coefficients:
+                i, j = position(rows, l) * p, position(cols, k) * p
+                out[i : i + p, j : j + p] += sym.coefficients[f]
+    return out
+
+
 def shift_oracle(box: Box, direction: int, p: int) -> np.ndarray:
     """Matrix of e_k -> e_(k + e_direction), built entry by entry; the top layer maps to 0."""
     out = np.zeros((p * box.dim, p * box.dim), dtype=complex)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -531,6 +532,55 @@ def test_decompose_norms_stay_on_the_corner_block(monkeypatch, caps, p, depth):
     res = asymptotic_decompose(toeplitz_plus_corner(caps, p, depth))
     assert res.verdict
     assert shapes and max(max(s) for s in shapes) <= p * depth ** len(caps)
+
+
+def _with_entry(T: TruncatedOperator, value) -> TruncatedOperator:
+    """T with entry (0, 0) replaced, in a new matrix."""
+    M = T.matrix.copy()
+    M[0, 0] = value
+    return TruncatedOperator(T.box, T.p, M)
+
+
+@pytest.mark.parametrize("T", [
+    toeplitz_plus_corner((11, 11), 1, 3),
+    toeplitz_plus_corner((63,), 2, 4),
+    toeplitz_plus_corner((5, 4, 6), 2, 2),
+    _with_entry(toeplitz_plus_corner((9, 9), 1, 2), complex(math.inf, -1.0)),
+    TruncatedOperator(Box((6, 6)), 1, np.random.default_rng(5).standard_normal((49, 49))),  # a real matrix
+], ids=["2d", "1d-p2", "3d-p2", "inf-entry", "real"])
+def test_decompose_remainder_is_t_minus_the_section_bit_for_bit(T):
+    res = asymptotic_decompose(T)
+    want = T.matrix - toeplitz(res.symbol, T.box).matrix
+    assert res.remainder.matrix.dtype == want.dtype
+    assert np.array_equal(res.remainder.matrix.view(np.int64), want.view(np.int64))
+
+
+def test_decompose_builds_its_remainder_in_one_new_matrix(monkeypatch):
+    # From the recovered symbol to the remainder's scan, nothing but the
+    # symbol's coefficient table is allocated beside the remainder: no
+    # section is built only to be subtracted.
+    T = toeplitz_plus_corner((31, 31), 1, 3)
+    marks = []
+    recover, scan = analysis.recover_symbol, analysis._scan
+
+    def recovered(S):
+        out = recover(S)
+        tracemalloc.reset_peak()
+        return out
+
+    def scanned(M):
+        marks.append(tracemalloc.get_traced_memory())
+        return scan(M)
+
+    monkeypatch.setattr(analysis, "recover_symbol", recovered)
+    monkeypatch.setattr(analysis, "_scan", scanned)
+    tracemalloc.start()
+    try:
+        asymptotic_decompose(T)
+    finally:
+        tracemalloc.stop()
+    [(held, peak)] = marks
+    assert peak - held <= T.matrix.nbytes // 16
 
 
 def test_decompose_computes_cross_terms_only_for_a_remainder_witness(monkeypatch):

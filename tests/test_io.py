@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,32 @@ def test_operator_payload_size_check(tmp_path):
         io.load_operator(tmp_path / "short.op")
 
 
+@pytest.mark.parametrize("cut, extra, size", [(16, b"", 48), (1, b"", 63), (0, b"\0", 65), (0, bytes(32), 96)])
+def test_operator_payload_of_another_length_is_refused(tmp_path, cut, extra, size):
+    path = tmp_path / "T.op"
+    io.save_operator(path, toeplitz(from_coefficients(1, 1, [((0,), 1)]), Box((1,))))
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - cut] + extra)
+    with pytest.raises(ValueError, match=rf"^matrix payload holds {size} bytes, expected 64$"):
+        io.load_operator(path)
+
+
+def test_binary_operator_load_peaks_at_about_one_payload(tmp_path):
+    # The payload is read straight into the matrix, and the header symbol is
+    # checked against the section's view: no file copy, no second matrix.
+    op = toeplitz(random_symbol(2, 2, rng=np.random.default_rng(4)), Box((31, 31)))
+    path = tmp_path / "T.op"
+    io.save_operator(path, op)
+    tracemalloc.start()
+    try:
+        back = io.load_operator(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.symbol is not None and np.array_equal(back.matrix, op.matrix)
+    assert peak <= op.matrix.nbytes * 9 // 8 + (1 << 20)
+
+
 def test_modelspace_round_trip(tmp_path):
     theta = from_coefficients(2, 1, [((1, 1), 1)])
     ms = model_basis(theta, Box((3, 3)))
@@ -125,6 +152,18 @@ def test_modelspace_basis_must_be_orthonormal(tmp_path, damage):
     io.save_modelspace(tmp_path / "Q.ms", ms)
     with pytest.raises(ValueError, match="not orthonormal"):
         io.load_modelspace(tmp_path / "Q.ms")
+
+
+def test_modelspace_theta_beyond_the_caps_is_refused_naming_the_file(tmp_path):
+    path = tmp_path / "Q.ms"
+    io.save_modelspace(path, model_basis(from_coefficients(1, 1, [((3,), 1.0)]), Box((6,))))
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    header = dict(json.loads(raw[:nl]), theta=io.symbol_to_dict(from_coefficients(1, 1, [((7,), 1.0)])))
+    path.write_bytes(io.dumps_header(header).encode() + raw[nl:])
+    with pytest.raises(ValueError, match="empty safe box") as exc:
+        io.load_modelspace(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 SELECTION_DAMAGE = ("none", "two on one row", "1 + 1e-9", "-1", "1j", "extra entry", "bit flip")

@@ -20,7 +20,7 @@ from polytoep.operators import (
     operator_norm,
     toeplitz,
 )
-from polytoep.symbols import _block_norms, from_coefficients, random_symbol
+from polytoep.symbols import TorusSymbol, _block_norms, from_coefficients, random_symbol
 
 import oracles
 from oracles import _blk, enumerate_basis, layer_projector_oracle, shift_oracle
@@ -65,6 +65,57 @@ def test_toeplitz_entries_depend_only_on_difference():
             for k in enumerate_basis(box):
                 f = tuple(a - b for a, b in zip(l, k))
                 assert np.array_equal(_blk(T, l, k), sym.coeff(f))
+
+
+# Parts of a drawn coefficient: signed zeros, ordinary and extreme
+# magnitudes, and infinities.  Frequencies fall inside and outside every
+# difference range, up to the edge of int64.
+SECTION_PARTS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 1e300, math.inf, -math.inf])
+SECTION_FREQS = st.one_of(st.integers(-5, 5), st.sampled_from([-(2**63 - 1), 2**63 - 1]))
+
+
+@st.composite
+def sections(draw):
+    """A symbol on n = 1..3 variables with p = 1 or 2, and a row box and a column box of its n."""
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    caps = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    rows, cols = Box(draw(caps)), Box(draw(caps))
+    coeffs = {}
+    for k in draw(st.lists(st.tuples(*[SECTION_FREQS] * n), max_size=8, unique=True)):
+        parts = draw(st.lists(SECTION_PARTS, min_size=2 * p * p, max_size=2 * p * p))
+        coeffs[k] = np.array(parts).view(complex).reshape(p, p)
+    return TorusSymbol(n, p, coeffs), rows, cols
+
+
+def _minus_zero_symbol(n: int, p: int) -> TorusSymbol:
+    """-0.0 at frequency 0, -1 + 2j at e_1, and 5 at a frequency outside every small box's range."""
+    e1 = (1,) + (0,) * (n - 1)
+    return TorusSymbol(n, p, {
+        (0,) * n: np.full((p, p), complex(-0.0, -0.0)),
+        e1: np.full((p, p), -1 + 2j),
+        (9,) * n: np.full((p, p), 5 + 0j),
+    })
+
+
+@settings(max_examples=150)
+@given(sections())
+@example((_minus_zero_symbol(1, 1), Box((3,)), Box((3,))))
+@example((_minus_zero_symbol(3, 2), Box((2, 0, 1)), Box((1, 3, 0))))  # rows != cols, as `model_basis` takes them
+def test_gather_matches_loop_oracle_bit_for_bit(case):
+    # int64 views tell -0.0 from 0.0: both add each block into zeros
+    sym, rows, cols = case
+    got, want = operators._gather(sym, rows, cols), oracles.toeplitz_oracle(sym, rows, cols)
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_section_view_is_read_only_and_a_section_is_a_copy():
+    sym = random_symbol(2, 1, p=2, rng=np.random.default_rng(3))
+    V = operators._section_view(sym, Box((3, 2)), Box((1, 2)))
+    assert V.shape == (4, 3, 2, 2, 3, 2) and not V.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        V[0, 0, 0, 0, 0, 0] = 1.0
+    for caps in ((0,), (0, 0), (2, 3)):  # a 1 x 1 section too, whose reshape alone would be a view
+        assert toeplitz(from_coefficients(len(caps), 1, [((0,) * len(caps), 2.0)]), Box(caps)).matrix.flags.writeable
 
 
 def test_shift_equals_toeplitz_of_coordinate():
