@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -101,13 +102,17 @@ def _matrix_payload(matrix: np.ndarray) -> np.ndarray:
 def _matrix_from_file(fh, rows: int, cols: int) -> np.ndarray:
     """The rest of an open file as a rows x cols binary payload, read once into its array.
 
-    Its length is checked against the file's size before anything is
-    allocated, and again after the read.
+    A file on disk whose remaining length is not the payload's is refused
+    before anything is allocated.  A pipe's length shows only in the read,
+    so a short one, or one with bytes left after the payload, is refused
+    after it.
     """
-    size, want = os.fstat(fh.fileno()).st_size - fh.tell(), rows * cols * 16
+    want = rows * cols * 16
+    st = os.fstat(fh.fileno())
+    size = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else want
     if size == want:
         matrix = np.empty((rows, cols), dtype="<c16")
-        size = fh.readinto(matrix)
+        size = fh.readinto(matrix) + len(fh.read())
     if size != want:
         raise ValueError(f"matrix payload holds {size} bytes, expected {want}")
     return matrix.astype(complex, copy=False)

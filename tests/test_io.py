@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -86,6 +88,26 @@ def test_operator_payload_of_another_length_is_refused(tmp_path, cut, extra, siz
     path.write_bytes(data[: len(data) - cut] + extra)
     with pytest.raises(ValueError, match=rf"^matrix payload holds {size} bytes, expected 64$"):
         io.load_operator(path)
+
+
+@pytest.mark.parametrize("extra", [b"", b"\0"])
+def test_operator_file_through_a_pipe(tmp_path, extra):
+    # a pipe has no size to check first: the read itself finds the length
+    op = toeplitz(from_coefficients(1, 1, [((1,), 2.0)]), Box((3,)))
+    io.save_operator(tmp_path / "T.op", op)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes((tmp_path / "T.op").read_bytes() + extra))
+    writer.start()
+    try:
+        if extra:
+            with pytest.raises(ValueError, match="payload holds 257 bytes, expected 256"):
+                io.load_operator(fifo)
+        else:
+            assert np.array_equal(io.load_operator(fifo).matrix, op.matrix)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_binary_operator_load_peaks_at_about_one_payload(tmp_path):
