@@ -207,7 +207,7 @@ class TorusSymbol:
 
 
 def _stacked(sym: TorusSymbol) -> tuple[np.ndarray, np.ndarray]:
-    """The frequencies as an (m, n) int64 array and the blocks as an (m, p, p) complex one, in table order."""
+    """The frequencies as an (m, n) int64 array and the blocks as an (m, p, p) complex one, in dict order."""
     keys = np.array(list(sym.coefficients), dtype=np.int64).reshape(-1, sym.n)
     blocks = np.array(list(sym.coefficients.values()), dtype=complex).reshape(-1, sym.p, sym.p)
     return keys, blocks

@@ -80,7 +80,7 @@ def test_operator_payload_size_check(tmp_path):
         io.load_operator(tmp_path / "short.op")
 
 
-@pytest.mark.parametrize("cut, extra, size", [(16, b"", 48), (1, b"", 63), (0, b"\0", 65), (0, bytes(32), 96)])
+@pytest.mark.parametrize("cut, extra, size", [(1, b"", 63), (0, b"\0", 65), (0, bytes(32), 96)])
 def test_operator_payload_of_another_length_is_refused(tmp_path, cut, extra, size):
     path = tmp_path / "T.op"
     io.save_operator(path, toeplitz(from_coefficients(1, 1, [((0,), 1)]), Box((1,))))
